@@ -52,17 +52,15 @@ struct BenchTiming {
   uint64_t USRPointsAvoided = 0;
 };
 
-/// Builds a session for \p B sized for \p Threads workers: every bench
-/// harness runs through halo::Session, which owns the plan cache,
-/// compiled cascades, HOIST-USR cache, frame pool and thread pool.
+/// Builds a session for \p B sized for \p Threads workers on evaluation
+/// tier \p Tier: every bench harness runs through halo::Session, which
+/// owns the plan cache, compiled cascades, HOIST-USR cache, frame pool and
+/// thread pool.
 inline session::Session makeSession(suite::Benchmark &B, unsigned Threads,
-                                    bool CompiledPreds = true) {
+                                    rt::EvalTier Tier = rt::EvalTier::Block) {
   session::SessionOptions SO;
   SO.Threads = Threads;
-  SO.UseCompiledPredicates = CompiledPreds;
-  // The A/B toggle selects the fully-interpreted runtime: tree-walking
-  // predicates and point-materializing exact tests together.
-  SO.UseCompiledUSRs = CompiledPreds;
+  SO.Tier = Tier;
   return session::Session(B.prog(), B.usr(), SO);
 }
 
@@ -91,13 +89,13 @@ inline BenchTiming timeBenchmark(suite::Benchmark &B, unsigned Threads,
                                  int64_t Scale,
                                  bool RuntimeTests = true,
                                  int Repeats = 3,
-                                 bool CompiledPreds = true) {
+                                 rt::EvalTier Tier = rt::EvalTier::Block) {
   BenchTiming Out;
 
   // One long-lived session, as in the paper's runtime: plans, compiled
   // cascades and pooled frames are set up once and amortized across every
   // repeated execution below.
-  session::Session S = makeSession(B, Threads, CompiledPreds);
+  session::Session S = makeSession(B, Threads, Tier);
   prepareBenchmark(S, B, Scale, RuntimeTests);
 
   double SeqBest = 1e30, ParBest = 1e30, OvAtBest = 0;

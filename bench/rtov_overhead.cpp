@@ -272,10 +272,10 @@ struct ReuseFixture {
     M.alloc(A, static_cast<size_t>(4 * N + 16));
   }
 
-  session::Session makeSession(unsigned Threads, bool Compiled) {
+  session::Session makeSession(unsigned Threads, rt::EvalTier Tier) {
     session::SessionOptions SO;
     SO.Threads = Threads;
-    SO.UseCompiledPredicates = Compiled;
+    SO.Tier = Tier;
     return session::Session(Prog, U, SO);
   }
 };
@@ -304,7 +304,8 @@ void sessionReuseBench() {
     sym::Bindings BRef;
     F.setup(MRef, BRef);
     {
-      session::Session SRef = F.makeSession(Threads, /*Compiled=*/false);
+      session::Session SRef =
+          F.makeSession(Threads, rt::EvalTier::Interpreted);
       for (int E = 0; E < MSteady; ++E)
         SRef.run(*F.L, MRef, BRef);
     }
@@ -312,7 +313,7 @@ void sessionReuseBench() {
     // 1st-execution column: execution #1 of KFresh fresh sessions.
     double FirstSum = 0;
     for (int K = 0; K < KFresh; ++K) {
-      session::Session S = F.makeSession(Threads, /*Compiled=*/true);
+      session::Session S = F.makeSession(Threads, rt::EvalTier::Block);
       rt::Memory M;
       sym::Bindings B;
       F.setup(M, B);
@@ -321,7 +322,7 @@ void sessionReuseBench() {
     }
 
     // Steady-state column: executions 2..MSteady of one session.
-    session::Session S = F.makeSession(Threads, /*Compiled=*/true);
+    session::Session S = F.makeSession(Threads, rt::EvalTier::Block);
     rt::Memory M;
     sym::Bindings B;
     F.setup(M, B);
@@ -529,7 +530,8 @@ int main() {
     if (It == PaperRTov.end())
       continue;
     BenchTiming T = timeBenchmark(*B, 4, 8, true);
-    BenchTiming TI = timeBenchmark(*B, 4, 8, true, 3, /*CompiledPreds=*/false);
+    BenchTiming TI =
+        timeBenchmark(*B, 4, 8, true, 3, rt::EvalTier::Interpreted);
     // Both engine paths must be governor-counted symmetrically: the
     // compiled session never falls back to interpreted exact tests and
     // vice versa.

@@ -545,27 +545,17 @@ OracleResult fuzz::checkCase(GeneratedCase &C, const OracleOptions &O) {
     C.bind(MSeq, BSeq);
     rt::interpSequential(*C.Loop, MSeq, BSeq);
 
-    struct Config {
-      const char *Name;
-      bool CompiledPreds, CompiledUSRs, Block;
-    };
-    const Config Configs[] = {
-        {"compiled+block", true, true, true},
-        {"compiled+scalar", true, true, false},
-        {"interpreted", false, false, true},
-    };
-    for (const Config &CF : Configs) {
+    for (rt::EvalTier Tier : rt::AllEvalTiers) {
       session::SessionOptions SO = SOBase;
-      SO.UseCompiledPredicates = CF.CompiledPreds;
-      SO.UseCompiledUSRs = CF.CompiledUSRs;
-      SO.UseBlockEval = CF.Block;
+      SO.Tier = Tier;
       session::Session S(C.prog(), C.usrCtx(), SO);
       rt::Memory MX;
       sym::Bindings BX;
       C.bind(MX, BX);
       rt::ExecStats ES = S.run(*C.Loop, MX, BX);
       Res.GuardDemotions += ES.GuardDemotions;
-      compareMemory(MSeq, MX, RedArrays, O.Tolerance, C, CF.Name, Res);
+      compareMemory(MSeq, MX, RedArrays, O.Tolerance, C,
+                    rt::evalTierName(Tier), Res);
     }
 
     // --- Plan-cache round trip ------------------------------------------

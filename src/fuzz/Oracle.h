@@ -25,8 +25,8 @@
 ///
 ///  2. **Execution parity oracle.** The case runs end to end through the
 ///     sequential reference interpreter and through session::Session in
-///     three engine configurations (compiled+block, compiled scalar,
-///     fully interpreted). All four final memory images must agree —
+///     each of the three evaluation tiers (rt::EvalTier: block, scalar,
+///     interpreted). All four final memory images must agree —
 ///     bit-exactly for non-reduction arrays, within a small tolerance for
 ///     reduction targets (parallel merge reorders floating-point adds).
 ///     Cascade stages are additionally cross-checked compiled-vs-

@@ -469,10 +469,13 @@ uint64_t hashOptions(const analysis::AnalyzerOptions &AO, CodegenKey CG,
   uint64_t H = mix(Seed, 0xF1ull);
   // Format version: a new format is a new key space.
   H = mix(H, FormatVersion);
-  // Codegen-affecting session toggles + the block width W.
-  H = mix(H, CG.UseCompiledPredicates ? 1 : 0);
-  H = mix(H, CG.UseCompiledUSRs ? 1 : 0);
-  H = mix(H, CG.UseBlockEval ? 1 : 0);
+  // The evaluation tier + the block width W. The tier hashes as the three
+  // (compiled predicates, compiled USRs, block) bits it replaced, so plan
+  // keys written before the tier existed stay valid.
+  const bool Compiled = CG != rt::EvalTier::Interpreted;
+  H = mix(H, Compiled ? 1 : 0);
+  H = mix(H, Compiled ? 1 : 0);
+  H = mix(H, CG != rt::EvalTier::Scalar ? 1 : 0);
   H = mix(H, pdag::ExprBlockWidth);
   // Analyzer options (Probe is excluded: probe-analyzed plans are never
   // serialized; Threads is excluded: it affects scheduling, not the plan).

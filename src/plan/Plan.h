@@ -95,14 +95,11 @@ inline constexpr uint64_t PrimarySeed = 0x243F6A8885A308D3ull;
 /// Seed of the independent verification hash.
 inline constexpr uint64_t VerifySeed = 0x13198A2E03707344ull;
 
-/// The session toggles that change what prepare() compiles (and therefore
-/// what a plan contains); folded into the plan key together with the
-/// analyzer options, the block width W and the format version.
-struct CodegenKey {
-  bool UseCompiledPredicates = true;
-  bool UseCompiledUSRs = true;
-  bool UseBlockEval = true;
-};
+/// The session option that changes what prepare() compiles (and
+/// therefore what a plan contains): the evaluation tier. Folded into the
+/// plan key together with the analyzer options, the block width W and the
+/// format version.
+using CodegenKey = rt::EvalTier;
 
 /// Pointer-free structural hash of an expression DAG (symbols by name).
 uint64_t hashExpr(const sym::Expr *E, const sym::Context &Sym, uint64_t Seed);

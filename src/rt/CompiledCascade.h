@@ -6,8 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The compile-once half of the governor's cascade machinery, hoisted out
-/// of rt::Executor so it can be shared and amortized by the session layer:
+/// The compile-once half of the governor's cascade machinery, kept apart
+/// from rt::runPlanned so it can be shared and amortized by the session
+/// layer:
 ///
 ///  - PredCompileCache: interned-predicate -> bytecode, compiled once,
 ///  - CompiledCascade:  one TestCascade's stage vector, built and
@@ -36,9 +37,10 @@
 ///    tables and recurrence prefix caches, so two concurrent executions
 ///    must check out two distinct contexts (session::Session pools and
 ///    leases them). USRCompileCache's internal per-entry fallback frame is
-///    only used when the caller does not supply a USRFramePool (standalone
-///    executors); frameless callers serialize on the entry's fallback
-///    mutex, so misuse degrades to sequential evaluation, never a race.
+///    only used when the caller does not supply a USRFramePool (direct
+///    cache users outside the governor); frameless callers serialize on
+///    the entry's fallback mutex, so misuse degrades to sequential
+///    evaluation, never a race.
 ///
 /// These contracts are machine-checked: the locks are support/Sync.h
 /// capabilities, the fields carry HALO_GUARDED_BY, and CI's thread-safety
@@ -63,6 +65,41 @@
 
 namespace halo {
 namespace rt {
+
+/// The engine tier that evaluates a session's runtime tests (cascade
+/// stages and exact USR tests). Every tier produces bit-identical
+/// results; they differ only in speed and in which ExecStats counter
+/// columns they fill.
+enum class EvalTier : uint8_t {
+  /// The reference tree interpreters (pdag::tryEvalPred,
+  /// usr::evalUSREmpty), stages in cascade order: the parity oracle.
+  Interpreted,
+  /// Compiled bytecode pinned to scalar dispatch (the block tier's A/B
+  /// baseline).
+  Scalar,
+  /// Compiled bytecode with the block-vectorized tier: cascade stages
+  /// pick block vs. scalar sweeps per stage (pdag::BlockEval::Auto) and
+  /// exact-test gate predicates batch their recurrence sweeps. The
+  /// default.
+  Block,
+};
+
+/// Every tier, the default first.
+inline constexpr EvalTier AllEvalTiers[] = {
+    EvalTier::Block, EvalTier::Scalar, EvalTier::Interpreted};
+
+/// Short display name of \p T ("block", "scalar", "interpreted").
+inline const char *evalTierName(EvalTier T) {
+  switch (T) {
+  case EvalTier::Interpreted:
+    return "interpreted";
+  case EvalTier::Scalar:
+    return "scalar";
+  case EvalTier::Block:
+    return "block";
+  }
+  return "?";
+}
 
 /// Compile-once cache over interned cascade predicates. Stage predicates
 /// recur across loops (shared sub-equations, repeated analysis), so the
@@ -215,6 +252,8 @@ public:
     support::MutexLock L(M);
     return Cache.size();
   }
+  /// The symbol context the cached USRs were interned against.
+  const sym::Context &symCtx() const { return Sym; }
 
 private:
   struct Entry {
@@ -223,7 +262,7 @@ private:
     std::unique_ptr<usr::CompiledUSR> Code;
     /// Serializes frameless callers over the shared fallback frame.
     support::Mutex FallbackM;
-    /// Fallback frame for frameless callers (standalone executors):
+    /// Fallback frame for frameless callers (direct cache users):
     /// mutable bind stamps and prefix caches, shared cache state — held
     /// under FallbackM for the whole evaluation.
     usr::CompiledUSR::PooledFrame Frame HALO_GUARDED_BY(FallbackM);

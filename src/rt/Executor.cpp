@@ -38,30 +38,6 @@ double nowSeconds() {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Interpreter substrate delegation
-//===----------------------------------------------------------------------===//
-
-void Executor::runStmts(const std::vector<const Stmt *> &Stmts, Memory &M,
-                        sym::Bindings &B) {
-  interpStmts(Stmts, M, B);
-}
-
-void Executor::runSequential(const DoLoop &Loop, Memory &M,
-                             sym::Bindings &B) {
-  interpSequential(Loop, M, B);
-}
-
-void Executor::runCivSlice(const DoLoop &Loop, const summary::CivPlan &Plan,
-                           Memory &M, sym::Bindings &B) {
-  interpCivSlice(Loop, Plan, M, B);
-}
-
-bool Executor::computeBounds(const usr::USR *S, sym::Bindings &B,
-                             ThreadPool &Pool, int64_t &Lo, int64_t &Hi) {
-  return interpBounds(S, B, Pool, Lo, Hi);
-}
-
-//===----------------------------------------------------------------------===//
 // HoistCache
 //===----------------------------------------------------------------------===//
 
@@ -156,16 +132,21 @@ struct ArrayDecision {
   bool ReductionPrivate = false;
 };
 
-} // namespace
-
-int Executor::runCascade(const TestCascade &C, const CompiledCascade *Pre,
-                         sym::Bindings &B, ThreadPool &Pool,
-                         ExecStats &Stats, FramePool *Frames,
-                         const support::CancelToken *Cancel) {
+/// Evaluates a cascade and returns the stage depth used (-1 static, -2
+/// all failed). The interpreted tier walks the stages in cascade order;
+/// the compiled tiers walk \p CC, cost-ordered at plan time, and run
+/// O(N)+ stages through the chunked parallel and-reduction. \p Cancel
+/// adds a poll before every stage: a fired token aborts the cascade and
+/// returns -3 (no stage answer — distinct from -2 "all stages failed",
+/// which routes to fallbacks).
+int runCascade(const TestCascade &C, const CompiledCascade &CC,
+               sym::Bindings &B, ThreadPool &Pool, ExecStats &Stats,
+               FramePool &Frames, const support::CancelToken *Cancel,
+               EvalTier Tier) {
   if (C.StaticallyTrue)
     return -1;
 
-  if (!UseCompiledPreds) {
+  if (Tier == EvalTier::Interpreted) {
     // Reference path: the tree-walking interpreter in cascade order. Each
     // stage evaluation is counted here by the governor (symmetric with
     // the compiled branch below).
@@ -182,15 +163,9 @@ int Executor::runCascade(const TestCascade &C, const CompiledCascade *Pre,
     return -2;
   }
 
-  // Compiled path. With a plan-time cascade (session executions) the
-  // stage vector is already built and cost-ordered; the standalone path
-  // lowers through the executor's own cache and sorts per call.
-  CompiledCascade Local;
-  if (!Pre) {
-    Local = CompiledCascade::build(C, OwnCompile);
-    Pre = &Local;
-  }
-  for (const CompiledCascade::Stage &St : Pre->Stages) {
+  const pdag::BlockEval BE = Tier == EvalTier::Block ? pdag::BlockEval::Auto
+                                                     : pdag::BlockEval::Off;
+  for (const CompiledCascade::Stage &St : CC.Stages) {
     // Stage-boundary cancellation poll: the serving path runs inline
     // (1-thread sessions), so this — not the parallel chunk boundary —
     // is where a deadline fires between pieces of predicate work.
@@ -211,22 +186,13 @@ int Executor::runCascade(const TestCascade &C, const CompiledCascade *Pre,
     }
     // O(1) stages run inline; O(N)+ stages fan their root LoopAll range
     // out across the pool with the exact early-exit and-reduction.
-    // Pooled frames (when the session provides a pool) skip per-execution
-    // frame allocation and, with unchanged bindings, symbol re-binding.
-    std::optional<bool> V;
-    const pdag::BlockEval BE =
-        UseBlockEval ? pdag::BlockEval::Auto : pdag::BlockEval::Off;
-    if (Frames) {
-      auto &PF = Frames->frameFor(St.Code);
-      V = St.Code->loopDepth() >= 1
-              ? St.Code->evalParallelPooled(PF, B, Pool, &ES, 4096, Cancel,
-                                            BE)
-              : St.Code->evalPooled(PF, B, &ES, BE);
-    } else {
-      V = St.Code->loopDepth() >= 1
-              ? St.Code->evalParallel(B, Pool, &ES, 4096, Cancel, BE)
-              : St.Code->eval(B, &ES, BE);
-    }
+    // Pooled frames skip per-execution frame allocation and, with
+    // unchanged bindings, symbol re-binding.
+    auto &PF = Frames.frameFor(St.Code);
+    std::optional<bool> V =
+        St.Code->loopDepth() >= 1
+            ? St.Code->evalParallelPooled(PF, B, Pool, &ES, 4096, Cancel, BE)
+            : St.Code->evalPooled(PF, B, &ES, BE);
     Stats.PredicateLeafEvals += ES.LeafEvals;
     Stats.PredMemoHits += ES.MemoHits;
     Stats.FrameBinds += ES.FrameBinds;
@@ -241,17 +207,74 @@ int Executor::runCascade(const TestCascade &C, const CompiledCascade *Pre,
   return -2;
 }
 
-ExecStats Executor::runPlanned(const LoopPlan &Plan, Memory &M,
-                               sym::Bindings &B, ThreadPool &Pool,
-                               HoistCache *Hoist, const PlanCascades *Pre,
-                               ExecContext *Ctx,
-                               USRCompileCache *UsrCompile) {
-  assert((!Pre || Pre->Arrays.size() == Plan.Arrays.size()) &&
+//===----------------------------------------------------------------------===//
+// LRPD speculative fallback
+//===----------------------------------------------------------------------===//
+
+/// Runs \p Plan's loop speculatively under shadow arrays; returns false
+/// after restoring \p M when the shadows detect a conflict (the caller
+/// then re-executes sequentially).
+bool runSpeculative(const LoopPlan &Plan, Memory &M, sym::Bindings &B,
+                    ThreadPool &Pool, ExecStats &Stats) {
+  Stats.UsedTLS = true;
+  const DoLoop &Loop = *Plan.Loop;
+  int64_t Lo = sym::eval(Loop.getLo(), B);
+  int64_t Hi = sym::eval(Loop.getHi(), B);
+  if (Lo > Hi)
+    return true;
+
+  // Backup every data array (checkpoint for misspeculation).
+  auto Backup = std::as_const(M).arrays();
+
+  // Shadow every data array.
+  std::map<SymbolId, std::unique_ptr<Shadow>> Shadows;
+  for (const auto &KV : std::as_const(M).arrays())
+    Shadows.emplace(KV.first, std::make_unique<Shadow>(KV.second.size()));
+
+  std::atomic<bool> Conflict{false};
+  Pool.parallelForBlocked(Lo, Hi + 1,
+                          [&](int64_t BLo, int64_t BHi, unsigned) {
+                            ExecState St(M, B);
+                            for (auto &KV : Shadows)
+                              St.Shadows[KV.first] = KV.second.get();
+                            St.Conflict = &Conflict;
+                            for (const summary::CivDesc &D : Plan.Civ.Civs)
+                              if (const sym::ArrayBinding *A =
+                                      St.B.array(D.EntryArr))
+                                if (A->inBounds(BLo))
+                                  St.B.setScalar(D.Civ, A->at(BLo));
+                            for (int64_t I = BLo;
+                                 I < BHi &&
+                                 !Conflict.load(std::memory_order_relaxed);
+                                 ++I) {
+                              St.CurrentIter = I;
+                              St.B.setScalar(Loop.getVar(), I);
+                              for (const Stmt *C : Loop.getBody())
+                                interpStmt(C, St);
+                            }
+                          });
+
+  if (!Conflict.load()) {
+    Stats.RanParallel = true;
+    Stats.TLSSucceeded = true;
+    return true;
+  }
+  // Misspeculation: restore and report failure (caller re-runs
+  // sequentially).
+  M.arrays() = std::move(Backup);
+  return false;
+}
+
+} // namespace
+
+ExecStats rt::runPlanned(const LoopPlan &Plan, const PlanCascades &Pre,
+                         Memory &M, sym::Bindings &B, ThreadPool &Pool,
+                         ExecContext &Ctx, HoistCache &Hoist,
+                         USRCompileCache &UsrCompile, EvalTier Tier) {
+  assert(Pre.Arrays.size() == Plan.Arrays.size() &&
          "plan cascades must be built from this plan");
   support::faultAt("rt.exec");
-  FramePool *Frames = Ctx ? &Ctx->Frames : nullptr;
-  USRFramePool *UsrFrames = Ctx ? &Ctx->UsrFrames : nullptr;
-  const support::CancelToken *Cancel = Ctx ? Ctx->Cancel : nullptr;
+  const support::CancelToken *Cancel = Ctx.Cancel;
   ExecStats Stats;
   double T0 = nowSeconds();
   const DoLoop &Loop = *Plan.Loop;
@@ -301,10 +324,9 @@ ExecStats Executor::runPlanned(const LoopPlan &Plan, Memory &M,
       AbortRun = true;
       break;
     }
-    const PlanCascades::ArrayCascades *AC = Pre ? &Pre->Arrays[PI] : nullptr;
-    auto Casc = [&](const TestCascade &C,
-                    const CompiledCascade *CC) -> int {
-      int D = runCascade(C, CC, B, Pool, Stats, Frames, Cancel);
+    const PlanCascades::ArrayCascades &AC = Pre.Arrays[PI];
+    auto Casc = [&](const TestCascade &C, const CompiledCascade &CC) -> int {
+      int D = runCascade(C, CC, B, Pool, Stats, Ctx.Frames, Cancel, Tier);
       if (D == -3)
         AbortRun = true;
       return D;
@@ -313,27 +335,21 @@ ExecStats Executor::runPlanned(const LoopPlan &Plan, Memory &M,
     // Exact USR evaluation is deployed only when its cost amortizes
     // across repeated executions (Sec. 5: "If we can amortize the cost of
     // the exact test ... we use direct evaluation of IND-USR, otherwise
-    // we use TLS"). Evaluations (HoistCache misses included) route
-    // through the compiled interval-run engine unless the interpreter
-    // path was selected for A/B measurement; each evaluation is counted
+    // we use TLS"). HoistCache misses evaluate through the compiled
+    // interval-run engine on the compiled tiers and through the reference
+    // interpreter on the interpreted one; each evaluation is counted
     // once, here, on whichever path it took.
     USRCompileCache *UC =
-        UseCompiledUSRs ? (UsrCompile ? UsrCompile : &OwnUsrCompile)
-                        : nullptr;
+        Tier == EvalTier::Interpreted ? nullptr : &UsrCompile;
     auto ExactEmpty = [&](const usr::USR *S) -> bool {
       if (!S || !Plan.Hoistable)
         return false;
       double TE = nowSeconds();
-      std::optional<bool> V;
       usr::USREvalStats US;
       bool Hit = false;
-      if (Hoist)
-        V = Hoist->emptiness(S, B, Sym, Hit, UC, &Pool, &US, UsrFrames,
-                             Cancel, UseBlockEval);
-      else if (UC)
-        V = UC->emptiness(S, B, &Pool, &US, UsrFrames, Cancel, UseBlockEval);
-      else
-        V = usr::evalUSREmpty(S, B, 1u << 22, &US);
+      std::optional<bool> V = Hoist.emptiness(
+          S, B, UsrCompile.symCtx(), Hit, UC, &Pool, &US, &Ctx.UsrFrames,
+          Cancel, Tier == EvalTier::Block);
       // A demoted evaluation ran on the interpreter even though the
       // compiled cache was consulted — count it in the interpreted column
       // so the compiled/interpreted split stays truthful.
@@ -357,7 +373,7 @@ ExecStats Executor::runPlanned(const LoopPlan &Plan, Memory &M,
     };
 
     // Flow independence.
-    int FD = Casc(AP.Flow, AC ? &AC->Flow : nullptr);
+    int FD = Casc(AP.Flow, AC.Flow);
     if (AbortRun)
       break;
     if (FD == -2 && !ExactEmpty(AP.FlowUSR)) {
@@ -367,16 +383,16 @@ ExecStats Executor::runPlanned(const LoopPlan &Plan, Memory &M,
     Stats.CascadeDepthUsed = std::max(Stats.CascadeDepthUsed, FD);
 
     // Output independence, else privatization.
-    int OD = Casc(AP.Output, AC ? &AC->Output : nullptr);
+    int OD = Casc(AP.Output, AC.Output);
     if (OD == -2) {
-      int PD = Casc(AP.Priv, AC ? &AC->Priv : nullptr);
+      int PD = Casc(AP.Priv, AC.Priv);
       if (PD == -2 && !ExactEmpty(AP.OutputUSR)) {
         AllOk = false;
         break;
       }
       if (PD != -2) {
         D.Privatize = true;
-        int SD = Casc(AP.Slv, AC ? &AC->Slv : nullptr);
+        int SD = Casc(AP.Slv, AC.Slv);
         if (SD != -2)
           D.UseSLV = true;
         else
@@ -393,13 +409,13 @@ ExecStats Executor::runPlanned(const LoopPlan &Plan, Memory &M,
     // Reductions.
     if (AP.HasReduction) {
       if (AP.ExtRedUSR) { // EXT-RRED: direct writes coexist.
-        int ED = Casc(AP.ExtRedFlow, AC ? &AC->ExtRedFlow : nullptr);
+        int ED = Casc(AP.ExtRedFlow, AC.ExtRedFlow);
         if (ED == -2 && !ExactEmpty(AP.ExtRedUSR)) {
           AllOk = false;
           break;
         }
       }
-      int RD = Casc(AP.RRed, AC ? &AC->RRed : nullptr);
+      int RD = Casc(AP.RRed, AC.RRed);
       if (AbortRun)
         break;
       D.ReductionPrivate = (RD == -2); // Injective => direct updates.
@@ -532,60 +548,4 @@ ExecStats Executor::runPlanned(const LoopPlan &Plan, Memory &M,
   interpSequential(Loop, M, B);
   Stats.TotalSeconds = nowSeconds() - T0;
   return Stats;
-}
-
-//===----------------------------------------------------------------------===//
-// LRPD speculative fallback
-//===----------------------------------------------------------------------===//
-
-bool Executor::runSpeculative(const LoopPlan &Plan, Memory &M,
-                              sym::Bindings &B, ThreadPool &Pool,
-                              ExecStats &Stats) {
-  Stats.UsedTLS = true;
-  const DoLoop &Loop = *Plan.Loop;
-  int64_t Lo = sym::eval(Loop.getLo(), B);
-  int64_t Hi = sym::eval(Loop.getHi(), B);
-  if (Lo > Hi)
-    return true;
-
-  // Backup every data array (checkpoint for misspeculation).
-  auto Backup = std::as_const(M).arrays();
-
-  // Shadow every data array.
-  std::map<SymbolId, std::unique_ptr<Shadow>> Shadows;
-  for (const auto &KV : std::as_const(M).arrays())
-    Shadows.emplace(KV.first, std::make_unique<Shadow>(KV.second.size()));
-
-  std::atomic<bool> Conflict{false};
-  Pool.parallelForBlocked(Lo, Hi + 1,
-                          [&](int64_t BLo, int64_t BHi, unsigned) {
-                            ExecState St(M, B);
-                            for (auto &KV : Shadows)
-                              St.Shadows[KV.first] = KV.second.get();
-                            St.Conflict = &Conflict;
-                            for (const summary::CivDesc &D : Plan.Civ.Civs)
-                              if (const sym::ArrayBinding *A =
-                                      St.B.array(D.EntryArr))
-                                if (A->inBounds(BLo))
-                                  St.B.setScalar(D.Civ, A->at(BLo));
-                            for (int64_t I = BLo;
-                                 I < BHi &&
-                                 !Conflict.load(std::memory_order_relaxed);
-                                 ++I) {
-                              St.CurrentIter = I;
-                              St.B.setScalar(Loop.getVar(), I);
-                              for (const Stmt *C : Loop.getBody())
-                                interpStmt(C, St);
-                            }
-                          });
-
-  if (!Conflict.load()) {
-    Stats.RanParallel = true;
-    Stats.TLSSucceeded = true;
-    return true;
-  }
-  // Misspeculation: restore and report failure (caller re-runs
-  // sequentially).
-  M.arrays() = std::move(Backup);
-  return false;
 }

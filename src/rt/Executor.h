@@ -16,11 +16,12 @@
 ///
 /// Plain statement interpretation lives in the substrate layer
 /// (rt/Interp.h); plan-time cascade compilation and frame pooling in
-/// rt/CompiledCascade.h. A standalone Executor compiles cascades lazily
-/// through its own cache; the session layer (session/Session.h) instead
-/// hands in pre-built PlanCascades and a leased rt::ExecContext so
-/// repeated executions of the same plan do no per-execution setup at all
-/// — and so concurrent executions never share mutable frames.
+/// rt/CompiledCascade.h. The governor itself is one free function,
+/// runPlanned(), and every plan-time artifact it needs is a required
+/// argument: the session layer (session/Session.h) hands in the
+/// pre-built PlanCascades, a leased rt::ExecContext and its shared
+/// caches, so repeated executions of the same plan do no per-execution
+/// setup at all — and concurrent executions never share mutable frames.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -215,104 +216,22 @@ private:
   uint64_t Collisions HALO_GUARDED_BY(M) = 0;
 };
 
-/// Executes analyzed loops under their plans (and plain programs through
-/// the interpreter substrate).
-class Executor {
-public:
-  Executor(ir::Program &Prog, usr::USRContext &Ctx)
-      : Prog(Prog), Ctx(Ctx), Sym(Ctx.symCtx()), OwnCompile(Ctx.symCtx()),
-        OwnUsrCompile(Ctx.symCtx(), OwnCompile) {}
-
-  /// Plain sequential interpretation of a statement list.
-  void runStmts(const std::vector<const ir::Stmt *> &Stmts, Memory &M,
-                sym::Bindings &B);
-
-  /// Sequential execution of one loop (the timing baseline).
-  void runSequential(const ir::DoLoop &Loop, Memory &M, sym::Bindings &B);
-
-  /// Hybrid execution under a plan: predicate cascades, technique
-  /// selection, exact-test / TLS fallback, parallel interpretation.
-  /// \p Pre, \p Ctx and \p UsrCompile are the session-provided plan-time
-  /// and per-execution artifacts: when present, cascade stage vectors are
-  /// neither rebuilt nor re-sorted per execution, predicate and USR
-  /// frames come pooled from \p Ctx, and exact tests run the
-  /// session-cached compiled USRs (a standalone executor compiles lazily
-  /// through its own caches). With \p Pre and \p Ctx supplied this method
-  /// mutates no executor state, so concurrent calls are safe as long as
-  /// every caller brings its own Memory/Bindings/ExecContext (the
-  /// serving layer's intra-shard concurrency contract).
-  ExecStats runPlanned(const analysis::LoopPlan &Plan, Memory &M,
-                       sym::Bindings &B, ThreadPool &Pool,
-                       HoistCache *Hoist = nullptr,
-                       const PlanCascades *Pre = nullptr,
-                       ExecContext *Ctx = nullptr,
-                       USRCompileCache *UsrCompile = nullptr);
-
-  /// CIV-COMP: precomputes civ@pre / join pseudo-arrays into \p B by a
-  /// sequential slice of the loop (only control flow and CIV updates).
-  void runCivSlice(const ir::DoLoop &Loop, const summary::CivPlan &Plan,
-                   Memory &M, sym::Bindings &B);
-
-  /// BOUNDS-COMP: evaluates the min/max touched offsets of \p S in
-  /// parallel (Fig. 7a). Returns false on evaluation failure.
-  bool computeBounds(const usr::USR *S, sym::Bindings &B, ThreadPool &Pool,
-                     int64_t &Lo, int64_t &Hi);
-
-  /// Switches cascade evaluation between the compiled bytecode evaluator
-  /// (default) and the reference tree interpreter. The interpreter path is
-  /// kept for A/B overhead measurement (bench/rtov_overhead.cpp) and as
-  /// the cross-check oracle in tests.
-  void setUseCompiledPredicates(bool Use) { UseCompiledPreds = Use; }
-  bool useCompiledPredicates() const { return UseCompiledPreds; }
-
-  /// Switches exact-test (HOIST-USR fallback) evaluation between the
-  /// compiled interval-run engine (default) and the reference
-  /// interpreter (usr::evalUSREmpty) — the A/B measurement and parity
-  /// oracle for the compiled-USR layer.
-  void setUseCompiledUSRs(bool Use) { UseCompiledUSRs = Use; }
-  bool useCompiledUSRs() const { return UseCompiledUSRs; }
-
-  /// Switches the block-vectorized evaluation tier (default on): compiled
-  /// cascade stages select block vs. scalar sweeps per stage under the
-  /// Auto policy (pdag::BlockEval::Auto), and exact-test gate predicates
-  /// batch their recurrence sweeps. Off pins everything to the scalar
-  /// bytecode tier — the A/B baseline bench/rtov_overhead.cpp measures
-  /// against. Results are bit-identical either way.
-  void setUseBlockEval(bool Use) { UseBlockEval = Use; }
-  bool useBlockEval() const { return UseBlockEval; }
-
-  /// Number of distinct cascade-stage predicates compiled by this
-  /// executor's own lazy cache (standalone use; sessions compile through
-  /// their shared PredCompileCache instead).
-  size_t numCompiledPreds() const { return OwnCompile.size(); }
-  /// Same for independence USRs compiled by the executor's own cache.
-  size_t numCompiledUSRs() const { return OwnUsrCompile.size(); }
-
-private:
-  bool runSpeculative(const analysis::LoopPlan &Plan, Memory &M,
-                      sym::Bindings &B, ThreadPool &Pool, ExecStats &Stats);
-
-  /// Evaluates a cascade cheapest-first (by compiled cost estimate) and
-  /// returns the stage depth used (-1 static, -2 all failed). O(N)+
-  /// stages run through the chunked parallel and-reduction. \p Pre is the
-  /// plan-time compiled cascade when the caller has one.
-  /// \p Cancel adds a poll before every stage: a fired token aborts the
-  /// cascade and returns -3 (no stage answer — distinct from -2 "all
-  /// stages failed", which routes to fallbacks).
-  int runCascade(const analysis::TestCascade &C, const CompiledCascade *Pre,
-                 sym::Bindings &B, ThreadPool &Pool, ExecStats &Stats,
-                 FramePool *Frames, const support::CancelToken *Cancel);
-
-  ir::Program &Prog;
-  usr::USRContext &Ctx;
-  sym::Context &Sym;
-  /// Lazy compile-once caches for standalone (non-session) use.
-  PredCompileCache OwnCompile;
-  USRCompileCache OwnUsrCompile;
-  bool UseCompiledPreds = true;
-  bool UseCompiledUSRs = true;
-  bool UseBlockEval = true;
-};
+/// Hybrid execution of \p Plan (the governor): predicate cascades,
+/// technique selection, exact-test / TLS fallback, parallel
+/// interpretation. \p Pre holds the plan's cascades compiled and
+/// cost-ordered at plan time (PlanCascades::build over \p Plan), \p Ctx
+/// the leased per-execution frames and cancel token, \p Hoist the
+/// HOIST-USR memo and \p UsrCompile the compiled exact tests. \p Tier
+/// selects the engine that evaluates cascade stages and exact tests;
+/// every tier yields the same Memory. The call mutates nothing but
+/// \p M, \p B, \p Ctx and the internally synchronized caches, so
+/// concurrent calls are safe as long as every caller brings its own
+/// Memory/Bindings/ExecContext (the serving layer's intra-shard
+/// concurrency contract).
+ExecStats runPlanned(const analysis::LoopPlan &Plan, const PlanCascades &Pre,
+                     Memory &M, sym::Bindings &B, ThreadPool &Pool,
+                     ExecContext &Ctx, HoistCache &Hoist,
+                     USRCompileCache &UsrCompile, EvalTier Tier);
 
 } // namespace rt
 } // namespace halo

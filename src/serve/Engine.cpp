@@ -315,7 +315,7 @@ Response Engine::process(const Request &R) {
     if (R.Loop)
       Resp.Shard = SI;
     support::MutexLock L(WC.M);
-    ShardCounters &SC = WC.Shards[SI];
+    ShardStats &SC = WC.Shards[SI];
     ++(Exp ? SC.Expired : SC.Cancelled);
     return Resp;
   }
@@ -380,7 +380,7 @@ Response Engine::process(const Request &R) {
         const bool Exp =
             Tok->state() == support::CancelToken::State::Expired;
         support::MutexLock L(WC.M);
-        ShardCounters &SC = WC.Shards[SI];
+        ShardStats &SC = WC.Shards[SI];
         ++(Exp ? SC.Expired : SC.Cancelled);
         SC.DegradedExecs += E;
         Resp.Stats.clear();
@@ -397,7 +397,7 @@ Response Engine::process(const Request &R) {
     }
     {
       support::MutexLock L(WC.M);
-      ShardCounters &SC = WC.Shards[SI];
+      ShardStats &SC = WC.Shards[SI];
       ++SC.Completed;
       SC.DegradedExecs += Repeats;
     }
@@ -498,7 +498,7 @@ Response Engine::process(const Request &R) {
     FeedBreaker(MidRun && Exp ? BrOutcome::Failure
                               : BrOutcome::Inconclusive);
     support::MutexLock L(WC.M);
-    ShardCounters &SC = WC.Shards[SI];
+    ShardStats &SC = WC.Shards[SI];
     ++(Exp ? SC.Expired : SC.Cancelled);
     SC.Executions += ExecsDone;
     SC.Exec += Acc;
@@ -568,7 +568,7 @@ Response Engine::process(const Request &R) {
     // never a shard-shared counter, so N workers on one hot loop do not
     // contend.
     support::MutexLock L(WC.M);
-    ShardCounters &SC = WC.Shards[SI];
+    ShardStats &SC = WC.Shards[SI];
     SC.Executions += ExecsDone;
     SC.Exec += Acc;
     SC.Retried += Resp.Retries;
@@ -716,20 +716,8 @@ ServeStats Engine::stats() const {
   for (const std::unique_ptr<WorkerCounters> &WCP : PerWorker) {
     WorkerCounters &WC = *WCP;
     support::MutexLock L(WC.M);
-    for (size_t SI = 0; SI < WC.Shards.size(); ++SI) {
-      const ShardCounters &SC = WC.Shards[SI];
-      ShardStats &SS = Out.Shards[SI];
-      SS.Completed += SC.Completed;
-      SS.Failed += SC.Failed;
-      SS.Executions += SC.Executions;
-      SS.Expired += SC.Expired;
-      SS.Cancelled += SC.Cancelled;
-      SS.Retried += SC.Retried;
-      SS.ExecErrors += SC.ExecErrors;
-      SS.BreakerOpen += SC.BreakerOpen;
-      SS.DegradedExecs += SC.DegradedExecs;
-      SS.Exec += SC.Exec;
-    }
+    for (size_t SI = 0; SI < WC.Shards.size(); ++SI)
+      Out.Shards[SI] += WC.Shards[SI];
   }
   // Engine-wide robustness counters, summed over the shard rows.
   const ShardStats T = Out.totals();

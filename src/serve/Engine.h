@@ -397,25 +397,14 @@ private:
     ir::Program *Prog = nullptr;
     usr::USRContext *Ctx = nullptr;
   };
-  /// Per-request counters one worker accumulated for one shard.
-  struct ShardCounters {
-    uint64_t Completed = 0;
-    uint64_t Failed = 0;
-    uint64_t Executions = 0;
-    uint64_t Expired = 0;
-    uint64_t Cancelled = 0;
-    uint64_t Retried = 0;
-    uint64_t ExecErrors = 0;
-    uint64_t BreakerOpen = 0;
-    uint64_t DegradedExecs = 0;
-    rt::ExecStats Exec;
-  };
-  /// One worker's accumulators, one row per shard. The mutex is owned by
-  /// that worker in practice (contention-free on the serving path) and
-  /// taken by stats() snapshots only.
+  /// One worker's accumulators, one row per shard: the per-request
+  /// counters of ShardStats (its gauge fields stay zero in worker rows;
+  /// stats() fills them from the sessions). The mutex is owned by that
+  /// worker in practice (contention-free on the serving path) and taken
+  /// by stats() snapshots only.
   struct WorkerCounters {
     support::Mutex M;
-    std::vector<ShardCounters> Shards HALO_GUARDED_BY(M);
+    std::vector<ShardStats> Shards HALO_GUARDED_BY(M);
   };
   /// RAII writer-preference section: raises the gate (parking workers),
   /// takes the config lock exclusively, releases both on destruction.

@@ -70,12 +70,7 @@ struct PlanRef {
 
 Session::Session(ir::Program &Prog, usr::USRContext &Ctx, SessionOptions O)
     : Prog(Prog), Ctx(Ctx), Opts(std::move(O)), Pool(Opts.Threads),
-      Exec(Prog, Ctx), Compile(Ctx.symCtx()),
-      UsrCompile(Ctx.symCtx(), Compile) {
-  Exec.setUseCompiledPredicates(Opts.UseCompiledPredicates);
-  Exec.setUseCompiledUSRs(Opts.UseCompiledUSRs);
-  Exec.setUseBlockEval(Opts.UseBlockEval);
-}
+      Compile(Ctx.symCtx()), UsrCompile(Ctx.symCtx(), Compile) {}
 
 Session::~Session() = default;
 
@@ -107,21 +102,21 @@ PreparedLoop &Session::prepareWith(const ir::DoLoop &Loop,
   // Built against the plan in its final (heap) location: cascade stages
   // keep pointers into Plan.Arrays.
   PL->Cascades = rt::PlanCascades::build(PL->Plan, Compile);
-  // Warm the compiled-USR cache at plan time: every independence USR the
-  // HOIST-USR fallback can reach is lowered once here, so no execution
-  // ever pays USR compilation (and the code cache stays read-only on the
-  // concurrent execute path).
-  if (Opts.UseCompiledUSRs && PL->Plan.Hoistable)
-    for (const analysis::ArrayPlan &AP : PL->Plan.Arrays)
-      for (const usr::USR *S :
-           {AP.FlowUSR, AP.OutputUSR, AP.ExtRedUSR})
-        if (S)
-          (void)UsrCompile.get(S);
+  warmCompiledUSRs(PL->Plan);
   auto &Slot = Plans[&Loop];
   if (Slot)
     Retired.push_back(std::move(Slot)); // Deferred reclaim, not delete.
   Slot = std::move(PL);
   return *Slot;
+}
+
+void Session::warmCompiledUSRs(const analysis::LoopPlan &Plan) {
+  if (Opts.Tier == rt::EvalTier::Interpreted || !Plan.Hoistable)
+    return;
+  for (const analysis::ArrayPlan &AP : Plan.Arrays)
+    for (const usr::USR *S : {AP.FlowUSR, AP.OutputUSR, AP.ExtRedUSR})
+      if (S)
+        (void)UsrCompile.get(S);
 }
 
 void Session::sweepRetired() {
@@ -187,9 +182,8 @@ rt::ExecStats Session::execute(PreparedLoop &PL, rt::Memory &M,
   PlanRef Ref(PL);
   ContextLease Ctx(*this);
   Ctx.get().Cancel = Cancel;
-  return Exec.runPlanned(PL.Plan, M, B, Pool, &Hoist, &PL.Cascades,
-                         &Ctx.get(),
-                         Opts.UseCompiledUSRs ? &UsrCompile : nullptr);
+  return rt::runPlanned(PL.Plan, PL.Cascades, M, B, Pool, Ctx.get(), Hoist,
+                        UsrCompile, Opts.Tier);
 }
 
 rt::ExecStats Session::run(const ir::DoLoop &Loop, rt::Memory &M,
@@ -235,17 +229,12 @@ std::vector<rt::ExecStats> Session::runBatch(
 
 void Session::runSequential(const ir::DoLoop &Loop, rt::Memory &M,
                             sym::Bindings &B) {
-  Exec.runSequential(Loop, M, B);
-}
-
-void Session::runStmts(const std::vector<const ir::Stmt *> &Stmts,
-                       rt::Memory &M, sym::Bindings &B) {
-  Exec.runStmts(Stmts, M, B);
+  rt::interpSequential(Loop, M, B);
 }
 
 bool Session::computeBounds(const usr::USR *S, sym::Bindings &B, int64_t &Lo,
                             int64_t &Hi) {
-  return Exec.computeBounds(S, B, Pool, Lo, Hi);
+  return rt::interpBounds(S, B, Pool, Lo, Hi);
 }
 
 size_t Session::savePlans(std::ostream &Out) {
@@ -345,13 +334,8 @@ PreparedLoop *Session::tryAdoptStaged(const ir::DoLoop &Loop) {
   PL->Cascades = std::move(SL.Cascades);
   PL->AOpts = Opts.Analyzer;
   StagedPlans.erase(SIt);
-  // Same compiled-USR warm-up as prepareWith (pure cache hits here: the
-  // load already compiled them).
-  if (Opts.UseCompiledUSRs && PL->Plan.Hoistable)
-    for (const analysis::ArrayPlan &AP : PL->Plan.Arrays)
-      for (const usr::USR *S : {AP.FlowUSR, AP.OutputUSR, AP.ExtRedUSR})
-        if (S)
-          (void)UsrCompile.get(S);
+  // Pure cache hits here: the load already compiled them.
+  warmCompiledUSRs(PL->Plan);
   auto &Slot = Plans[&Loop];
   if (Slot)
     Retired.push_back(std::move(Slot));

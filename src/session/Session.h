@@ -55,20 +55,11 @@ namespace session {
 struct SessionOptions {
   /// Worker threads of the session-owned pool.
   unsigned Threads = 4;
-  /// Route cascade evaluation through compiled bytecode (default) or the
-  /// reference tree interpreter (A/B measurement, parity oracle).
-  bool UseCompiledPredicates = true;
-  /// Route exact tests (HOIST-USR fallback) through the compiled
-  /// interval-run USR engine (default) or the reference interpreter
-  /// (A/B measurement, parity oracle).
-  bool UseCompiledUSRs = true;
-  /// Enable the block-vectorized evaluation tier (default): compiled
-  /// cascade stages sweep their root loop pdag::ExprBlockWidth iterations
-  /// per dispatch when the Auto governor selects it, and exact-test gate
-  /// predicates batch recurrence sweeps. Off pins every compiled
-  /// evaluation to the scalar bytecode tier (A/B measurement; results
-  /// are bit-identical either way).
-  bool UseBlockEval = true;
+  /// The engine tier that evaluates cascade stages and exact tests
+  /// (rt::EvalTier). Block is the default; Scalar is the block tier's A/B
+  /// baseline and Interpreted runs the reference tree interpreters (the
+  /// parity oracle). Results are bit-identical on every tier.
+  rt::EvalTier Tier = rt::EvalTier::Block;
   /// Default analyzer options for plans prepared without explicit
   /// options. Per-loop knobs (probe bindings, hoistable context) go
   /// through prepare(Loop, Opts).
@@ -218,10 +209,6 @@ public:
   void runSequential(const ir::DoLoop &Loop, rt::Memory &M,
                      sym::Bindings &B);
 
-  /// Plain sequential interpretation of a statement list.
-  void runStmts(const std::vector<const ir::Stmt *> &Stmts, rt::Memory &M,
-                sym::Bindings &B);
-
   /// BOUNDS-COMP against the session pool (Fig. 7a).
   bool computeBounds(const usr::USR *S, sym::Bindings &B, int64_t &Lo,
                      int64_t &Hi);
@@ -256,19 +243,11 @@ public:
   /// adoptions (stale keys, collisions, unresolvable join anchors).
   const std::vector<support::Diag> &planDiags() const { return PlanDiags; }
 
-  /// The codegen-affecting session toggles, as folded into plan keys.
-  plan::CodegenKey codegenKey() const {
-    plan::CodegenKey CG;
-    CG.UseCompiledPredicates = Opts.UseCompiledPredicates;
-    CG.UseCompiledUSRs = Opts.UseCompiledUSRs;
-    CG.UseBlockEval = Opts.UseBlockEval;
-    return CG;
-  }
+  /// The codegen-affecting session option, as folded into plan keys.
+  plan::CodegenKey codegenKey() const { return Opts.Tier; }
 
   /// The session-owned worker pool (sized by SessionOptions::Threads).
   ThreadPool &pool() { return Pool; }
-  /// The governor executing plans for this session.
-  rt::Executor &executor() { return Exec; }
   /// The HOIST-USR exact-test memo cache (collision-verified, internally
   /// synchronized — shared by all concurrent executions).
   rt::HoistCache &hoistCache() { return Hoist; }
@@ -306,6 +285,11 @@ private:
   /// matching-label staged plan is consumed either way — stale entries
   /// don't get retried on every prepare.
   PreparedLoop *tryAdoptStaged(const ir::DoLoop &Loop);
+  /// Lowers every independence USR the HOIST-USR fallback of \p Plan can
+  /// reach into the compiled-USR cache (compiled tiers only), so no
+  /// execution ever pays USR compilation and the code cache stays
+  /// read-only on the concurrent execute path.
+  void warmCompiledUSRs(const analysis::LoopPlan &Plan);
   /// Frees retired plans no execution references anymore. Called from
   /// the analysis-exclusive entry points only.
   void sweepRetired();
@@ -319,7 +303,6 @@ private:
   usr::USRContext &Ctx;
   SessionOptions Opts;
   ThreadPool Pool;
-  rt::Executor Exec;
   rt::PredCompileCache Compile;
   rt::HoistCache Hoist;
   /// Compiled independence USRs (exact-test fallbacks), warmed at plan

@@ -31,7 +31,7 @@
 ///    which turns the paper's Eq. 2 equations from quadratic to
 ///    near-linear,
 ///  - an emptiness-only mode short-circuits on the first surviving run at
-///    union polarity (what HoistCache::emptiness and the Executor's
+///    union polarity (what HoistCache::emptiness and the governor's
 ///    HOIST-USR fallback actually need), and large root recurrences chunk
 ///    their range across a ThreadPool with the same exact first-failure
 ///    protocol as the compiled predicates' parallelAllOf reduction.

@@ -235,8 +235,8 @@ TEST(PlanRoundTrip, SuiteLoopsAdoptWithoutReanalysis) {
 // Fuzzed nests: save from one generated case, regenerate the recipe (fresh
 // contexts), load, execute. Memory must match bit-for-bit and the
 // compiled/interpreted stats split must be identical — the warm plan runs
-// the exact same engine tiers as the cold one. Alternating UseBlockEval
-// covers the block-vectorized tier on both sides of the round trip, and a
+// the exact same engine tiers as the cold one. Alternating the block and
+// scalar EvalTier covers the block-vectorized tier on both sides of the round trip, and a
 // second warm run pins pooled-frame reuse after a load.
 TEST(PlanRoundTrip, FuzzedNestsExecuteIdentically) {
   uint64_t FrameReuse = 0, CompiledEvals = 0;
@@ -249,7 +249,7 @@ TEST(PlanRoundTrip, FuzzedNestsExecuteIdentically) {
 
     session::SessionOptions SO;
     SO.Threads = 1; // Deterministic reduction order: bit-exact compare.
-    SO.UseBlockEval = (Seed % 2) == 0;
+    SO.Tier = (Seed % 2) == 0 ? rt::EvalTier::Block : rt::EvalTier::Scalar;
     // A tight factorization budget keeps the 300-seed sweep inside the
     // ctest timeout (a few seeds hit multi-second LMAD blowups at the
     // default). Degradation is sound and both sides of the round trip
@@ -399,21 +399,48 @@ TEST(PlanHostile, OutOfRangeCountsAndIndices) {
 // structured PlanKeyMismatch.
 TEST(PlanKeys, OptionsChangeFallsBackToAnalysis) {
   std::string Bytes = fuzzPlanBytes(5);
-  fuzz::GenOptions GO;
-  GO.Seed = 5;
-  auto C = fuzz::generate(GO);
-  session::SessionOptions SO;
-  SO.UseBlockEval = false; // Differs from the save-side default (true).
-  session::Session S(C->prog(), C->usrCtx(), SO);
-  plan::LoadResult R = loadBytes(S, Bytes);
-  EXPECT_EQ(R.Rejected, 0u);
-  ASSERT_EQ(R.Staged, 1u);
-  S.prepare(*C->Loop);
-  EXPECT_EQ(S.numPlansWarmStarted(), 0u)
-      << "a plan keyed under different options must not be adopted";
-  ASSERT_FALSE(S.planDiags().empty());
-  EXPECT_EQ(S.planDiags().front().Kind,
-            support::Diag::Code::PlanKeyMismatch);
+  // Every tier but the save-side default (Block) keys differently.
+  for (rt::EvalTier Tier : {rt::EvalTier::Scalar, rt::EvalTier::Interpreted}) {
+    SCOPED_TRACE(rt::evalTierName(Tier));
+    fuzz::GenOptions GO;
+    GO.Seed = 5;
+    auto C = fuzz::generate(GO);
+    session::SessionOptions SO;
+    SO.Tier = Tier;
+    session::Session S(C->prog(), C->usrCtx(), SO);
+    plan::LoadResult R = loadBytes(S, Bytes);
+    EXPECT_EQ(R.Rejected, 0u);
+    ASSERT_EQ(R.Staged, 1u);
+    S.prepare(*C->Loop);
+    EXPECT_EQ(S.numPlansWarmStarted(), 0u)
+        << "a plan keyed under different options must not be adopted";
+    ASSERT_FALSE(S.planDiags().empty());
+    EXPECT_EQ(S.planDiags().front().Kind,
+              support::Diag::Code::PlanKeyMismatch);
+  }
+}
+
+// The evaluation tier hashes as the (compiled predicates, compiled USRs,
+// block) bits it replaced — Block (1,1,1), Scalar (1,1,0), Interpreted
+// (0,0,1) — so .hplan caches written before the tier existed keep their
+// keys. Golden values of hashOptions under the default analyzer options.
+TEST(PlanKeys, TierHashesAsItsLegacyBits) {
+  struct Golden {
+    rt::EvalTier Tier;
+    uint64_t Primary, Verify;
+  };
+  const Golden Gs[] = {
+      {rt::EvalTier::Block, 0xe9dc1cbf566b8c7aull, 0xb26b21b63af9b75cull},
+      {rt::EvalTier::Scalar, 0x993125188f6d2ad9ull, 0xde185e963495b8d2ull},
+      {rt::EvalTier::Interpreted, 0x8925f114f14f14d6ull,
+       0x2ca9229461683831ull},
+  };
+  analysis::AnalyzerOptions AO;
+  for (const Golden &G : Gs) {
+    SCOPED_TRACE(rt::evalTierName(G.Tier));
+    EXPECT_EQ(plan::hashOptions(AO, G.Tier, plan::PrimarySeed), G.Primary);
+    EXPECT_EQ(plan::hashOptions(AO, G.Tier, plan::VerifySeed), G.Verify);
+  }
 }
 
 // A different loop under the same label (two fuzz recipes share the

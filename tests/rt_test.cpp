@@ -46,6 +46,19 @@ protected:
     analysis::HybridAnalyzer A(U, Prog, Opts);
     return A.analyze(*L);
   }
+
+  /// Runs the governor on \p Plan with freshly built plan-time artifacts
+  /// (compiled cascades, frames, HOIST-USR memo, compiled-USR cache).
+  ExecStats runPlan(const analysis::LoopPlan &Plan, Memory &M,
+                    sym::Bindings &B, ThreadPool &Pool) {
+    PredCompileCache Preds(Sym);
+    USRCompileCache Usrs(Sym, Preds);
+    PlanCascades Pre = PlanCascades::build(Plan, Preds);
+    ExecContext Ctx;
+    HoistCache Hoist;
+    return runPlanned(Plan, Pre, M, B, Pool, Ctx, Hoist, Usrs,
+                      EvalTier::Block);
+  }
 };
 
 TEST_F(RtTest, ThreadPoolParallelForCoversRange) {
@@ -83,8 +96,7 @@ TEST_F(RtTest, SequentialExecutionWritesExpectedValues) {
   auto &YV = M.alloc(Y, 8);
   for (int I = 0; I < 8; ++I)
     YV[I] = I;
-  Executor E(Prog, U);
-  E.runSequential(*L, M, B);
+  interpSequential(*L, M, B);
   // X[i] = 1.0 + 0.5 * Y[i].
   for (int I = 0; I < 8; ++I)
     EXPECT_DOUBLE_EQ((*M.find(X))[I], 1.0 + 0.5 * I);
@@ -105,8 +117,7 @@ TEST_F(RtTest, PlannedParallelMatchesSequentialOnStaticPar) {
   for (int I = 0; I < 1000; ++I)
     YV[I] = I * 0.25;
   ThreadPool Pool(4);
-  Executor E(Prog, U);
-  ExecStats S = E.runPlanned(Plan, M, B, Pool);
+  ExecStats S = runPlan(Plan, M, B, Pool);
   EXPECT_TRUE(S.RanParallel);
   EXPECT_FALSE(S.UsedTLS);
   for (int I = 0; I < 1000; ++I)
@@ -153,10 +164,9 @@ TEST_F(RtTest, SpeculationDetectsGenuineConflicts) {
     Setup(SeqM, SeqB, Conflict);
     Setup(ParM, ParB, Conflict);
     analysis::LoopPlan Plan = planFor(L, &ParB);
-    Executor E(Prog, U);
-    E.runSequential(*L, SeqM, SeqB);
+    interpSequential(*L, SeqM, SeqB);
     ThreadPool Pool(4);
-    ExecStats S = E.runPlanned(Plan, ParM, ParB, Pool);
+    ExecStats S = runPlan(Plan, ParM, ParB, Pool);
     SCOPED_TRACE(Conflict ? "conflicting" : "clean");
     if (Conflict) {
       // Misspeculation must not corrupt state: results match sequential.
@@ -220,9 +230,8 @@ TEST_F(RtTest, ComputeBoundsMatchesBruteForce) {
   }
   B.setArray(IB, A);
   ThreadPool Pool(4);
-  Executor E(Prog, U);
   int64_t Lo = 0, Hi = -1;
-  ASSERT_TRUE(E.computeBounds(S, B, Pool, Lo, Hi));
+  ASSERT_TRUE(interpBounds(S, B, Pool, Lo, Hi));
   EXPECT_EQ(Lo, Min);
   EXPECT_EQ(Hi, Max);
 }
@@ -256,8 +265,7 @@ TEST_F(RtTest, CivSliceComputesPrefixValues) {
   NV.Lo = 1;
   NV.Vals = {3, 1, 0, 5};
   B.setArray(NSP, NV);
-  Executor E(Prog, U);
-  E.runCivSlice(*L, Plan, M, B);
+  interpCivSlice(*L, Plan, M, B);
   const sym::ArrayBinding *Pre = B.array(Plan.Civs[0].EntryArr);
   ASSERT_NE(Pre, nullptr);
   // Prefix sums: 0, 3, 4, 4, 9 (the last entry is the final value).
@@ -292,10 +300,9 @@ TEST_F(RtTest, ReductionPrivateCopiesMatchDirect) {
   Setup(SeqM, SeqB);
   Setup(ParM, ParB);
   analysis::LoopPlan Plan = planFor(L, &ParB);
-  Executor E(Prog, U);
-  E.runSequential(*L, SeqM, SeqB);
+  interpSequential(*L, SeqM, SeqB);
   ThreadPool Pool(4);
-  ExecStats S = E.runPlanned(Plan, ParM, ParB, Pool);
+  ExecStats S = runPlan(Plan, ParM, ParB, Pool);
   EXPECT_TRUE(S.RanParallel);
   for (int K = 0; K < 8; ++K)
     EXPECT_NEAR((*SeqM.find(A))[K], (*ParM.find(A))[K], 1e-9);
@@ -323,11 +330,10 @@ TEST_F(RtTest, CallSiteAliasingResolvesNestedOffsets) {
   Memory M;
   sym::Bindings B;
   M.alloc(X, 32);
-  Executor E(Prog, U);
   std::vector<const Stmt *> Stmts{Prog.make<CallStmt>(
       Work, std::vector<CallStmt::ArrayArg>{{F1, X, c(10)}},
       std::vector<CallStmt::ScalarArg>{})};
-  E.runStmts(Stmts, M, B);
+  interpStmts(Stmts, M, B);
   for (int K = 0; K < 32; ++K) {
     if (K >= 15 && K < 19)
       EXPECT_NE((*M.find(X))[K], 0.0) << K;

@@ -6,8 +6,8 @@
 // The analyze-once / execute-many contract: Session::run against a cached
 // plan (pre-sorted compiled cascades + pooled frames, 2nd..Nth execution)
 // must produce bit-identical Memory/Bindings and the same ExecStats
-// classification as building a fresh HybridAnalyzer + Executor for every
-// single execution.
+// classification as a fresh session (fresh analysis, fresh plan, fresh
+// HOIST cache) for every single execution.
 //
 //===----------------------------------------------------------------------===//
 
@@ -51,6 +51,19 @@ void expectStatsEq(const rt::ExecStats &S, const rt::ExecStats &R,
   EXPECT_EQ(S.CascadeDepthUsed, R.CascadeDepthUsed) << What;
 }
 
+/// Reference execution: a fresh session per call, so every reference
+/// execution re-analyzes \p L under \p Opts and runs it with a fresh plan
+/// and a fresh HOIST cache — nothing carries over between executions.
+rt::ExecStats freshRun(suite::Benchmark &B, const ir::DoLoop &L,
+                       const analysis::AnalyzerOptions &Opts,
+                       unsigned Threads, rt::Memory &M, sym::Bindings &Bd) {
+  session::SessionOptions SO;
+  SO.Threads = Threads;
+  session::Session S(B.prog(), B.usr(), SO);
+  S.prepare(L, Opts);
+  return S.run(L, M, Bd);
+}
+
 /// The randomized multi-loop program: a symbolically-strided write loop
 /// (O(1) predicate), a monotone block-write loop (O(N) predicate over an
 /// index array), an irregular subscripted-subscript loop (hoistable exact
@@ -87,6 +100,12 @@ struct SessionFixture : ::testing::Test {
     analysis::AnalyzerOptions O;
     O.HoistableContext = (L == Irregular);
     return O;
+  }
+
+  /// freshRun() of \p L under its fixture options.
+  rt::ExecStats reference(const ir::DoLoop *L, unsigned Threads,
+                          rt::Memory &M, sym::Bindings &Bd) {
+    return freshRun(B, *L, optsFor(L), Threads, M, Bd);
   }
 
   /// Applies one randomized dataset mutation identically to both worlds.
@@ -156,7 +175,7 @@ struct SessionFixture : ::testing::Test {
   }
 };
 
-TEST_F(SessionFixture, CachedPlansMatchFreshAnalyzerExecutorPerExecution) {
+TEST_F(SessionFixture, CachedPlansMatchFreshSessionPerExecution) {
   const unsigned Threads = 2;
   session::SessionOptions SO;
   SO.Threads = Threads;
@@ -164,7 +183,6 @@ TEST_F(SessionFixture, CachedPlansMatchFreshAnalyzerExecutorPerExecution) {
   for (ir::DoLoop *L : {Strided, Blocks, Irregular, Reduce})
     S.prepare(*L, optsFor(L));
 
-  ThreadPool RefPool(Threads);
   rt::Memory MS, MR;
   sym::Bindings BS, BR;
   Rng R(0xC0FFEE);
@@ -174,12 +192,8 @@ TEST_F(SessionFixture, CachedPlansMatchFreshAnalyzerExecutorPerExecution) {
       rt::ExecStats St = S.run(*L, MS, BS);
 
       // Reference: every execution re-analyzes and re-executes from
-      // scratch (fresh analyzer, fresh executor, fresh HOIST cache).
-      analysis::HybridAnalyzer A(B.usr(), B.prog(), optsFor(L));
-      analysis::LoopPlan Plan = A.analyze(*L);
-      rt::Executor Ex(B.prog(), B.usr());
-      rt::HoistCache Hoist;
-      rt::ExecStats Rs = Ex.runPlanned(Plan, MR, BR, RefPool, &Hoist);
+      // scratch (fresh session, fresh plan, fresh HOIST cache).
+      rt::ExecStats Rs = reference(L, Threads, MR, BR);
 
       expectStatsEq(St, Rs, L->getLabel().c_str());
       expectMemoryEq(MS, MR, L->getLabel().c_str());
@@ -203,24 +217,15 @@ TEST_F(SessionFixture, SteadyStateSkipsFrameRebindsAndStaysExact) {
   mutate(R, BS, BR, MS, MR, true);
 
   // Execution 1 binds every stage frame; 2..N with untouched bindings
-  // must skip every re-bind and still match a fresh executor bit-for-bit.
+  // must skip every re-bind and still match a fresh session bit-for-bit.
   rt::ExecStats First = S.run(*Blocks, MS, BS);
   EXPECT_GT(First.FrameBinds, 0u);
-  ThreadPool RefPool(1);
-  {
-    analysis::HybridAnalyzer A(B.usr(), B.prog(), optsFor(Blocks));
-    analysis::LoopPlan Plan = A.analyze(*Blocks);
-    rt::Executor Ex(B.prog(), B.usr());
-    Ex.runPlanned(Plan, MR, BR, RefPool);
-  }
+  reference(Blocks, 1, MR, BR);
   for (int E = 0; E < 5; ++E) {
     rt::ExecStats St = S.run(*Blocks, MS, BS);
     EXPECT_EQ(St.FrameBinds, 0u);
     EXPECT_GT(St.FrameRebindsSkipped, 0u);
-    analysis::HybridAnalyzer A(B.usr(), B.prog(), optsFor(Blocks));
-    analysis::LoopPlan Plan = A.analyze(*Blocks);
-    rt::Executor Ex(B.prog(), B.usr());
-    Ex.runPlanned(Plan, MR, BR, RefPool);
+    reference(Blocks, 1, MR, BR);
     expectMemoryEq(MS, MR, "steady state");
   }
 
@@ -254,15 +259,11 @@ TEST_F(SessionFixture, MultiThreadedCascadeThroughSessionMatchesReference) {
   BS.setArray(IB, A);
   BR.setArray(IB, A);
 
-  ThreadPool RefPool(Threads);
   for (int E = 0; E < 3; ++E) {
     rt::ExecStats St = S.run(*Blocks, MS, BS);
     EXPECT_TRUE(St.RanParallel);
     EXPECT_FALSE(St.UsedTLS);
-    analysis::HybridAnalyzer An(B.usr(), B.prog(), optsFor(Blocks));
-    analysis::LoopPlan Plan = An.analyze(*Blocks);
-    rt::Executor Ex(B.prog(), B.usr());
-    rt::ExecStats Rs = Ex.runPlanned(Plan, MR, BR, RefPool);
+    rt::ExecStats Rs = reference(Blocks, Threads, MR, BR);
     expectStatsEq(St, Rs, "parallel blocks");
     expectMemoryEq(MS, MR, "parallel blocks");
   }
@@ -304,7 +305,7 @@ TEST_F(SessionFixture, RunBatchRebindingBetweenElementsStaysExact) {
   // The batch error path beyond the pinned happy path: a caller that
   // rebinds data between batch elements (the per-request refresh shape)
   // must invalidate the pooled frames (stamp mismatch -> full re-bind)
-  // and stay bit-identical to a fresh analyzer+executor per element.
+  // and stay bit-identical to a fresh session per element.
   session::SessionOptions SO;
   SO.Threads = 2;
   session::Session S(B.prog(), B.usr(), SO);
@@ -330,13 +331,9 @@ TEST_F(SessionFixture, RunBatchRebindingBetweenElementsStaysExact) {
       [&](unsigned E, rt::Memory &, sym::Bindings &Bd) { rebind(E, Bd); });
   ASSERT_EQ(Stats.size(), 6u);
 
-  ThreadPool RefPool(2);
   for (unsigned E = 0; E < 6; ++E) {
     rebind(E, BR);
-    analysis::HybridAnalyzer A(B.usr(), B.prog(), optsFor(Blocks));
-    analysis::LoopPlan Plan = A.analyze(*Blocks);
-    rt::Executor Ex(B.prog(), B.usr());
-    rt::ExecStats Rs = Ex.runPlanned(Plan, MR, BR, RefPool);
+    rt::ExecStats Rs = reference(Blocks, 2, MR, BR);
     expectStatsEq(Stats[E], Rs, "rebinding batch");
     // Every element re-bound: the mutation bumped the bindings stamp, so
     // no element may serve stale frame contents.
@@ -365,56 +362,68 @@ TEST_F(SessionFixture, RunBatchReportsEveryExecution) {
   for (size_t E = 1; E < Stats.size(); ++E)
     EXPECT_GT(Stats[E].FrameRebindsSkipped, 0u);
 
-  ThreadPool RefPool(2);
-  for (int E = 0; E < 5; ++E) {
-    analysis::HybridAnalyzer A(B.usr(), B.prog(), optsFor(Strided));
-    analysis::LoopPlan Plan = A.analyze(*Strided);
-    rt::Executor Ex(B.prog(), B.usr());
-    Ex.runPlanned(Plan, MR, BR, RefPool);
-  }
+  for (int E = 0; E < 5; ++E)
+    reference(Strided, 2, MR, BR);
   expectMemoryEq(MS, MR, "batch");
 }
 
-TEST_F(SessionFixture, InterpreterPathSessionIsExactOracle) {
-  // A session on the reference tree-interpreter path must agree with the
-  // compiled-cascade session on every dataset (the A/B harness contract).
-  session::SessionOptions SO;
-  SO.Threads = 2;
-  session::Session SC(B.prog(), B.usr(), SO);
-  SO.UseCompiledPredicates = false;
-  session::Session SI(B.prog(), B.usr(), SO);
+TEST_F(SessionFixture, EveryEvalTierSessionMatchesBlockTier) {
+  // A session on each evaluation tier must agree with the default
+  // block-tier session on every dataset (the A/B harness contract), and
+  // fill only its own counter columns.
+  for (rt::EvalTier Tier : rt::AllEvalTiers) {
+    SCOPED_TRACE(rt::evalTierName(Tier));
+    session::SessionOptions SO;
+    SO.Threads = 2;
+    session::Session SC(B.prog(), B.usr(), SO);
+    SO.Tier = Tier;
+    session::Session ST(B.prog(), B.usr(), SO);
 
-  rt::Memory MS, MR;
-  sym::Bindings BS, BR;
-  Rng R(99);
-  for (int E = 0; E < 6; ++E) {
-    mutate(R, BS, BR, MS, MR, E == 0);
-    for (ir::DoLoop *L : {Strided, Blocks, Reduce}) {
-      rt::ExecStats A = SC.run(*L, MS, BS);
-      rt::ExecStats I = SI.run(*L, MR, BR);
-      // (CascadeDepthUsed is excluded: the compiled path re-orders
-      // same-outcome stages cheapest-first, the interpreter keeps
-      // cascade order.)
-      EXPECT_EQ(A.RanParallel, I.RanParallel) << L->getLabel();
-      EXPECT_EQ(A.UsedTLS, I.UsedTLS) << L->getLabel();
-      EXPECT_EQ(A.TLSSucceeded, I.TLSSucceeded) << L->getLabel();
-      expectMemoryEq(MS, MR, L->getLabel().c_str());
-      EXPECT_EQ(I.CompiledPredEvals, 0u) << "oracle ran compiled stages";
-      EXPECT_EQ(A.InterpPredEvals, 0u) << "session fell back to interp";
+    rt::Memory MS, MR;
+    sym::Bindings BS, BR;
+    Rng R(99);
+    uint64_t TierScalarEvals = 0;
+    for (int E = 0; E < 6; ++E) {
+      mutate(R, BS, BR, MS, MR, E == 0);
+      for (ir::DoLoop *L : {Strided, Blocks, Reduce}) {
+        rt::ExecStats A = SC.run(*L, MS, BS);
+        rt::ExecStats I = ST.run(*L, MR, BR);
+        // (CascadeDepthUsed is excluded: the compiled tiers re-order
+        // same-outcome stages cheapest-first, the interpreter keeps
+        // cascade order.)
+        EXPECT_EQ(A.RanParallel, I.RanParallel) << L->getLabel();
+        EXPECT_EQ(A.UsedTLS, I.UsedTLS) << L->getLabel();
+        EXPECT_EQ(A.TLSSucceeded, I.TLSSucceeded) << L->getLabel();
+        expectMemoryEq(MS, MR, L->getLabel().c_str());
+        EXPECT_EQ(A.InterpPredEvals, 0u) << "session fell back to interp";
+        if (Tier == rt::EvalTier::Interpreted) {
+          EXPECT_EQ(I.CompiledPredEvals, 0u) << "oracle ran compiled stages";
+          EXPECT_EQ(I.BlockEvals + I.ScalarEvals, 0u)
+              << "oracle ran bytecode dispatches";
+        } else {
+          EXPECT_EQ(I.InterpPredEvals, 0u) << "session fell back to interp";
+        }
+        if (Tier == rt::EvalTier::Scalar)
+          EXPECT_EQ(I.BlockEvals, 0u) << "scalar tier ran block sweeps";
+        TierScalarEvals += I.ScalarEvals;
+      }
     }
+    if (Tier == rt::EvalTier::Scalar)
+      EXPECT_GT(TierScalarEvals, 0u) << "scalar tier never dispatched";
   }
 }
 
 TEST_F(SessionFixture, CompiledUSREngineMatchesInterpreterSessions) {
-  // HOIST-USR answers must be identical with the compiled interval-run
-  // USR engine on and off: same Memory bits, same exact-test outcomes,
+  // HOIST-USR answers must be identical on the block tier (compiled
+  // interval-run USR engine) and on the interpreted tier (reference
+  // evalUSREmpty): same Memory bits, same exact-test outcomes,
   // and the governor-counted compiled/interpreted USR split symmetric
   // (both sessions see the same dataset sequence, so their HOIST caches
   // miss on exactly the same executions).
   session::SessionOptions SO;
   SO.Threads = 2;
   session::Session SC(B.prog(), B.usr(), SO); // Compiled interval runs.
-  SO.UseCompiledUSRs = false;
+  SO.Tier = rt::EvalTier::Interpreted;
   session::Session SI(B.prog(), B.usr(), SO); // Interpreter exact tests.
   SC.prepare(*Irregular, optsFor(Irregular));
   SI.prepare(*Irregular, optsFor(Irregular));
@@ -500,11 +509,7 @@ TEST_F(SessionFixture, RePrepareRetiresOldPlanUntilNextExclusivePhase) {
   mutate(R, BS, BR, MS, MR, true);
   std::optional<rt::ExecStats> St = S.runPrepared(*Strided, MS, BS);
   ASSERT_TRUE(St.has_value());
-  ThreadPool RefPool(2);
-  analysis::HybridAnalyzer A(B.usr(), B.prog(), optsFor(Strided));
-  analysis::LoopPlan Plan = A.analyze(*Strided);
-  rt::Executor Ex(B.prog(), B.usr());
-  rt::ExecStats Rs = Ex.runPlanned(Plan, MR, BR, RefPool);
+  rt::ExecStats Rs = reference(Strided, 2, MR, BR);
   expectStatsEq(*St, Rs, "post-retire");
   expectMemoryEq(MS, MR, "post-retire");
 }
@@ -512,8 +517,8 @@ TEST_F(SessionFixture, RePrepareRetiresOldPlanUntilNextExclusivePhase) {
 TEST(SessionHoistCacheTest, VerifiedHitsStayCorrectAcrossDatasets) {
   // The HOIST-USR cache must serve hits only for identical relevant
   // inputs (verified, collision-safe) and re-evaluate otherwise:
-  // alternating datasets through one session must match a fresh analysis
-  // + executor every time.
+  // alternating datasets through one session must match a fresh session
+  // every time.
   suite::Benchmark B;
   suite::BenchBuilder BB(B);
   const int64_t N = 64;
@@ -542,7 +547,6 @@ TEST(SessionHoistCacheTest, VerifiedHitsStayCorrectAcrossDatasets) {
     Bd.setArray(JDX, AJ);
   };
 
-  ThreadPool RefPool(2);
   rt::Memory MS, MR;
   sym::Bindings BS, BR;
   for (rt::Memory *M : {&MS, &MR})
@@ -553,11 +557,7 @@ TEST(SessionHoistCacheTest, VerifiedHitsStayCorrectAcrossDatasets) {
     dataset(E % 2, BR);
     rt::ExecStats St = S.run(*L, MS, BS);
     EXPECT_TRUE(St.UsedExactTest);
-    analysis::HybridAnalyzer A(B.usr(), B.prog(), Opts);
-    analysis::LoopPlan Plan = A.analyze(*L);
-    rt::Executor Ex(B.prog(), B.usr());
-    rt::HoistCache Fresh;
-    rt::ExecStats Rs = Ex.runPlanned(Plan, MR, BR, RefPool, &Fresh);
+    rt::ExecStats Rs = freshRun(B, *L, Opts, 2, MR, BR);
     expectStatsEq(St, Rs, "hoist");
     expectMemoryEq(MS, MR, "hoist");
     if (E == 1)

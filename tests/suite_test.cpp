@@ -14,6 +14,8 @@
 
 #include "suite/Suite.h"
 
+#include "session/Session.h"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -104,22 +106,18 @@ TEST_P(SuiteLoopTest, ParallelExecutionMatchesSequential) {
   rt::Memory SeqM;
   sym::Bindings SeqB;
   C.B->Setup(SeqM, SeqB, 1);
-  rt::Executor SeqE(C.B->prog(), C.B->usr());
-  SeqE.runSequential(*C.LS->Loop, SeqM, SeqB);
+  rt::interpSequential(*C.LS->Loop, SeqM, SeqB);
 
-  // Hybrid parallel execution under the plan.
+  // Hybrid parallel execution under the plan, in a fresh session.
   rt::Memory ParM;
   sym::Bindings ParB;
   C.B->Setup(ParM, ParB, 1);
   analysis::AnalyzerOptions Opts;
   Opts.Probe = &ParB;
   Opts.HoistableContext = C.LS->Hoistable;
-  analysis::HybridAnalyzer A(C.B->usr(), C.B->prog(), Opts);
-  analysis::LoopPlan Plan = A.analyze(*C.LS->Loop);
-  ThreadPool Pool(4);
-  rt::Executor ParE(C.B->prog(), C.B->usr());
-  rt::HoistCache Hoist;
-  rt::ExecStats Stats = ParE.runPlanned(Plan, ParM, ParB, Pool, &Hoist);
+  session::Session S(C.B->prog(), C.B->usr());
+  const analysis::LoopPlan &Plan = S.prepare(*C.LS->Loop, Opts).Plan;
+  rt::ExecStats Stats = S.run(*C.LS->Loop, ParM, ParB);
   SCOPED_TRACE("class=" + Plan.classString() +
                " parallel=" + std::to_string(Stats.RanParallel) +
                " tls=" + std::to_string(Stats.UsedTLS));
