@@ -93,7 +93,8 @@ void BM_FourierMotzkinSymbols(benchmark::State &State) {
 }
 
 /// Full prepare() of an FM-heavy fuzzed nest (seed 7: inner recurrences
-/// drive the eliminator) — the cost a plan cache avoids on restart.
+/// drive the eliminator, and its deep predicates make cascade extraction
+/// a large share too) — the cost a plan cache avoids on restart.
 void BM_PrepareColdFMHeavy(benchmark::State &State) {
   fuzz::GenOptions GO;
   GO.Seed = 7;

@@ -14,7 +14,6 @@
 #include <cassert>
 #include <numeric>
 #include <sstream>
-#include <unordered_set>
 
 using namespace halo;
 using namespace halo::pdag;
@@ -355,9 +354,10 @@ const Pred *PredContext::makeNary(PredKind K, std::vector<const Pred *> Cs) {
       Flat.push_back(C);
     }
   }
-  std::sort(Flat.begin(), Flat.end(), [](const Pred *A, const Pred *B) {
+  auto ById = [](const Pred *A, const Pred *B) {
     return A->getId() < B->getId();
-  });
+  };
+  std::sort(Flat.begin(), Flat.end(), ById);
   Flat.erase(std::unique(Flat.begin(), Flat.end()), Flat.end());
 
   if (Flat.empty())
@@ -368,13 +368,16 @@ const Pred *PredContext::makeNary(PredKind K, std::vector<const Pred *> Cs) {
   // Complementary literals: X and not(X) fold to the absorbing element.
   // Only leaves are checked — negating interior nodes is linear in their
   // size and would make n-ary construction quadratic on large programs.
+  // Flat is sorted and deduplicated by ID, so membership is a binary search.
   {
-    std::unordered_set<const Pred *> Set(Flat.begin(), Flat.end());
+    auto InFlat = [&](const Pred *Q) {
+      return std::binary_search(Flat.begin(), Flat.end(), Q, ById);
+    };
     for (const Pred *C : Flat) {
       if (C->getKind() != PredKind::Cmp && C->getKind() != PredKind::Divides)
         continue;
       const Pred *NC = tryNot(C);
-      if (NC && Set.count(NC))
+      if (NC && InFlat(NC))
         return Absorb;
     }
     // Absorption: in an And, an Or-child containing a sibling is redundant
@@ -386,7 +389,7 @@ const Pred *PredContext::makeNary(PredKind K, std::vector<const Pred *> Cs) {
       bool Subsumed = false;
       if (C->getKind() == DualK)
         for (const Pred *Sub : cast<NaryPred>(C)->getChildren())
-          if (Set.count(Sub)) {
+          if (InFlat(Sub)) {
             Subsumed = true;
             break;
           }

@@ -8,6 +8,7 @@
 #include "pdag/PredSimplify.h"
 
 #include "support/Error.h"
+#include "support/Hashing.h"
 
 #include <algorithm>
 #include <unordered_map>
@@ -151,66 +152,120 @@ private:
 /// depending on a "forbidden" (eliminated loop) variable become false, and
 /// LoopAll nodes beyond the depth budget dissolve into their bodies'
 /// invariant-sufficient parts.
-const Pred *strengthenImpl(PredContext &Ctx, const Pred *P, int Budget,
-                           std::vector<sym::SymbolId> &Forbidden) {
-  auto DependsOnForbidden = [&](const Pred *Q) {
-    for (sym::SymbolId S : Forbidden)
-      if (Q->dependsOn(S))
+///
+/// The PDAG is hash-consed, so a shared subterm is reachable along many
+/// paths. Its strengthening depends only on (node, remaining budget,
+/// forbidden-symbol set), so the memo visits each such triple once and the
+/// walk is linear in the DAG size instead of its number of paths.
+class Strengthener {
+public:
+  explicit Strengthener(PredContext &Ctx) : Ctx(Ctx) {}
+
+  /// \p Forbidden is sorted and deduplicated: only membership matters.
+  const Pred *visit(const Pred *P, int Budget,
+                    const std::vector<sym::SymbolId> &Forbidden) {
+    switch (P->getKind()) {
+    case PredKind::True:
+    case PredKind::False:
+      return P;
+    case PredKind::Cmp:
+    case PredKind::Divides:
+      return dependsOnAny(P, Forbidden) ? Ctx.getFalse() : P;
+    default:
+      break;
+    }
+    Key K{P, Budget, Forbidden};
+    auto It = Memo.find(K);
+    if (It != Memo.end())
+      return It->second;
+    const Pred *R = strengthen(P, Budget, Forbidden);
+    Memo.emplace(std::move(K), R);
+    return R;
+  }
+
+private:
+  struct Key {
+    const Pred *P;
+    int Budget;
+    std::vector<sym::SymbolId> Forbidden;
+    bool operator==(const Key &O) const {
+      return P == O.P && Budget == O.Budget && Forbidden == O.Forbidden;
+    }
+  };
+  struct KeyHash {
+    size_t operator()(const Key &K) const {
+      size_t H = std::hash<const Pred *>{}(K.P);
+      hashCombine(H, static_cast<size_t>(K.Budget));
+      hashRange(H, K.Forbidden.begin(), K.Forbidden.end());
+      return H;
+    }
+  };
+
+  static bool dependsOnAny(const Pred *P,
+                           const std::vector<sym::SymbolId> &Syms) {
+    for (sym::SymbolId S : Syms)
+      if (P->dependsOn(S))
         return true;
     return false;
-  };
-  switch (P->getKind()) {
-  case PredKind::True:
-  case PredKind::False:
-    return P;
-  case PredKind::Cmp:
-  case PredKind::Divides:
-    return DependsOnForbidden(P) ? Ctx.getFalse() : P;
-  case PredKind::And:
-  case PredKind::Or: {
-    const auto *N = cast<NaryPred>(P);
-    std::vector<const Pred *> Cs;
-    Cs.reserve(N->getChildren().size());
-    for (const Pred *C : N->getChildren())
-      Cs.push_back(strengthenImpl(Ctx, C, Budget, Forbidden));
-    return N->isAnd() ? Ctx.andN(std::move(Cs)) : Ctx.orN(std::move(Cs));
   }
-  case PredKind::LoopAll: {
-    const auto *L = cast<LoopAllPred>(P);
-    if (DependsOnForbidden(P))
-      return Ctx.getFalse(); // Bounds or body mention an eliminated var.
-    if (Budget > 0) {
-      const Pred *Body =
-          strengthenImpl(Ctx, L->getBody(), Budget - 1, Forbidden);
-      return Ctx.loopAll(L->getVar(), L->getLo(), L->getHi(), Body);
+
+  const Pred *strengthen(const Pred *P, int Budget,
+                         const std::vector<sym::SymbolId> &Forbidden) {
+    switch (P->getKind()) {
+    case PredKind::True:
+    case PredKind::False:
+    case PredKind::Cmp:
+    case PredKind::Divides:
+      halo_unreachable("leaves are answered by visit");
+    case PredKind::And:
+    case PredKind::Or: {
+      const auto *N = cast<NaryPred>(P);
+      std::vector<const Pred *> Cs;
+      Cs.reserve(N->getChildren().size());
+      for (const Pred *C : N->getChildren())
+        Cs.push_back(visit(C, Budget, Forbidden));
+      return N->isAnd() ? Ctx.andN(std::move(Cs)) : Ctx.orN(std::move(Cs));
     }
-    // No loop budget left: keep only the parts of the body that hold for
-    // every iteration because they do not mention the loop variable.
-    Forbidden.push_back(L->getVar());
-    const Pred *Body = strengthenImpl(Ctx, L->getBody(), 0, Forbidden);
-    Forbidden.pop_back();
-    return Body;
+    case PredKind::LoopAll: {
+      const auto *L = cast<LoopAllPred>(P);
+      if (dependsOnAny(P, Forbidden))
+        return Ctx.getFalse(); // Bounds or body mention an eliminated var.
+      if (Budget > 0) {
+        const Pred *Body = visit(L->getBody(), Budget - 1, Forbidden);
+        return Ctx.loopAll(L->getVar(), L->getLo(), L->getHi(), Body);
+      }
+      // No loop budget left: keep only the parts of the body that hold for
+      // every iteration because they do not mention the loop variable.
+      std::vector<sym::SymbolId> Inner = Forbidden;
+      auto Pos = std::lower_bound(Inner.begin(), Inner.end(), L->getVar());
+      if (Pos == Inner.end() || *Pos != L->getVar())
+        Inner.insert(Pos, L->getVar());
+      return visit(L->getBody(), 0, Inner);
+    }
+    case PredKind::CallSite:
+      // Opaque: cannot be judged cheaper than its own evaluation.
+      return dependsOnAny(P, Forbidden)
+                 ? Ctx.getFalse()
+                 : visit(cast<CallSitePred>(P)->getBody(), Budget, Forbidden);
+    }
+    halo_unreachable("covered switch");
   }
-  case PredKind::CallSite:
-    // Opaque: cannot be judged cheaper than its own evaluation.
-    return DependsOnForbidden(P) ? Ctx.getFalse()
-                                 : strengthenImpl(Ctx,
-                                                  cast<CallSitePred>(P)
-                                                      ->getBody(),
-                                                  Budget, Forbidden);
-  }
-  halo_unreachable("covered switch");
-}
+
+  PredContext &Ctx;
+  std::unordered_map<Key, const Pred *, KeyHash> Memo;
+};
 
 } // namespace
 
 const Pred *pdag::simplify(PredContext &Ctx, const Pred *P) {
+  // Global fixpoint over a few rounds sharing one memo. visit is a pure
+  // function of an interned node, so a hit in a later round returns the
+  // pointer a recomputation would, and that recomputation would intern no
+  // new node: node IDs and child order stay as with a fresh memo per round.
   Simplifier S(Ctx);
   const Pred *R = S.visit(P);
-  // Global fixpoint over a few rounds; each round is memoized separately.
   for (int I = 0; I < 3; ++I) {
-    Simplifier S2(Ctx);
-    const Pred *Next = S2.visit(R);
+    const Pred *Next = S.visit(R);
     if (Next == R)
       break;
     R = Next;
@@ -220,8 +275,7 @@ const Pred *pdag::simplify(PredContext &Ctx, const Pred *P) {
 
 const Pred *pdag::strengthenToDepth(PredContext &Ctx, const Pred *P,
                                     int MaxDepth) {
-  std::vector<sym::SymbolId> Forbidden;
-  return simplify(Ctx, strengthenImpl(Ctx, P, MaxDepth, Forbidden));
+  return simplify(Ctx, Strengthener(Ctx).visit(P, MaxDepth, {}));
 }
 
 std::vector<CascadeStage> pdag::buildCascade(PredContext &Ctx, const Pred *P) {

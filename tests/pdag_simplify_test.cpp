@@ -8,14 +8,241 @@
 #include "pdag/FourierMotzkin.h"
 #include "pdag/PredEval.h"
 #include "pdag/PredSimplify.h"
+#include "support/Error.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <unordered_map>
+#include <unordered_set>
 
 using namespace halo;
 using namespace halo::pdag;
 
 namespace {
+
+//===----------------------------------------------------------------------===//
+// Reference oracle: the un-memoized predicate extraction, kept verbatim
+// (a fresh Simplifier per fixpoint round, a tree walk for strengthening)
+// so the memoized implementation can be checked against it. It shares no
+// code with src/pdag/PredSimplify.cpp.
+//===----------------------------------------------------------------------===//
+
+namespace ref {
+
+class Simplifier {
+public:
+  explicit Simplifier(PredContext &Ctx) : Ctx(Ctx) {}
+
+  const Pred *visit(const Pred *P) {
+    auto It = Memo.find(P);
+    if (It != Memo.end())
+      return It->second;
+    const Pred *R = rewrite(P);
+    // Local fixpoint: rewriting can expose further opportunities.
+    for (int I = 0; I < 4 && R != P; ++I) {
+      const Pred *Next = rewrite(R);
+      if (Next == R)
+        break;
+      R = Next;
+    }
+    Memo.emplace(P, R);
+    return R;
+  }
+
+private:
+  const Pred *rewrite(const Pred *P) {
+    switch (P->getKind()) {
+    case PredKind::True:
+    case PredKind::False:
+    case PredKind::Cmp:
+    case PredKind::Divides:
+      return P;
+    case PredKind::And:
+    case PredKind::Or:
+      return rewriteNary(cast<NaryPred>(P));
+    case PredKind::LoopAll:
+      return rewriteLoop(cast<LoopAllPred>(P));
+    case PredKind::CallSite: {
+      const auto *S = cast<CallSitePred>(P);
+      return Ctx.callSite(S->getCallee(), visit(S->getBody()));
+    }
+    }
+    halo_unreachable("covered switch");
+  }
+
+  const Pred *rewriteNary(const NaryPred *N) {
+    std::vector<const Pred *> Cs;
+    Cs.reserve(N->getChildren().size());
+    for (const Pred *C : N->getChildren())
+      Cs.push_back(visit(C));
+    const bool IsAnd = N->isAnd();
+    const Pred *Rebuilt = IsAnd ? Ctx.andN(Cs) : Ctx.orN(Cs);
+    const auto *RN = dyn_cast<NaryPred>(Rebuilt);
+    if (!RN || RN->isAnd() != IsAnd)
+      return Rebuilt;
+
+    const PredKind DualK = IsAnd ? PredKind::Or : PredKind::And;
+    auto DualChildren = [&](const Pred *C) -> std::vector<const Pred *> {
+      if (C->getKind() == DualK)
+        return cast<NaryPred>(C)->getChildren();
+      return {C};
+    };
+    std::vector<const Pred *> Common = DualChildren(RN->getChildren()[0]);
+    std::sort(Common.begin(), Common.end());
+    for (size_t I = 1; I < RN->getChildren().size() && !Common.empty(); ++I) {
+      std::vector<const Pred *> Next = DualChildren(RN->getChildren()[I]);
+      std::sort(Next.begin(), Next.end());
+      std::vector<const Pred *> Inter;
+      std::set_intersection(Common.begin(), Common.end(), Next.begin(),
+                            Next.end(), std::back_inserter(Inter));
+      Common = std::move(Inter);
+    }
+    if (Common.empty())
+      return Rebuilt;
+    std::unordered_set<const Pred *> CommonSet(Common.begin(), Common.end());
+
+    std::vector<const Pred *> Reduced;
+    Reduced.reserve(RN->getChildren().size());
+    for (const Pred *C : RN->getChildren()) {
+      std::vector<const Pred *> Rest;
+      for (const Pred *D : DualChildren(C))
+        if (!CommonSet.count(D))
+          Rest.push_back(D);
+      Reduced.push_back(IsAnd ? Ctx.orN(std::move(Rest))
+                              : Ctx.andN(std::move(Rest)));
+    }
+    const Pred *CommonP =
+        IsAnd ? Ctx.orN(std::move(Common)) : Ctx.andN(std::move(Common));
+    const Pred *Residual =
+        IsAnd ? Ctx.andN(std::move(Reduced)) : Ctx.orN(std::move(Reduced));
+    return IsAnd ? Ctx.or2(CommonP, Residual) : Ctx.and2(CommonP, Residual);
+  }
+
+  const Pred *rewriteLoop(const LoopAllPred *L) {
+    const Pred *Body = visit(L->getBody());
+    sym::SymbolId Var = L->getVar();
+
+    if (const auto *A = dyn_cast<NaryPred>(Body); A && A->isAnd()) {
+      std::vector<const Pred *> Parts;
+      Parts.reserve(A->getChildren().size());
+      for (const Pred *C : A->getChildren())
+        Parts.push_back(visit(Ctx.loopAll(Var, L->getLo(), L->getHi(), C)));
+      return Ctx.andN(std::move(Parts));
+    }
+
+    if (const auto *O = dyn_cast<NaryPred>(Body); O && !O->isAnd()) {
+      std::vector<const Pred *> Inv, Variant;
+      for (const Pred *C : O->getChildren())
+        (C->dependsOn(Var) ? Variant : Inv).push_back(C);
+      if (!Inv.empty() && !Variant.empty()) {
+        const Pred *Rest =
+            Ctx.loopAll(Var, L->getLo(), L->getHi(), Ctx.orN(std::move(Variant)));
+        Inv.push_back(visit(Rest));
+        return Ctx.orN(std::move(Inv));
+      }
+    }
+
+    return Ctx.loopAll(Var, L->getLo(), L->getHi(), Body);
+  }
+
+  PredContext &Ctx;
+  std::unordered_map<const Pred *, const Pred *> Memo;
+};
+
+const Pred *strengthenImpl(PredContext &Ctx, const Pred *P, int Budget,
+                           std::vector<sym::SymbolId> &Forbidden) {
+  auto DependsOnForbidden = [&](const Pred *Q) {
+    for (sym::SymbolId S : Forbidden)
+      if (Q->dependsOn(S))
+        return true;
+    return false;
+  };
+  switch (P->getKind()) {
+  case PredKind::True:
+  case PredKind::False:
+    return P;
+  case PredKind::Cmp:
+  case PredKind::Divides:
+    return DependsOnForbidden(P) ? Ctx.getFalse() : P;
+  case PredKind::And:
+  case PredKind::Or: {
+    const auto *N = cast<NaryPred>(P);
+    std::vector<const Pred *> Cs;
+    Cs.reserve(N->getChildren().size());
+    for (const Pred *C : N->getChildren())
+      Cs.push_back(strengthenImpl(Ctx, C, Budget, Forbidden));
+    return N->isAnd() ? Ctx.andN(std::move(Cs)) : Ctx.orN(std::move(Cs));
+  }
+  case PredKind::LoopAll: {
+    const auto *L = cast<LoopAllPred>(P);
+    if (DependsOnForbidden(P))
+      return Ctx.getFalse();
+    if (Budget > 0) {
+      const Pred *Body =
+          strengthenImpl(Ctx, L->getBody(), Budget - 1, Forbidden);
+      return Ctx.loopAll(L->getVar(), L->getLo(), L->getHi(), Body);
+    }
+    Forbidden.push_back(L->getVar());
+    const Pred *Body = strengthenImpl(Ctx, L->getBody(), 0, Forbidden);
+    Forbidden.pop_back();
+    return Body;
+  }
+  case PredKind::CallSite:
+    return DependsOnForbidden(P) ? Ctx.getFalse()
+                                 : strengthenImpl(Ctx,
+                                                  cast<CallSitePred>(P)
+                                                      ->getBody(),
+                                                  Budget, Forbidden);
+  }
+  halo_unreachable("covered switch");
+}
+
+const Pred *simplify(PredContext &Ctx, const Pred *P) {
+  Simplifier S(Ctx);
+  const Pred *R = S.visit(P);
+  for (int I = 0; I < 3; ++I) {
+    Simplifier S2(Ctx);
+    const Pred *Next = S2.visit(R);
+    if (Next == R)
+      break;
+    R = Next;
+  }
+  return R;
+}
+
+const Pred *strengthenToDepth(PredContext &Ctx, const Pred *P, int MaxDepth) {
+  std::vector<sym::SymbolId> Forbidden;
+  return ref::simplify(Ctx, strengthenImpl(Ctx, P, MaxDepth, Forbidden));
+}
+
+std::vector<CascadeStage> buildCascade(PredContext &Ctx, const Pred *P) {
+  const Pred *Full = ref::simplify(Ctx, P);
+  std::vector<CascadeStage> Stages;
+  if (Full->isFalse())
+    return Stages;
+
+  for (int Depth = 0; Depth < Full->loopDepth(); ++Depth) {
+    const Pred *Stage = ref::strengthenToDepth(Ctx, Full, Depth);
+    if (Stage->isFalse())
+      continue;
+    bool Dup = false;
+    for (const CascadeStage &S : Stages)
+      if (S.P == Stage)
+        Dup = true;
+    if (Dup)
+      continue;
+    Stages.push_back(CascadeStage{Stage, Stage->loopDepth()});
+    if (Stage == Full)
+      return Stages;
+  }
+  Stages.push_back(CascadeStage{Full, Full->loopDepth()});
+  return Stages;
+}
+
+} // namespace ref
+
 
 class PdagSimplifyTest : public ::testing::Test {
 protected:
@@ -171,14 +398,45 @@ TEST_F(PdagSimplifyTest, CascadeOfO1PredicateIsSingleStage) {
 // Property tests: simplify preserves semantics; strengthen implies input.
 //===----------------------------------------------------------------------===//
 
-class PdagPropertyTest : public ::testing::TestWithParam<uint64_t> {
-protected:
-  PdagPropertyTest() : P(Sym) {}
-  sym::Context Sym;
-  PredContext P;
+/// Random predicates over scalars a,b,c, array IB and loop variables
+/// lv1, lv2, ... With a pool, about one child in three is drawn from the
+/// nodes already built, so subterms are shared: a tree-shaped generator
+/// almost never builds a node twice, so it never exercises a memo.
+class PredGen {
+public:
+  PredGen(sym::Context &Sym, PredContext &P,
+          std::vector<const Pred *> *Pool = nullptr)
+      : Sym(Sym), P(P), Pool(Pool) {}
 
-  /// Builds a random predicate over scalars a,b,c, array IB and loop vars.
-  const Pred *randomPred(Rng &R, int Depth, int LoopDepth) {
+  const Pred *random(Rng &R, int Depth, int LoopDepth) {
+    if (Pool && !Pool->empty() && R.chance(1, 3))
+      return (*Pool)[R.nextBelow(Pool->size())];
+    const Pred *Out = build(R, Depth, LoopDepth);
+    if (Pool)
+      Pool->push_back(Out);
+    return Out;
+  }
+
+  sym::SymbolId loopVar(int Depth) {
+    return Sym.symbol("lv" + std::to_string(Depth), Depth);
+  }
+
+  sym::Bindings randomBindings(Rng &R) {
+    sym::Bindings B;
+    B.setScalar(Sym.symbol("a"), R.nextInRange(-4, 4));
+    B.setScalar(Sym.symbol("b"), R.nextInRange(-4, 4));
+    B.setScalar(Sym.symbol("c"), R.nextInRange(-4, 4));
+    B.setScalar(Sym.symbol("n"), R.nextInRange(0, 6));
+    sym::ArrayBinding A;
+    A.Lo = 1;
+    for (int I = 0; I < 8; ++I)
+      A.Vals.push_back(R.nextInRange(-4, 4));
+    B.setArray(Sym.symbol("IB", 0, true), A);
+    return B;
+  }
+
+private:
+  const Pred *build(Rng &R, int Depth, int LoopDepth) {
     if (Depth <= 0 || R.chance(1, 3)) {
       // Leaf: a random linear comparison.
       const sym::Expr *E = Sym.intConst(R.nextInRange(-3, 3));
@@ -202,36 +460,35 @@ protected:
     }
     switch (R.nextBelow(3)) {
     case 0:
-      return P.and2(randomPred(R, Depth - 1, LoopDepth),
-                    randomPred(R, Depth - 1, LoopDepth));
+      return P.and2(random(R, Depth - 1, LoopDepth),
+                    random(R, Depth - 1, LoopDepth));
     case 1:
-      return P.or2(randomPred(R, Depth - 1, LoopDepth),
-                   randomPred(R, Depth - 1, LoopDepth));
+      return P.or2(random(R, Depth - 1, LoopDepth),
+                   random(R, Depth - 1, LoopDepth));
     default: {
       sym::SymbolId V = loopVar(LoopDepth + 1);
       return P.loopAll(V, Sym.intConst(1), Sym.symRef("n"),
-                       randomPred(R, Depth - 1, LoopDepth + 1));
+                       random(R, Depth - 1, LoopDepth + 1));
     }
     }
   }
 
-  sym::SymbolId loopVar(int Depth) {
-    return Sym.symbol("lv" + std::to_string(Depth), Depth);
-  }
+  sym::Context &Sym;
+  PredContext &P;
+  std::vector<const Pred *> *Pool;
+};
 
-  sym::Bindings randomBindings(Rng &R) {
-    sym::Bindings B;
-    B.setScalar(Sym.symbol("a"), R.nextInRange(-4, 4));
-    B.setScalar(Sym.symbol("b"), R.nextInRange(-4, 4));
-    B.setScalar(Sym.symbol("c"), R.nextInRange(-4, 4));
-    B.setScalar(Sym.symbol("n"), R.nextInRange(0, 6));
-    sym::ArrayBinding A;
-    A.Lo = 1;
-    for (int I = 0; I < 8; ++I)
-      A.Vals.push_back(R.nextInRange(-4, 4));
-    B.setArray(Sym.symbol("IB", 0, true), A);
-    return B;
+class PdagPropertyTest : public ::testing::TestWithParam<uint64_t> {
+protected:
+  PdagPropertyTest() : P(Sym), Gen(Sym, P) {}
+  sym::Context Sym;
+  PredContext P;
+  PredGen Gen;
+
+  const Pred *randomPred(Rng &R, int Depth, int LoopDepth) {
+    return Gen.random(R, Depth, LoopDepth);
   }
+  sym::Bindings randomBindings(Rng &R) { return Gen.randomBindings(R); }
 };
 
 TEST_P(PdagPropertyTest, SimplifyPreservesSemantics) {
@@ -283,6 +540,149 @@ TEST_P(PdagPropertyTest, CascadeStagesImplyFullPredicate) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, PdagPropertyTest,
                          ::testing::Range<uint64_t>(1, 33));
+
+//===----------------------------------------------------------------------===//
+// Memo parity: the memoized extraction returns exactly what the reference
+// oracle returns, and interns the same nodes in the same order.
+//===----------------------------------------------------------------------===//
+
+/// Symbol and predicate contexts with the seed's input predicate built in
+/// them. Two Worlds from one seed are identical, node IDs included.
+struct World {
+  explicit World(uint64_t Seed) : P(Sym) {
+    Rng R(Seed);
+    std::vector<const Pred *> Pool;
+    PredGen Gen(Sym, P, &Pool);
+    auto IsConst = [](const Pred *Q) { return Q->isTrue() || Q->isFalse(); };
+    const Pred *Random;
+    do
+      Random = Gen.random(R, 6, 0);
+    while (IsConst(Random));
+    // A two-deep nest around a pooled subterm: at depth 0 the outer loop
+    // runs out of budget and forbids lv1, the inner one then forbids lv2
+    // too, so (unless it mentions lv1) the shared node is strengthened
+    // under {lv1, lv2} here and under other budgets and sets inside Random.
+    const Pred *Shared;
+    do
+      Shared = Pool[R.nextBelow(Pool.size())];
+    while (IsConst(Shared));
+    sym::SymbolId IB = Sym.symbol("IB", 0, true);
+    sym::SymbolId V1 = Gen.loopVar(1), V2 = Gen.loopVar(2);
+    const Pred *Dep1 = P.ge0(Sym.add(Sym.arrayRef(IB, Sym.symRef(V1)),
+                                     Sym.symRef("a")));
+    const Pred *Dep2 = P.ge0(Sym.sub(Sym.arrayRef(IB, Sym.symRef(V2)),
+                                     Sym.symRef("b")));
+    const Pred *Inner = P.loopAll(V2, Sym.intConst(1), Sym.symRef("n"),
+                                  P.or2(Shared, Dep2));
+    const Pred *Nest = P.loopAll(V1, Sym.intConst(1), Sym.symRef("n"),
+                                 P.and2(Dep1, Inner));
+    In = P.and2(Random, Nest);
+  }
+  sym::Context Sym;
+  PredContext P;
+  const Pred *In = nullptr;
+};
+
+class MemoParityTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MemoParityTest, ExtractionMatchesReferenceOracle) {
+  // Same seed, two contexts: the reference runs in one, the memoized code
+  // in the other, with the same sequence of calls.
+  World Ref(GetParam()), New(GetParam());
+  ASSERT_EQ(Ref.P.numPreds(), New.P.numPreds());
+  const int MaxDepth = Ref.In->loopDepth() + 1;
+  ASSERT_GE(MaxDepth, 3) << Ref.In->toString(Ref.Sym);
+
+  std::vector<CascadeStage> RefStages = ref::buildCascade(Ref.P, Ref.In);
+  std::vector<CascadeStage> NewStages = buildCascade(New.P, New.In);
+  std::vector<const Pred *> RefOut, NewOut;
+  for (int D = 0; D <= MaxDepth; ++D) {
+    RefOut.push_back(ref::strengthenToDepth(Ref.P, Ref.In, D));
+    NewOut.push_back(strengthenToDepth(New.P, New.In, D));
+  }
+  RefOut.push_back(ref::simplify(Ref.P, Ref.In));
+  NewOut.push_back(simplify(New.P, New.In));
+
+  // Identical node creation: same count, same IDs, same structure. This is
+  // what keeps .hplan bytes unchanged.
+  EXPECT_EQ(Ref.P.numPreds(), New.P.numPreds());
+  ASSERT_EQ(RefStages.size(), NewStages.size());
+  for (size_t I = 0; I < RefStages.size(); ++I) {
+    EXPECT_EQ(RefStages[I].Depth, NewStages[I].Depth);
+    EXPECT_EQ(RefStages[I].P->getId(), NewStages[I].P->getId());
+    EXPECT_EQ(RefStages[I].P->toString(Ref.Sym),
+              NewStages[I].P->toString(New.Sym));
+  }
+  for (size_t I = 0; I < RefOut.size(); ++I) {
+    EXPECT_EQ(RefOut[I]->getId(), NewOut[I]->getId()) << "output " << I;
+    EXPECT_EQ(RefOut[I]->toString(Ref.Sym), NewOut[I]->toString(New.Sym));
+  }
+
+  // In the reference's own context the memoized code returns the very same
+  // pointers and interns nothing new.
+  const size_t Before = Ref.P.numPreds();
+  std::vector<CascadeStage> Again = buildCascade(Ref.P, Ref.In);
+  ASSERT_EQ(Again.size(), RefStages.size());
+  for (size_t I = 0; I < Again.size(); ++I)
+    EXPECT_EQ(Again[I].P, RefStages[I].P);
+  for (int D = 0; D <= MaxDepth; ++D)
+    EXPECT_EQ(strengthenToDepth(Ref.P, Ref.In, D), RefOut[D]) << "depth " << D;
+  EXPECT_EQ(simplify(Ref.P, Ref.In), RefOut.back());
+  EXPECT_EQ(Ref.P.numPreds(), Before);
+}
+
+INSTANTIATE_TEST_SUITE_P(SharedDags, MemoParityTest,
+                         ::testing::Range<uint64_t>(1, 33));
+
+TEST_F(PdagSimplifyTest, SharingLadderExtractsInLinearTime) {
+  // Level i refers to level i-1 twice: once under a LoopAll and once in an
+  // And with a fresh leaf. The DAG grows by a few nodes per level, but has
+  // 2^40 root-to-leaf paths. Strengthening without its (node, budget,
+  // forbidden set) memo walks every path and this test would hang.
+  constexpr int Levels = 40;
+  sym::SymbolId X = Sym.symbol("x", 1);
+  // Leaf i is x - 2 - i*y >= 0: distinct per level, and false at x = 1
+  // for y >= 0. Leaves are built first, so each has a lower ID than every
+  // level and is evaluated before its shared sibling; together that keeps
+  // tryEvalPred's tree walk polynomial on the ladder.
+  std::vector<const Pred *> Leaves;
+  for (int I = 0; I <= Levels; ++I)
+    Leaves.push_back(P.ge0(Sym.sub(Sym.addConst(Sym.symRef(X), -2),
+                                   Sym.mulConst(s("y"), I))));
+  const Pred *L = Leaves[0];
+  for (int I = 1; I <= Levels; ++I) {
+    const Pred *WithLeaf = P.and2(Leaves[I], L);
+    L = P.or2(WithLeaf, P.loopAll(X, c(1), s("n"), L));
+  }
+  ASSERT_EQ(L->loopDepth(), Levels);
+
+  std::vector<const Pred *> Stages;
+  for (int Depth = 0; Depth <= 2; ++Depth) {
+    const Pred *St = strengthenToDepth(P, L, Depth);
+    EXPECT_LE(St->loopDepth(), Depth);
+    Stages.push_back(St);
+  }
+  std::vector<CascadeStage> Cascade = buildCascade(P, L);
+  ASSERT_FALSE(Cascade.empty());
+  for (const CascadeStage &S : Cascade)
+    Stages.push_back(S.P);
+
+  Rng R(40);
+  for (int Trial = 0; Trial < 20; ++Trial) {
+    sym::Bindings B;
+    B.setScalar(X, R.nextInRange(-2, 4));
+    B.setScalar(Sym.symbol("y"), R.nextInRange(0, 2));
+    B.setScalar(Sym.symbol("n"), R.nextInRange(0, 2));
+    auto VI = tryEvalPred(L, B);
+    ASSERT_TRUE(VI.has_value());
+    for (const Pred *St : Stages) {
+      auto VS = tryEvalPred(St, B);
+      if (VS && *VS)
+        EXPECT_TRUE(*VI) << "stage true but input false\nst: "
+                         << St->toString(Sym);
+    }
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // Fourier-Motzkin
