@@ -11,6 +11,7 @@
 #include "pdag/PredCompile.h"
 #include "pdag/PredEval.h"
 #include "plan/Plan.h"
+#include "rt/Executor.h"
 #include "rt/Interp.h"
 #include "session/Session.h"
 #include "support/Casting.h"
@@ -19,6 +20,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 
 using namespace halo;
 using namespace halo::fuzz;
@@ -88,6 +90,8 @@ private:
   void write(sym::SymbolId Arr, int64_t Off, bool IsReduction) {
     auto [Base, Idx] = resolve(Arr, Off);
     IterAccesses &A = (*Cur)[Base];
+    if (IsReduction && !A.Writes.count(Idx))
+      A.ExposedRedWrites.insert(Idx);
     (IsReduction ? A.RedWrites : A.Writes).insert(Idx);
   }
 
@@ -302,6 +306,22 @@ bool fuzz::extRedSeparated(const TraceResult &T, sym::SymbolId Array) {
     if (RIt != P.ER.end() && crossIter(KV.second, RIt->second))
       return false;
   }
+  return true;
+}
+
+bool fuzz::noCrossIterationFlow(const TraceResult &T) {
+  std::map<sym::SymbolId, std::set<int64_t>> Written; // By earlier iters.
+  for (const auto &Iter : T.Iters)
+    for (const auto &KV : Iter) {
+      std::set<int64_t> &W = Written[KV.first];
+      for (const std::set<int64_t> *R :
+           {&KV.second.ExposedReads, &KV.second.ExposedRedWrites})
+        for (int64_t O : *R)
+          if (W.count(O))
+            return false;
+      W.insert(KV.second.Writes.begin(), KV.second.Writes.end());
+      W.insert(KV.second.RedWrites.begin(), KV.second.RedWrites.end());
+    }
   return true;
 }
 
@@ -556,6 +576,47 @@ OracleResult fuzz::checkCase(GeneratedCase &C, const OracleOptions &O) {
       Res.GuardDemotions += ES.GuardDemotions;
       compareMemory(MSeq, MX, RedArrays, O.Tolerance, C,
                     rt::evalTierName(Tier), Res);
+    }
+
+    // --- Forced speculation ---------------------------------------------
+    // A plan copy with every runtime test failing and no exact-test USRs
+    // must speculate. A commit and a sequential rerun are both bit-exact.
+    {
+      analysis::LoopPlan Spec = PL.Plan;
+      Spec.Class = analysis::LoopClass::TLS;
+      bool Writes = false;
+      for (analysis::ArrayPlan &AP : Spec.Arrays) {
+        for (analysis::TestCascade *TC : {&AP.Flow, &AP.Output, &AP.Priv,
+                                          &AP.Slv, &AP.RRed, &AP.ExtRedFlow})
+          *TC = analysis::TestCascade{};
+        AP.FlowUSR = AP.OutputUSR = AP.ExtRedUSR = nullptr;
+        Writes |= !AP.ReadOnly;
+      }
+      // A loop that writes nothing never speculates.
+      const bool Expect =
+          Writes && !T.Iters.empty() && noCrossIterationFlow(T);
+      rt::PredCompileCache Preds(C.sym());
+      rt::USRCompileCache Usrs(C.sym(), Preds);
+      rt::PlanCascades Pre = rt::PlanCascades::build(Spec, Preds);
+      for (unsigned Threads : {1u, O.Threads}) {
+        ThreadPool Pool(Threads);
+        rt::ExecContext Ctx;
+        rt::HoistCache Hoist;
+        rt::Memory MX;
+        sym::Bindings BX;
+        C.bind(MX, BX);
+        rt::ExecStats ES = rt::runPlanned(Spec, Pre, MX, BX, Pool, Ctx,
+                                          Hoist, Usrs, rt::EvalTier::Block);
+        std::string Config =
+            "forced speculation, threads=" + std::to_string(Threads);
+        compareMemory(MSeq, MX, {}, 0, C, Config.c_str(), Res);
+        if (ES.TLSSucceeded != Expect)
+          (Expect ? Res.Parity : Res.Soundness)
+              .push_back(Config + ": TLSSucceeded=" +
+                         std::to_string(ES.TLSSucceeded) + ", trace has " +
+                         (Expect ? "no" : "a") +
+                         " cross-iteration flow dependence");
+      }
     }
 
     // --- Plan-cache round trip ------------------------------------------

@@ -32,6 +32,9 @@
 ///     Cascade stages are additionally cross-checked compiled-vs-
 ///     interpreted, tri-state, stage by stage.
 ///
+///     A forced-speculation leg (every runtime test failing) must match
+///     too, and its TLSSucceeded must equal noCrossIterationFlow.
+///
 ///  3. **Front-door oracle.** Hostile cases must be rejected by the
 ///     structured validation gates (ir/Validate.h) — structural diags at
 ///     Session::prepare, binding diags from collectInputDiags — and never
@@ -63,6 +66,9 @@ struct IterAccesses {
   std::set<int64_t> Writes;
   /// Reduction updates (the RED set of Sec. 4).
   std::set<int64_t> RedWrites;
+  /// Reduction updates of elements the iteration had not written
+  /// before by a non-reduction write.
+  std::set<int64_t> ExposedRedWrites;
 };
 
 /// Exact cross-iteration access record of one loop execution.
@@ -89,6 +95,9 @@ bool privatizable(const TraceResult &T, sym::SymbolId Array);
 bool slvValid(const TraceResult &T, sym::SymbolId Array);
 bool redInjective(const TraceResult &T, sym::SymbolId Array);
 bool extRedSeparated(const TraceResult &T, sym::SymbolId Array);
+/// The speculation verdict over every array: true iff no exposed read or
+/// exposed reduction update hits an element an earlier iteration wrote.
+bool noCrossIterationFlow(const TraceResult &T);
 
 /// Oracle knobs.
 struct OracleOptions {

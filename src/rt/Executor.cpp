@@ -13,11 +13,9 @@
 #include "usr/USREval.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cmath>
-#include <utility>
 
 using namespace halo;
 using namespace halo::rt;
@@ -124,9 +122,9 @@ std::optional<bool> HoistCache::emptiness(const usr::USR *S,
 
 namespace {
 
-/// Runtime decision for one array.
+/// Runtime decision for one array: privatized (with static or dynamic
+/// last value), and how its reductions update.
 struct ArrayDecision {
-  bool Privatize = false;
   bool UseSLV = false;
   bool UseDLV = false;
   bool ReductionPrivate = false;
@@ -146,18 +144,21 @@ int runCascade(const TestCascade &C, const CompiledCascade &CC,
   if (C.StaticallyTrue)
     return -1;
 
+  // The tree-walking interpreter: the interpreted tier's reference path
+  // and the demotion target of a stage whose lowering tripped a resource
+  // guard. Each stage evaluation is counted once, by the governor.
+  auto Interp = [&](const pdag::CascadeStage &St) {
+    pdag::EvalStats ES;
+    auto V = pdag::tryEvalPred(St.P, B, &ES);
+    Stats.PredicateLeafEvals += ES.LeafEvals;
+    ++Stats.InterpPredEvals;
+    return V && *V;
+  };
   if (Tier == EvalTier::Interpreted) {
-    // Reference path: the tree-walking interpreter in cascade order. Each
-    // stage evaluation is counted here by the governor (symmetric with
-    // the compiled branch below).
     for (const pdag::CascadeStage &St : C.Stages) {
       if (support::stopRequested(Cancel))
         return -3; // Aborted: no stage answer (distinct from -2).
-      pdag::EvalStats ES;
-      auto V = pdag::tryEvalPred(St.P, B, &ES);
-      Stats.PredicateLeafEvals += ES.LeafEvals;
-      ++Stats.InterpPredEvals;
-      if (V && *V)
+      if (Interp(St))
         return St.Depth;
     }
     return -2;
@@ -171,19 +172,14 @@ int runCascade(const TestCascade &C, const CompiledCascade &CC,
     // is where a deadline fires between pieces of predicate work.
     if (support::stopRequested(Cancel))
       return -3;
-    pdag::EvalStats ES;
     if (!St.Code) {
-      // Lowering tripped a resource guard for this stage's predicate
-      // (CompiledPred::compile returned null): demote the stage to the
-      // tree-walking interpreter. Same answer, only slower, and counted.
-      auto V = pdag::tryEvalPred(St.Source->P, B, &ES);
-      Stats.PredicateLeafEvals += ES.LeafEvals;
-      ++Stats.InterpPredEvals;
+      // CompiledPred::compile returned null: same answer, only slower.
       ++Stats.GuardDemotions;
-      if (V && *V)
+      if (Interp(*St.Source))
         return St.Source->Depth;
       continue;
     }
+    pdag::EvalStats ES;
     // O(1) stages run inline; O(N)+ stages fan their root LoopAll range
     // out across the pool with the exact early-exit and-reduction.
     // Pooled frames skip per-execution frame allocation and, with
@@ -208,61 +204,94 @@ int runCascade(const TestCascade &C, const CompiledCascade &CC,
 }
 
 //===----------------------------------------------------------------------===//
-// LRPD speculative fallback
+// Parallel execution: planned or speculative
 //===----------------------------------------------------------------------===//
 
-/// Runs \p Plan's loop speculatively under shadow arrays; returns false
-/// after restoring \p M when the shadows detect a conflict (the caller
-/// then re-executes sequentially).
-bool runSpeculative(const LoopPlan &Plan, Memory &M, sym::Bindings &B,
-                    ThreadPool &Pool, ExecStats &Stats) {
-  Stats.UsedTLS = true;
+/// Runs iterations [Lo, Hi] of \p Plan's loop across \p Pool, one
+/// contiguous block per worker, with each array handled as \p Decisions
+/// says, then merges the worker-private views into \p M. A \p Speculate
+/// run (LRPD, contract in src/rt/README.md) returns false with \p M
+/// untouched when it finds a cross-iteration flow dependence.
+bool runParallel(const LoopPlan &Plan,
+                 const std::map<SymbolId, ArrayDecision> &Decisions,
+                 bool Speculate, int64_t Lo, int64_t Hi, Memory &M,
+                 const sym::Bindings &B, ThreadPool &Pool) {
   const DoLoop &Loop = *Plan.Loop;
-  int64_t Lo = sym::eval(Loop.getLo(), B);
-  int64_t Hi = sym::eval(Loop.getHi(), B);
-  if (Lo > Hi)
-    return true;
+  const unsigned NT = Pool.numThreads();
 
-  // Backup every data array (checkpoint for misspeculation).
-  auto Backup = std::as_const(M).arrays();
-
-  // Shadow every data array.
-  std::map<SymbolId, std::unique_ptr<Shadow>> Shadows;
-  for (const auto &KV : std::as_const(M).arrays())
-    Shadows.emplace(KV.first, std::make_unique<Shadow>(KV.second.size()));
-
-  std::atomic<bool> Conflict{false};
-  Pool.parallelForBlocked(Lo, Hi + 1,
-                          [&](int64_t BLo, int64_t BHi, unsigned) {
-                            ExecState St(M, B);
-                            for (auto &KV : Shadows)
-                              St.Shadows[KV.first] = KV.second.get();
-                            St.Conflict = &Conflict;
-                            for (const summary::CivDesc &D : Plan.Civ.Civs)
-                              if (const sym::ArrayBinding *A =
-                                      St.B.array(D.EntryArr))
-                                if (A->inBounds(BLo))
-                                  St.B.setScalar(D.Civ, A->at(BLo));
-                            for (int64_t I = BLo;
-                                 I < BHi &&
-                                 !Conflict.load(std::memory_order_relaxed);
-                                 ++I) {
-                              St.CurrentIter = I;
-                              St.B.setScalar(Loop.getVar(), I);
-                              for (const Stmt *C : Loop.getBody())
-                                interpStmt(C, St);
-                            }
-                          });
-
-  if (!Conflict.load()) {
-    Stats.RanParallel = true;
-    Stats.TLSSucceeded = true;
-    return true;
+  // Per-worker private views and reduction buffers.
+  std::map<SymbolId, std::vector<PrivateArray>> Views;
+  std::map<SymbolId, std::vector<std::vector<double>>> RedBufs;
+  for (const auto &KV : Decisions) {
+    const std::vector<double> *Shared = M.find(KV.first);
+    if (!Shared)
+      continue;
+    const ArrayDecision &D = KV.second;
+    const size_t N = Shared->size();
+    if (D.UseSLV || D.UseDLV) {
+      std::vector<PrivateArray> &Vs = Views[KV.first];
+      Vs.resize(NT);
+      for (PrivateArray &P : Vs) {
+        P.Buf = *Shared; // Copy-in.
+        if (D.UseSLV)
+          P.Written.assign(N, 0);
+        if (D.UseDLV)
+          P.LastIter.assign(N, -1);
+        if (Speculate)
+          P.ExposedRead.assign(N, 0);
+      }
+    }
+    if (D.ReductionPrivate)
+      RedBufs[KV.first].assign(NT, std::vector<double>(N, 0.0));
   }
-  // Misspeculation: restore and report failure (caller re-runs
-  // sequentially).
-  M.arrays() = std::move(Backup);
-  return false;
+
+  std::vector<uint8_t> WorkerConflict(NT, 0);
+  Pool.parallelForBlocked(
+      Lo, Hi + 1, [&](int64_t BLo, int64_t BHi, unsigned T) {
+        ExecState St(M, B);
+        St.Speculative = Speculate;
+        for (auto &KV : Views)
+          St.Private[KV.first] = &KV.second[T];
+        for (auto &KV : RedBufs)
+          St.RedBuf[KV.first] = &KV.second[T];
+        // Seed CIVs from the precomputed entry values.
+        for (const summary::CivDesc &D : Plan.Civ.Civs)
+          if (const sym::ArrayBinding *A = St.B.array(D.EntryArr))
+            if (A->inBounds(BLo))
+              St.B.setScalar(D.Civ, A->at(BLo));
+        for (int64_t I = BLo; I < BHi && !St.Conflict; ++I) {
+          St.CurrentIter = I;
+          St.B.setScalar(Loop.getVar(), I);
+          for (const Stmt *C : Loop.getBody())
+            interpStmt(C, St);
+        }
+        WorkerConflict[T] = St.Conflict;
+      });
+
+  if (Speculate &&
+      (std::count(WorkerConflict.begin(), WorkerConflict.end(), 1) ||
+       std::any_of(Views.begin(), Views.end(), [](const auto &KV) {
+         return flowAcrossWorkers(KV.second);
+       })))
+    return false;
+
+  // Merge: reductions sum; privatized views apply in block (= iteration)
+  // order, so the last writer wins — SLV by its written mask, DLV by its
+  // last-iteration marks.
+  for (auto &KV : RedBufs) {
+    std::vector<double> &Shared = *M.find(KV.first);
+    for (unsigned T = 0; T < NT; ++T)
+      for (size_t I = 0; I < Shared.size(); ++I)
+        Shared[I] += KV.second[T][I];
+  }
+  for (auto &KV : Views) {
+    std::vector<double> &Shared = *M.find(KV.first);
+    for (const PrivateArray &P : KV.second)
+      for (size_t I = 0; I < Shared.size(); ++I)
+        if (P.Written.empty() ? P.LastIter[I] >= 0 : P.Written[I] != 0)
+          Shared[I] = P.Buf[I];
+  }
+  return true;
 }
 
 } // namespace
@@ -391,12 +420,8 @@ ExecStats rt::runPlanned(const LoopPlan &Plan, const PlanCascades &Pre,
         break;
       }
       if (PD != -2) {
-        D.Privatize = true;
         int SD = Casc(AP.Slv, AC.Slv);
-        if (SD != -2)
-          D.UseSLV = true;
-        else
-          D.UseDLV = true;
+        (SD != -2 ? D.UseSLV : D.UseDLV) = true;
         Stats.CascadeDepthUsed =
             std::max(Stats.CascadeDepthUsed, std::max(PD, SD));
       }
@@ -437,115 +462,28 @@ ExecStats rt::runPlanned(const LoopPlan &Plan, const PlanCascades &Pre,
   if (AbortRun || support::stopRequested(Cancel))
     return finishAborted();
 
-  if (AllOk) {
-    // Parallel execution with the selected techniques.
-    int64_t Lo = sym::eval(Loop.getLo(), B);
-    int64_t Hi = sym::eval(Loop.getHi(), B);
-    if (Lo > Hi) {
-      Stats.TotalSeconds = nowSeconds() - T0;
-      return Stats;
-    }
-    unsigned NT = Pool.numThreads();
-
-    // Prepare per-thread buffers.
-    std::map<SymbolId, std::vector<std::vector<double>>> PrivBufs;
-    std::map<SymbolId, std::vector<std::vector<double>>> RedBufs;
-    std::map<SymbolId, std::vector<std::vector<uint8_t>>> Masks;
-    std::map<SymbolId, std::vector<ExecState::DlvBuf>> DlvBufs;
-    for (const auto &KV : Decisions) {
-      std::vector<double> *Shared = M.find(KV.first);
-      if (!Shared)
-        continue;
-      if (KV.second.Privatize) {
-        PrivBufs[KV.first].assign(NT, *Shared); // Copy-in.
-        if (KV.second.UseSLV)
-          Masks[KV.first].assign(
-              NT, std::vector<uint8_t>(Shared->size(), 0));
-        if (KV.second.UseDLV) {
-          DlvBufs[KV.first].resize(NT);
-          for (auto &DB : DlvBufs[KV.first]) {
-            DB.LastIter.assign(Shared->size(), -1);
-            DB.Val.assign(Shared->size(), 0.0);
-          }
-        }
-      }
-      if (KV.second.ReductionPrivate)
-        RedBufs[KV.first].assign(
-            NT, std::vector<double>(Shared->size(), 0.0));
-    }
-
-    std::vector<int64_t> LastChunkEnd(NT, -1);
-    Pool.parallelForBlocked(
-        Lo, Hi + 1, [&](int64_t BLo, int64_t BHi, unsigned T) {
-          ExecState St(M, B);
-          for (auto &KV : PrivBufs)
-            St.Redirect[KV.first] = &KV.second[T];
-          for (auto &KV : RedBufs)
-            St.RedBuf[KV.first] = &KV.second[T];
-          for (auto &KV : Masks)
-            St.WrittenMask[KV.first] = &KV.second[T];
-          for (auto &KV : DlvBufs)
-            St.Dlv[KV.first] = &KV.second[T];
-          // Seed CIVs from the precomputed entry values.
-          for (const summary::CivDesc &D : Plan.Civ.Civs)
-            if (const sym::ArrayBinding *A = St.B.array(D.EntryArr))
-              if (A->inBounds(BLo))
-                St.B.setScalar(D.Civ, A->at(BLo));
-          for (int64_t I = BLo; I < BHi; ++I) {
-            St.CurrentIter = I;
-            St.B.setScalar(Loop.getVar(), I);
-            for (const Stmt *C : Loop.getBody())
-              interpStmt(C, St);
-          }
-          LastChunkEnd[T] = BHi - 1;
-        });
-
-    // Merge: reductions (sum), SLV (last thread's written elements),
-    // DLV (max iteration wins).
-    for (auto &KV : RedBufs) {
-      std::vector<double> &Shared = *M.find(KV.first);
-      for (unsigned T = 0; T < NT; ++T)
-        for (size_t I = 0; I < Shared.size(); ++I)
-          Shared[I] += KV.second[T][I];
-    }
-    unsigned LastT = 0;
-    for (unsigned T = 0; T < NT; ++T)
-      if (LastChunkEnd[T] == Hi)
-        LastT = T;
-    for (auto &KV : Masks) {
-      std::vector<double> &Shared = *M.find(KV.first);
-      const std::vector<uint8_t> &Mask = KV.second[LastT];
-      const std::vector<double> &Priv = PrivBufs[KV.first][LastT];
-      for (size_t I = 0; I < Shared.size(); ++I)
-        if (Mask[I])
-          Shared[I] = Priv[I];
-    }
-    for (auto &KV : DlvBufs) {
-      std::vector<double> &Shared = *M.find(KV.first);
-      for (size_t I = 0; I < Shared.size(); ++I) {
-        int64_t Best = -1;
-        double Val = 0;
-        for (unsigned T = 0; T < NT; ++T)
-          if (KV.second[T].LastIter[I] > Best) {
-            Best = KV.second[T].LastIter[I];
-            Val = KV.second[T].Val[I];
-          }
-        if (Best >= 0)
-          Shared[I] = Val;
-      }
-    }
-    Stats.RanParallel = true;
-    Stats.TotalSeconds = nowSeconds() - T0;
-    return Stats;
+  // When the tests could not clear every array, speculate (LRPD) with
+  // every array the loop may write buffered, and run sequentially on a
+  // conflict or when runtime tests are off.
+  const bool Speculate = !AllOk;
+  if (Speculate) {
+    Stats.UsedTLS = Plan.RuntimeTestsEnabled;
+    Decisions.clear();
+    for (const ArrayPlan &AP : Plan.Arrays)
+      if (!AP.ReadOnly)
+        Decisions[AP.Array].UseDLV = true;
   }
-
-  // Fallback: speculative (LRPD) execution, then sequential re-execution
-  // on conflict.
-  if (Plan.RuntimeTestsEnabled && runSpeculative(Plan, M, B, Pool, Stats)) {
-    Stats.TotalSeconds = nowSeconds() - T0;
-    return Stats;
+  const int64_t Lo = sym::eval(Loop.getLo(), B);
+  const int64_t Hi = sym::eval(Loop.getHi(), B);
+  if (Lo <= Hi) {
+    if ((!Speculate || Stats.UsedTLS) &&
+        runParallel(Plan, Decisions, Speculate, Lo, Hi, M, B, Pool)) {
+      Stats.RanParallel = true;
+      Stats.TLSSucceeded = Speculate;
+    } else {
+      interpSequential(Loop, M, B);
+    }
   }
-  interpSequential(Loop, M, B);
   Stats.TotalSeconds = nowSeconds() - T0;
   return Stats;
 }

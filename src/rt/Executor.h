@@ -11,8 +11,8 @@
 /// evaluates the predicate cascades cheapest-first, decides per-array
 /// strategies (shared / privatized / SLV / DLV / reduction private copies
 /// / direct reduction), falls back to exact USR evaluation (optionally
-/// memoized — HOIST-USR) or LRPD speculation, and finally executes the
-/// loop across a thread pool with the chosen techniques.
+/// memoized — HOIST-USR) or buffered LRPD speculation, and finally
+/// executes the loop across a thread pool with the chosen techniques.
 ///
 /// Plain statement interpretation lives in the substrate layer
 /// (rt/Interp.h); plan-time cascade compilation and frame pooling in
@@ -61,6 +61,10 @@ struct ExecStats {
   bool RanParallel = false;
   bool UsedExactTest = false;
   bool UsedTLS = false;
+  /// Speculation committed: no iteration reads (or reduction-updates) an
+  /// element an earlier iteration wrote. Anti and output dependences
+  /// pass; the thread count never changes the verdict. False for an
+  /// empty iteration space.
   bool TLSSucceeded = false;
   int CascadeDepthUsed = -1; ///< Depth of the first successful stage.
   uint64_t PredicateLeafEvals = 0;

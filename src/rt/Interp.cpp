@@ -48,76 +48,70 @@ std::pair<SymbolId, int64_t> ExecState::resolve(SymbolId Arr,
   return {Arr, Off};
 }
 
+/// Speculation's load-side check of element \p Idx of \p P under \p St.
+static void exposedRead(ExecState &St, PrivateArray &P, int64_t Idx) {
+  int64_t W = P.LastIter[Idx];
+  if (W < 0)
+    P.ExposedRead[Idx] = 1; // No iteration of this worker wrote it yet.
+  else if (W != St.CurrentIter)
+    St.Conflict = true; // Reads what an earlier iteration wrote.
+}
+
 double ExecState::load(SymbolId Arr, int64_t Off) {
   auto [Base, Idx] = resolve(Arr, Off);
-  if (auto SIt = Shadows.find(Base); SIt != Shadows.end()) {
-    Shadow &S = *SIt->second;
-    if (Idx >= 0 && static_cast<size_t>(Idx) < S.Size) {
-      int64_t W = S.Writer[Idx].load(std::memory_order_relaxed);
-      if (W == -1) {
-        // Exposed read (no write seen yet in this iteration's view).
-        S.Reader[Idx].store(CurrentIter, std::memory_order_relaxed);
-      } else if (W != CurrentIter) {
-        Conflict->store(true, std::memory_order_relaxed);
-      }
-    }
-  }
-  std::vector<double> *V = nullptr;
-  if (auto RIt = Redirect.find(Base); RIt != Redirect.end())
-    V = RIt->second;
-  else
-    V = M.find(Base);
+  auto PIt = Private.find(Base);
+  const std::vector<double> *V =
+      PIt != Private.end() ? &PIt->second->Buf : M.find(Base);
   assert(V && "load from unallocated array");
   assert(Idx >= 0 && static_cast<size_t>(Idx) < V->size() &&
          "array load out of bounds");
+  if (Speculative && PIt != Private.end())
+    exposedRead(*this, *PIt->second, Idx);
   return (*V)[Idx];
 }
 
 void ExecState::store(SymbolId Arr, int64_t Off, double Val,
                       bool IsReduction) {
   auto [Base, Idx] = resolve(Arr, Off);
-  if (auto SIt = Shadows.find(Base); SIt != Shadows.end()) {
-    Shadow &S = *SIt->second;
-    if (Idx >= 0 && static_cast<size_t>(Idx) < S.Size) {
-      int64_t Expected = -1;
-      if (!S.Writer[Idx].compare_exchange_strong(
-              Expected, CurrentIter, std::memory_order_relaxed) &&
-          Expected != CurrentIter)
-        Conflict->store(true, std::memory_order_relaxed);
-      int64_t R = S.Reader[Idx].load(std::memory_order_relaxed);
-      if (R != -1 && R != CurrentIter)
-        Conflict->store(true, std::memory_order_relaxed);
-    }
-  }
-  if (IsReduction) {
-    if (auto RIt = RedBuf.find(Base); RIt != RedBuf.end()) {
-      auto &V = *RIt->second;
-      assert(Idx >= 0 && static_cast<size_t>(Idx) < V.size());
-      V[Idx] += Val;
-      return;
-    }
-    // Direct (injective) reduction update on the shared array.
-    std::vector<double> *V = M.find(Base);
+  if (IsReduction && !Speculative) {
+    // Private reduction copy, else a direct (injective) update of the
+    // shared array.
+    auto RIt = RedBuf.find(Base);
+    std::vector<double> *V = RIt != RedBuf.end() ? RIt->second : M.find(Base);
     assert(V && Idx >= 0 && static_cast<size_t>(Idx) < V->size());
     (*V)[Idx] += Val;
     return;
   }
-  std::vector<double> *V = nullptr;
-  if (auto RIt = Redirect.find(Base); RIt != Redirect.end())
-    V = RIt->second;
-  else
-    V = M.find(Base);
+  auto PIt = Private.find(Base);
+  PrivateArray *P = PIt != Private.end() ? PIt->second : nullptr;
+  if (!P && Speculative) {
+    Conflict = true; // Speculation never writes shared memory.
+    return;
+  }
+  std::vector<double> *V = P ? &P->Buf : M.find(Base);
   assert(V && "store to unallocated array");
   assert(Idx >= 0 && static_cast<size_t>(Idx) < V->size() &&
          "array store out of bounds");
-  (*V)[Idx] = Val;
-  if (auto WIt = WrittenMask.find(Base); WIt != WrittenMask.end())
-    (*WIt->second)[Idx] = 1;
-  if (auto DIt = Dlv.find(Base); DIt != Dlv.end()) {
-    DlvBuf &D = *DIt->second;
-    D.LastIter[Idx] = CurrentIter;
-    D.Val[Idx] = Val;
+  if (IsReduction) { // Speculative: a read plus a write.
+    exposedRead(*this, *P, Idx);
+    Val += (*V)[Idx];
   }
+  (*V)[Idx] = Val;
+  if (P && !P->Written.empty())
+    P->Written[Idx] = 1;
+  if (P && !P->LastIter.empty())
+    P->LastIter[Idx] = CurrentIter;
+}
+
+bool rt::flowAcrossWorkers(const std::vector<PrivateArray> &Workers) {
+  std::vector<uint8_t> Written(Workers.empty() ? 0 : Workers[0].Buf.size());
+  for (const PrivateArray &P : Workers)
+    for (size_t I = 0; I < Written.size(); ++I) {
+      if (Written[I] && P.ExposedRead[I])
+        return true;
+      Written[I] |= P.LastIter[I] >= 0;
+    }
+  return false;
 }
 
 //===----------------------------------------------------------------------===//
@@ -206,14 +200,6 @@ void rt::interpStmt(const Stmt *S, ExecState &St) {
   }
   }
   halo_unreachable("covered switch");
-}
-
-void rt::interpStmts(const std::vector<const Stmt *> &Stmts, Memory &M,
-                     sym::Bindings &B) {
-  ExecState St(M, B);
-  for (const Stmt *S : Stmts)
-    interpStmt(S, St);
-  B = St.B; // Propagate scalar updates (CIV values etc.).
 }
 
 void rt::interpSequential(const DoLoop &Loop, Memory &M, sym::Bindings &B) {

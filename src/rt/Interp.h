@@ -10,7 +10,7 @@
 /// governor (rt/Executor.h) so cascade evaluation, technique decisions and
 /// fallback policy live in one layer and plain statement interpretation in
 /// another. The governor composes these pieces: it prepares an ExecState
-/// (privatization redirects, reduction buffers, LRPD shadows), then drives
+/// (private array views, reduction buffers, speculation marks), then drives
 /// interpStmt over the loop body, sequentially or from pool workers.
 ///
 /// Interpretation cost applies equally to sequential and parallel
@@ -27,10 +27,8 @@
 #include "support/ThreadPool.h"
 #include "sym/Eval.h"
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -40,27 +38,19 @@ class USR;
 }
 namespace rt {
 
-/// LRPD shadow state for one array (Sec. 5 / [25]): last-writer iteration
-/// per element plus a global conflict flag.
-struct Shadow {
-  std::unique_ptr<std::atomic<int64_t>[]> Writer; // -1 none.
-  std::unique_ptr<std::atomic<int64_t>[]> Reader; // -1 none (exposed).
-  size_t Size = 0;
-
-  explicit Shadow(size_t N) : Size(N) {
-    Writer.reset(new std::atomic<int64_t>[N]);
-    Reader.reset(new std::atomic<int64_t>[N]);
-    for (size_t I = 0; I < N; ++I) {
-      Writer[I].store(-1, std::memory_order_relaxed);
-      Reader[I].store(-1, std::memory_order_relaxed);
-    }
-  }
+/// A worker-private view of one array: the copy-in buffer its loads and
+/// stores go to, plus whatever write tracking the governor's merge needs.
+/// A tracking vector is empty when its technique is off for the array.
+struct PrivateArray {
+  std::vector<double> Buf;
+  std::vector<uint8_t> Written;     ///< SLV: written by this worker.
+  std::vector<int64_t> LastIter;    ///< DLV: last writing iteration, or -1.
+  std::vector<uint8_t> ExposedRead; ///< LRPD: read before this worker wrote.
 };
 
 /// Mutable state of one interpretation: memory, scalar bindings, the
-/// call-site alias chain, and the per-array strategy maps the governor
-/// installs (privatization redirects, reduction buffers, SLV masks, DLV
-/// tracking, LRPD shadows).
+/// call-site alias chain, and the per-array views the governor installs
+/// (worker-private arrays, reduction buffers).
 struct ExecState {
   Memory &M;
   sym::Bindings B;
@@ -68,22 +58,17 @@ struct ExecState {
   /// Call-site array aliasing: formal -> (array, offset) at call time.
   std::map<sym::SymbolId, std::pair<sym::SymbolId, int64_t>> Alias;
 
-  /// Privatization redirects: base array -> thread-private buffer.
-  std::map<sym::SymbolId, std::vector<double> *> Redirect;
+  /// Worker-private views: their loads and stores never touch \c M.
+  std::map<sym::SymbolId, PrivateArray *> Private;
   /// Reduction private buffers (additive, zero-initialized).
   std::map<sym::SymbolId, std::vector<double> *> RedBuf;
-  /// Per-element write masks for SLV arrays.
-  std::map<sym::SymbolId, std::vector<uint8_t> *> WrittenMask;
-  /// DLV tracking: last writing iteration + value per element.
-  struct DlvBuf {
-    std::vector<int64_t> LastIter;
-    std::vector<double> Val;
-  };
-  std::map<sym::SymbolId, DlvBuf *> Dlv;
 
-  /// LRPD shadows (speculative runs only).
-  std::map<sym::SymbolId, Shadow *> Shadows;
-  std::atomic<bool> *Conflict = nullptr;
+  /// LRPD run: reduction updates read and write their private view, and a
+  /// store to an array without one sets Conflict instead of writing \c M.
+  bool Speculative = false;
+  /// A speculative iteration read what an earlier one of this worker
+  /// wrote, or stored to an array without a private view.
+  bool Conflict = false;
 
   int64_t CurrentIter = 0;
 
@@ -96,13 +81,13 @@ struct ExecState {
   void store(sym::SymbolId Arr, int64_t Off, double Val, bool IsReduction);
 };
 
+/// Speculation's post-join check over one array's views, in worker-block
+/// order: true when an element exposed-read in worker b was written in
+/// some worker a < b.
+bool flowAcrossWorkers(const std::vector<PrivateArray> &Workers);
+
 /// Interprets one statement (recursively) under \p St.
 void interpStmt(const ir::Stmt *S, ExecState &St);
-
-/// Plain sequential interpretation of a statement list; propagates scalar
-/// updates (CIV values etc.) back into \p B.
-void interpStmts(const std::vector<const ir::Stmt *> &Stmts, Memory &M,
-                 sym::Bindings &B);
 
 /// Sequential execution of one loop (the timing baseline).
 void interpSequential(const ir::DoLoop &Loop, Memory &M, sym::Bindings &B);

@@ -68,12 +68,6 @@ public:
   arrays() const {
     return Arrays;
   }
-  /// Mutable access invalidates the per-thread lookup caches (callers
-  /// replace whole arrays, e.g. the misspeculation rollback).
-  std::unordered_map<sym::SymbolId, std::vector<double>> &arrays() {
-    bumpVersion();
-    return Arrays;
-  }
 
 private:
   void bumpVersion() {

@@ -6,7 +6,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "rt/Executor.h"
+#include "session/Session.h"
 
+#include <cstring>
+#include <functional>
 #include <gtest/gtest.h>
 
 using namespace halo;
@@ -58,6 +61,68 @@ protected:
     HoistCache Hoist;
     return runPlanned(Plan, Pre, M, B, Pool, Ctx, Hoist, Usrs,
                       EvalTier::Block);
+  }
+  /// Declares indirectLoop's data array X and index arrays IDX, JDX.
+  void declareIndirect() {
+    Main->declareArray(ArrayDecl{Sym.symbol("X", 0, true), nullptr, false});
+    Main->declareArray(ArrayDecl{Sym.symbol("IDX", 0, true), nullptr, true});
+    Main->declareArray(ArrayDecl{Sym.symbol("JDX", 0, true), nullptr, true});
+  }
+
+  /// DO i = 1..N: X[IDX(i)] = f(X[JDX(i)]), or with \p Reduction the
+  /// read-free update X[IDX(i)] += f().
+  DoLoop *indirectLoop(const std::string &Label, bool Reduction) {
+    sym::SymbolId X = Sym.symbol("X", 0, true);
+    sym::SymbolId IDX = Sym.symbol("IDX", 0, true);
+    sym::SymbolId JDX = Sym.symbol("JDX", 0, true);
+    sym::SymbolId I = Sym.symbol("i", 1);
+    DoLoop *L = Prog.make<DoLoop>(Label, I, c(1), s("N"), 1);
+    std::vector<ArrayAccess> Reads;
+    if (!Reduction)
+      Reads.push_back({X, Sym.arrayRef(JDX, Sym.symRef(I))});
+    L->append(Prog.make<AssignStmt>(
+        ArrayAccess{X, Sym.arrayRef(IDX, Sym.symRef(I))}, Reads, Reduction,
+        0));
+    return L;
+  }
+
+  /// Binds indirectLoop's inputs: N = |Idx|, the 1-based index arrays,
+  /// and X with 2N+2 distinct values.
+  void bindIndirect(Memory &M, sym::Bindings &B,
+                    const std::vector<int64_t> &Idx,
+                    const std::vector<int64_t> &Jdx) {
+    B.setScalar(Sym.symbol("N"), static_cast<int64_t>(Idx.size()));
+    sym::ArrayBinding IV, JV;
+    IV.Lo = JV.Lo = 1;
+    IV.Vals = Idx;
+    JV.Vals = Jdx.empty() ? Idx : Jdx;
+    B.setArray(Sym.symbol("IDX", 0, true), IV);
+    B.setArray(Sym.symbol("JDX", 0, true), JV);
+    auto &XV = M.alloc(Sym.symbol("X", 0, true), 2 * Idx.size() + 2);
+    for (size_t K = 0; K < XV.size(); ++K)
+      XV[K] = static_cast<double>(K) + 0.25;
+  }
+
+  /// A copy of \p Plan whose every runtime test fails and that carries no
+  /// exact-test USRs, so the governor must speculate.
+  static analysis::LoopPlan forceSpeculation(analysis::LoopPlan Plan) {
+    Plan.Class = analysis::LoopClass::TLS;
+    Plan.RuntimeTestsEnabled = true;
+    for (analysis::ArrayPlan &AP : Plan.Arrays) {
+      for (analysis::TestCascade *C :
+           {&AP.Flow, &AP.Output, &AP.Priv, &AP.Slv, &AP.RRed,
+            &AP.ExtRedFlow})
+        *C = analysis::TestCascade{};
+      AP.FlowUSR = AP.OutputUSR = AP.ExtRedUSR = nullptr;
+    }
+    return Plan;
+  }
+
+  static bool bitIdentical(Memory &A, Memory &B, sym::SymbolId Arr) {
+    const std::vector<double> &VA = *A.find(Arr), &VB = *B.find(Arr);
+    return VA.size() == VB.size() &&
+           std::memcmp(VA.data(), VB.data(), VA.size() * sizeof(double)) ==
+               0;
   }
 };
 
@@ -177,6 +242,139 @@ TEST_F(RtTest, SpeculationDetectsGenuineConflicts) {
     }
     for (size_t K = 0; K < 130; ++K)
       EXPECT_DOUBLE_EQ((*SeqM.find(X))[K], (*ParM.find(X))[K]);
+  }
+}
+
+TEST_F(RtTest, SpeculationCatchesFlowFromEarlierWorkerBlock) {
+  // Iteration 1 (worker block 0) reads and writes X[0]; the first
+  // iteration of block 1 only reads X[0]. Sequential order makes that
+  // read see iteration 1's write, so speculation must fail however the
+  // two blocks interleave. A single last-reader shadow misses this when
+  // block 1 reads first and iteration 1's own read then overwrites it.
+  const int64_t N = 8;
+  sym::SymbolId X = Sym.symbol("X", 0, true);
+  declareIndirect();
+  DoLoop *L = indirectLoop("cross_block_flow", /*Reduction=*/false);
+  for (unsigned Threads : {2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(Threads));
+    const int64_t Reader = 1 + N / Threads; // First iteration of block 1.
+    std::vector<int64_t> Idx, Jdx;
+    for (int64_t I = 1; I <= N; ++I) {
+      Idx.push_back(I - 1);
+      Jdx.push_back(I == 1 || I == Reader ? 0 : N + I);
+    }
+    Memory SeqM;
+    sym::Bindings SeqB;
+    bindIndirect(SeqM, SeqB, Idx, Jdx);
+    interpSequential(*L, SeqM, SeqB);
+
+    session::SessionOptions SO;
+    SO.Threads = Threads;
+    session::Session S(Prog, U, SO);
+    S.prepare(*L);
+    for (int Rep = 0; Rep < 200; ++Rep) {
+      Memory M;
+      sym::Bindings B;
+      bindIndirect(M, B, Idx, Jdx);
+      ExecStats St = S.run(*L, M, B);
+      ASSERT_TRUE(St.UsedTLS) << "rep " << Rep;
+      ASSERT_FALSE(St.TLSSucceeded) << "rep " << Rep;
+      ASSERT_TRUE(bitIdentical(SeqM, M, X)) << "rep " << Rep;
+    }
+
+    // The post-join verdict, scheduling taken out: run block 1 before
+    // block 0 on worker-private views, then check across them.
+    Memory M;
+    sym::Bindings B;
+    bindIndirect(M, B, Idx, Jdx);
+    std::vector<PrivateArray> Views(2);
+    for (PrivateArray &P : Views) {
+      P.Buf = *M.find(X);
+      P.LastIter.assign(P.Buf.size(), -1);
+      P.ExposedRead.assign(P.Buf.size(), 0);
+    }
+    auto RunBlock = [&](unsigned T, int64_t BLo, int64_t BHi) {
+      ExecState St(M, B);
+      St.Speculative = true;
+      St.Private[X] = &Views[T];
+      for (int64_t I = BLo; I < BHi; ++I) {
+        St.CurrentIter = I;
+        St.B.setScalar(L->getVar(), I);
+        for (const Stmt *C : L->getBody())
+          interpStmt(C, St);
+      }
+      EXPECT_FALSE(St.Conflict) << "no flow inside block " << T;
+    };
+    RunBlock(1, Reader, std::min(N + 1, Reader + N / Threads));
+    RunBlock(0, 1, Reader);
+    EXPECT_TRUE(flowAcrossWorkers(Views));
+    EXPECT_EQ(Views[1].ExposedRead[0], 1);
+    EXPECT_EQ(Views[0].LastIter[0], 1);
+  }
+}
+
+TEST_F(RtTest, SpeculationVerdictIsFlowDependenceAtEveryThreadCount) {
+  // The verdict is "no cross-iteration flow dependence": anti and output
+  // dependences commit through the buffered views and the ordered merge,
+  // a flow dependence (a reduction update counts as a read plus a write)
+  // falls back to sequential. It must not depend on the thread count.
+  const int64_t N = 12;
+  sym::SymbolId X = Sym.symbol("X", 0, true);
+  declareIndirect();
+  DoLoop *Plain = indirectLoop("plain", /*Reduction=*/false);
+  DoLoop *Red = indirectLoop("red", /*Reduction=*/true);
+  analysis::LoopPlan PlainPlan = forceSpeculation(planFor(Plain));
+  analysis::LoopPlan RedPlan = forceSpeculation(planFor(Red));
+
+  struct Case {
+    const char *Name;
+    bool Reduction;
+    bool Succeeds;
+    std::function<int64_t(int64_t)> Idx, Jdx;
+  };
+  const std::vector<Case> Cases = {
+      // Iteration i reads X[i], which only iteration i+1 writes.
+      {"anti-only", false, true, [](int64_t I) { return I - 1; },
+       [](int64_t I) { return I; }},
+      // Three iterations write each element; reads hit unwritten ones.
+      {"output-only", false, true, [](int64_t I) { return (I - 1) / 3; },
+       [N](int64_t I) { return N + I; }},
+      // Iteration 2 reads what iteration 1 wrote (block 0 at any count).
+      {"flow-in-block", false, false, [](int64_t I) { return I - 1; },
+       [N](int64_t I) { return I == 2 ? 0 : N + I; }},
+      // Iteration N (the last block) reads what iteration 1 wrote.
+      {"flow-across-blocks", false, false, [](int64_t I) { return I - 1; },
+       [N](int64_t I) { return I == N ? 0 : N + I; }},
+      // Iterations 1 and N both update X[0].
+      {"two-reductions-one-element", true, false,
+       [N](int64_t I) { return I == N ? 0 : I - 1; }, nullptr},
+      {"injective-reduction", true, true, [](int64_t I) { return I - 1; },
+       nullptr},
+  };
+  for (const Case &K : Cases) {
+    std::vector<int64_t> Idx, Jdx;
+    for (int64_t I = 1; I <= N; ++I) {
+      Idx.push_back(K.Idx(I));
+      if (K.Jdx)
+        Jdx.push_back(K.Jdx(I));
+    }
+    Memory SeqM;
+    sym::Bindings SeqB;
+    bindIndirect(SeqM, SeqB, Idx, Jdx);
+    interpSequential(K.Reduction ? *Red : *Plain, SeqM, SeqB);
+    for (unsigned Threads : {1u, 2u, 3u, 4u}) {
+      SCOPED_TRACE(std::string(K.Name) + " threads=" +
+                   std::to_string(Threads));
+      Memory M;
+      sym::Bindings B;
+      bindIndirect(M, B, Idx, Jdx);
+      ThreadPool Pool(Threads);
+      ExecStats St = runPlan(K.Reduction ? RedPlan : PlainPlan, M, B, Pool);
+      EXPECT_TRUE(St.UsedTLS);
+      EXPECT_EQ(St.TLSSucceeded, K.Succeeds);
+      EXPECT_EQ(St.RanParallel, K.Succeeds);
+      EXPECT_TRUE(bitIdentical(SeqM, M, X));
+    }
   }
 }
 
@@ -328,12 +526,12 @@ TEST_F(RtTest, CallSiteAliasingResolvesNestedOffsets) {
       InnerS, std::vector<CallStmt::ArrayArg>{{F2, F1, c(5)}},
       std::vector<CallStmt::ScalarArg>{}));
   Memory M;
-  sym::Bindings B;
   M.alloc(X, 32);
-  std::vector<const Stmt *> Stmts{Prog.make<CallStmt>(
-      Work, std::vector<CallStmt::ArrayArg>{{F1, X, c(10)}},
-      std::vector<CallStmt::ScalarArg>{})};
-  interpStmts(Stmts, M, B);
+  ExecState St(M, sym::Bindings());
+  interpStmt(Prog.make<CallStmt>(
+                 Work, std::vector<CallStmt::ArrayArg>{{F1, X, c(10)}},
+                 std::vector<CallStmt::ScalarArg>{}),
+             St);
   for (int K = 0; K < 32; ++K) {
     if (K >= 15 && K < 19)
       EXPECT_NE((*M.find(X))[K], 0.0) << K;
