@@ -8,7 +8,7 @@
 /// \file
 /// Timing and execution helpers shared by the table/figure harnesses.
 /// Each harness regenerates one table or figure of the paper's evaluation
-/// (see DESIGN.md, per-experiment index).
+/// (see docs/BENCHMARKS.md, one section per harness).
 ///
 //===----------------------------------------------------------------------===//
 

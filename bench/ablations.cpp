@@ -3,7 +3,7 @@
 // Part of HALO, a reproduction of "Logical Inference Techniques for Loop
 // Parallelization" (Oancea & Rauchwerger, PLDI 2012).
 //
-// Toggles the design choices DESIGN.md calls out and reports how each
+// Toggles the design choices docs/BENCHMARKS.md lists and reports how each
 // benchmark loop's classification degrades:
 //
 //  - no-MON   : monotonicity rule off (Sec. 3.3) — index-array output

@@ -18,8 +18,8 @@
 /// HOIST-USR, TLS, ...).
 ///
 /// `AnalyzerOptions::RuntimeTests = false` yields the commercial-compiler
-/// proxy baseline: only statically-proven loops parallelize (see DESIGN.md
-/// substitution table).
+/// proxy baseline: only statically-proven loops parallelize (the
+/// `Static-Auto` column of `bench_fig_timing`, docs/BENCHMARKS.md).
 ///
 //===----------------------------------------------------------------------===//
 

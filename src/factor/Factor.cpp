@@ -17,6 +17,7 @@
 using namespace halo;
 using namespace halo::factor;
 using namespace halo::usr;
+using lmad::KeyedSet;
 using lmad::LMADSet;
 using pdag::Pred;
 using sym::Expr;
@@ -68,143 +69,174 @@ const Pred *Factorizer::wrapLoop(SymbolId Var, const Expr *Lo, const Expr *Hi,
   return P.or2(Reduced, Loop);
 }
 
-const Pred *Factorizer::shallowEmptyPred(const USR *S) {
-  switch (S->getKind()) {
-  case USRKind::Empty:
-    return P.getTrue();
-  case USRKind::Leaf: {
-    std::vector<const Pred *> All;
-    for (const lmad::LMAD &L : cast<LeafUSR>(S)->getLMADs()) {
-      if (L.isPoint()) // A point is never empty.
-        return P.getFalse();
-      std::vector<const Pred *> Any;
-      for (const lmad::Dim &D : L.dims())
-        Any.push_back(P.lt(D.Span, Sym.intConst(0)));
-      All.push_back(P.orN(std::move(Any)));
-    }
-    return P.andN(std::move(All));
-  }
-  case USRKind::Union: {
-    std::vector<const Pred *> All;
-    for (const USR *C : cast<UnionUSR>(S)->getChildren())
-      All.push_back(shallowEmptyPred(C));
-    return P.andN(std::move(All));
-  }
-  case USRKind::Intersect: {
-    const auto *B = cast<BinaryUSR>(S);
-    return P.or2(shallowEmptyPred(B->getLHS()),
-                 shallowEmptyPred(B->getRHS()));
-  }
-  case USRKind::Subtract:
-    return shallowEmptyPred(cast<BinaryUSR>(S)->getLHS());
-  case USRKind::Gate: {
-    const auto *G = cast<GateUSR>(S);
-    const Pred *NotQ = P.tryNot(G->getGate());
-    const Pred *Inner = shallowEmptyPred(G->getChild());
-    return NotQ ? P.or2(NotQ, Inner) : Inner;
-  }
-  case USRKind::CallSite:
-    return shallowEmptyPred(cast<CallSiteUSR>(S)->getChild());
-  case USRKind::Recur: {
-    const auto *R = cast<RecurUSR>(S);
-    const Pred *EmptyRange = P.gt(R->getLo(), R->getHi());
-    if (!R->getBody()->dependsOn(R->getVar()))
-      return P.or2(EmptyRange, shallowEmptyPred(R->getBody()));
-    return EmptyRange;
-  }
-  }
-  halo_unreachable("covered switch");
+/// Returns \p Memo's entry for \p S, computing and recording it on a miss.
+/// The helpers memoized this way are pure functions of an interned node
+/// and build only hash-consed nodes, so a hit skips only work that would
+/// intern nothing new (src/factor/README.md).
+template <typename MemoT, typename ComputeFn>
+static typename MemoT::mapped_type memoize(MemoT &Memo, const USR *S,
+                                           ComputeFn Compute) {
+  auto It = Memo.find(S);
+  if (It != Memo.end())
+    return It->second;
+  typename MemoT::mapped_type Result = Compute();
+  Memo.emplace(S, Result);
+  return Result;
 }
 
-std::optional<LMADSet> Factorizer::overestimateLMADs(const USR *S) {
-  switch (S->getKind()) {
-  case USRKind::Empty:
-    return LMADSet{};
-  case USRKind::Leaf:
-    return cast<LeafUSR>(S)->getLMADs();
-  case USRKind::Union: {
-    LMADSet Out;
-    for (const USR *C : cast<UnionUSR>(S)->getChildren()) {
-      auto V = overestimateLMADs(C);
-      if (!V)
-        return std::nullopt;
-      Out.insert(Out.end(), V->begin(), V->end());
+/// Appends every LMAD of \p In, with its id, to \p Out.
+static void appendAll(KeyedSet &Out, const KeyedSet &In) {
+  Out.LMADs.insert(Out.LMADs.end(), In.LMADs.begin(), In.LMADs.end());
+  Out.Ids.insert(Out.Ids.end(), In.Ids.begin(), In.Ids.end());
+}
+
+const Pred *Factorizer::shallowEmptyPred(const USR *S) {
+  return memoize(ShallowMemo, S, [&]() -> const Pred * {
+    switch (S->getKind()) {
+    case USRKind::Empty:
+      return P.getTrue();
+    case USRKind::Leaf: {
+      std::vector<const Pred *> All;
+      for (const lmad::LMAD &L : cast<LeafUSR>(S)->getLMADs()) {
+        if (L.isPoint()) // A point is never empty.
+          return P.getFalse();
+        std::vector<const Pred *> Any;
+        for (const lmad::Dim &D : L.dims())
+          Any.push_back(P.lt(D.Span, Sym.intConst(0)));
+        All.push_back(P.orN(std::move(Any)));
+      }
+      return P.andN(std::move(All));
     }
-    return Out;
-  }
-  case USRKind::Intersect:
-  case USRKind::Subtract:
-    return overestimateLMADs(cast<BinaryUSR>(S)->getLHS());
-  case USRKind::Gate:
-    return overestimateLMADs(cast<GateUSR>(S)->getChild());
-  case USRKind::CallSite:
-    return overestimateLMADs(cast<CallSiteUSR>(S)->getChild());
-  case USRKind::Recur: {
-    const auto *R = cast<RecurUSR>(S);
-    auto Body = overestimateLMADs(R->getBody());
-    if (!Body)
-      return std::nullopt;
-    LMADSet Out;
-    for (const lmad::LMAD &L : *Body) {
-      auto A = lmad::aggregate(Sym, L, R->getVar(), R->getLo(), R->getHi());
-      if (!A)
-        return std::nullopt;
-      Out.push_back(*A);
+    case USRKind::Union: {
+      std::vector<const Pred *> All;
+      for (const USR *C : cast<UnionUSR>(S)->getChildren())
+        All.push_back(shallowEmptyPred(C));
+      return P.andN(std::move(All));
     }
-    return Out;
-  }
-  }
-  halo_unreachable("covered switch");
+    case USRKind::Intersect: {
+      const auto *B = cast<BinaryUSR>(S);
+      return P.or2(shallowEmptyPred(B->getLHS()),
+                   shallowEmptyPred(B->getRHS()));
+    }
+    case USRKind::Subtract:
+      return shallowEmptyPred(cast<BinaryUSR>(S)->getLHS());
+    case USRKind::Gate: {
+      const auto *G = cast<GateUSR>(S);
+      const Pred *NotQ = P.tryNot(G->getGate());
+      const Pred *Inner = shallowEmptyPred(G->getChild());
+      return NotQ ? P.or2(NotQ, Inner) : Inner;
+    }
+    case USRKind::CallSite:
+      return shallowEmptyPred(cast<CallSiteUSR>(S)->getChild());
+    case USRKind::Recur: {
+      const auto *R = cast<RecurUSR>(S);
+      const Pred *EmptyRange = P.gt(R->getLo(), R->getHi());
+      if (!R->getBody()->dependsOn(R->getVar()))
+        return P.or2(EmptyRange, shallowEmptyPred(R->getBody()));
+      return EmptyRange;
+    }
+    }
+    halo_unreachable("covered switch");
+  });
+}
+
+const KeyedSet *Factorizer::overestimateLMADs(const USR *S) {
+  return memoize(OverMemo, S, [&]() -> const KeyedSet * {
+    switch (S->getKind()) {
+    case USRKind::Empty:
+      return &LmadSets.emplace_back();
+    case USRKind::Leaf: {
+      KeyedSet Out;
+      for (const lmad::LMAD &L : cast<LeafUSR>(S)->getLMADs())
+        LmadPairs.append(Out, L);
+      return &LmadSets.emplace_back(std::move(Out));
+    }
+    case USRKind::Union: {
+      KeyedSet Out;
+      for (const USR *C : cast<UnionUSR>(S)->getChildren()) {
+        const KeyedSet *V = overestimateLMADs(C);
+        if (!V)
+          return nullptr;
+        appendAll(Out, *V);
+      }
+      return &LmadSets.emplace_back(std::move(Out));
+    }
+    case USRKind::Intersect:
+    case USRKind::Subtract:
+      return overestimateLMADs(cast<BinaryUSR>(S)->getLHS());
+    case USRKind::Gate:
+      return overestimateLMADs(cast<GateUSR>(S)->getChild());
+    case USRKind::CallSite:
+      return overestimateLMADs(cast<CallSiteUSR>(S)->getChild());
+    case USRKind::Recur: {
+      const auto *R = cast<RecurUSR>(S);
+      const KeyedSet *Body = overestimateLMADs(R->getBody());
+      if (!Body)
+        return nullptr;
+      KeyedSet Out;
+      for (const lmad::LMAD &L : Body->LMADs) {
+        auto A = lmad::aggregate(Sym, L, R->getVar(), R->getLo(), R->getHi());
+        if (!A)
+          return nullptr;
+        LmadPairs.append(Out, *A);
+      }
+      return &LmadSets.emplace_back(std::move(Out));
+    }
+    }
+    halo_unreachable("covered switch");
+  });
 }
 
 std::optional<Factorizer::CondSet>
 Factorizer::underestimateLMADs(const USR *S) {
-  switch (S->getKind()) {
-  case USRKind::Empty:
-    return CondSet{P.getTrue(), {}};
-  case USRKind::Leaf:
-    return CondSet{P.getTrue(), cast<LeafUSR>(S)->getLMADs()};
-  case USRKind::Gate: {
-    const auto *G = cast<GateUSR>(S);
-    auto Inner = underestimateLMADs(G->getChild());
-    if (!Inner)
-      return std::nullopt;
-    return CondSet{P.and2(G->getGate(), Inner->Cond), Inner->Set};
-  }
-  case USRKind::Union: {
-    const Pred *Cond = P.getTrue();
-    LMADSet Out;
-    for (const USR *C : cast<UnionUSR>(S)->getChildren()) {
-      auto V = underestimateLMADs(C);
-      if (!V)
+  return memoize(UnderMemo, S, [&]() -> std::optional<CondSet> {
+    switch (S->getKind()) {
+    case USRKind::Empty:
+    case USRKind::Leaf:
+      // Exact: the overestimate of a leaf is its own LMAD set.
+      return CondSet{P.getTrue(), overestimateLMADs(S)};
+    case USRKind::Gate: {
+      const auto *G = cast<GateUSR>(S);
+      auto Inner = underestimateLMADs(G->getChild());
+      if (!Inner)
         return std::nullopt;
-      Cond = P.and2(Cond, V->Cond);
-      Out.insert(Out.end(), V->Set.begin(), V->Set.end());
+      return CondSet{P.and2(G->getGate(), Inner->Cond), Inner->Set};
     }
-    return CondSet{Cond, std::move(Out)};
-  }
-  case USRKind::Recur: {
-    const auto *R = cast<RecurUSR>(S);
-    auto Body = underestimateLMADs(R->getBody());
-    if (!Body || Body->Cond->dependsOn(R->getVar()))
-      return std::nullopt;
-    LMADSet Out;
-    for (const lmad::LMAD &L : *&Body->Set) {
-      auto A = lmad::aggregate(Sym, L, R->getVar(), R->getLo(), R->getHi());
-      if (!A)
+    case USRKind::Union: {
+      const Pred *Cond = P.getTrue();
+      KeyedSet Out;
+      for (const USR *C : cast<UnionUSR>(S)->getChildren()) {
+        auto V = underestimateLMADs(C);
+        if (!V)
+          return std::nullopt;
+        Cond = P.and2(Cond, V->Cond);
+        appendAll(Out, *V->Set);
+      }
+      return CondSet{Cond, &LmadSets.emplace_back(std::move(Out))};
+    }
+    case USRKind::Recur: {
+      const auto *R = cast<RecurUSR>(S);
+      auto Body = underestimateLMADs(R->getBody());
+      if (!Body || Body->Cond->dependsOn(R->getVar()))
         return std::nullopt;
-      Out.push_back(*A);
+      KeyedSet Out;
+      for (const lmad::LMAD &L : Body->Set->LMADs) {
+        auto A = lmad::aggregate(Sym, L, R->getVar(), R->getLo(), R->getHi());
+        if (!A)
+          return std::nullopt;
+        LmadPairs.append(Out, *A);
+      }
+      // Aggregation is exact only over a non-empty range.
+      return CondSet{P.and2(Body->Cond, P.le(R->getLo(), R->getHi())),
+                     &LmadSets.emplace_back(std::move(Out))};
     }
-    // Aggregation is exact only over a non-empty range.
-    return CondSet{P.and2(Body->Cond, P.le(R->getLo(), R->getHi())),
-                   std::move(Out)};
-  }
-  case USRKind::Intersect:
-  case USRKind::Subtract:
-  case USRKind::CallSite:
-    return std::nullopt;
-  }
-  halo_unreachable("covered switch");
+    case USRKind::Intersect:
+    case USRKind::Subtract:
+    case USRKind::CallSite:
+      return std::nullopt;
+    }
+    halo_unreachable("covered switch");
+  });
 }
 
 lmad::Interval Factorizer::intervalHull(const LMADSet &Set) {
@@ -284,7 +316,7 @@ const Pred *Factorizer::factorImpl(const USR *S, int Depth) {
     std::vector<const Pred *> Alts;
     bool MonoStatic = false;
     if (Opts.Monotonicity)
-      if (const Pred *Mono = tryMonotonicity(R, Depth)) {
+      if (const Pred *Mono = tryMonotonicity(R)) {
         Alts.push_back(Mono);
         MonoStatic = Mono->isTrue();
       }
@@ -307,8 +339,7 @@ const Pred *Factorizer::factorImpl(const USR *S, int Depth) {
 // Monotonicity rule (Sec. 3.3)
 //===----------------------------------------------------------------------===//
 
-const Pred *Factorizer::tryMonotonicity(const RecurUSR *R, int Depth) {
-  (void)Depth; // Kept for symmetry with the other rule entry points.
+const Pred *Factorizer::tryMonotonicity(const RecurUSR *R) {
   // Pattern: U_{i=lo..hi} ( S_i  n  U_{k=lo..i-1} S_k ), possibly under
   // gates (stripping gates overestimates, which is sound here).
   const USR *Body = peelGates(R->getBody());
@@ -356,20 +387,20 @@ const Pred *Factorizer::tryMonotonicity(const RecurUSR *R, int Depth) {
   if (Partials.empty())
     return nullptr;
 
-  auto OA = overestimateLMADs(Side);
-  if (!OA || OA->empty())
+  const KeyedSet *OA = overestimateLMADs(Side);
+  if (!OA || OA->LMADs.empty())
     return nullptr;
 
   // Rebase every partial-recurrence body from its variable k to i, so a
   // single symbolic interval function [Lo(i), Hi(i)] covers both sides.
-  LMADSet Hull = *OA;
+  LMADSet Hull = OA->LMADs;
   for (const RecurUSR *Partial : Partials) {
-    auto OB = overestimateLMADs(Partial->getBody());
-    if (!OB || OB->empty())
+    const KeyedSet *OB = overestimateLMADs(Partial->getBody());
+    if (!OB || OB->LMADs.empty())
       return nullptr;
     std::map<SymbolId, const Expr *> KToI{
         {Partial->getVar(), Sym.symRef(Var)}};
-    for (const lmad::LMAD &L : *OB)
+    for (const lmad::LMAD &L : OB->LMADs)
       Hull.push_back(lmad::substitute(Sym, L, KToI));
   }
   lmad::Interval IV = intervalHull(Hull);
@@ -527,12 +558,12 @@ const Pred *Factorizer::disjointHomo(const USR *U, const USR *S, int Depth) {
 }
 
 const Pred *Factorizer::disjointApprox(const USR *A, const USR *B) {
-  auto OA = overestimateLMADs(A);
-  auto OB = overestimateLMADs(B);
+  const KeyedSet *OA = overestimateLMADs(A);
+  const KeyedSet *OB = overestimateLMADs(B);
   if (!OA || !OB)
     return P.getFalse();
   ++Stats.LmadDisjointRule;
-  return lmad::disjointSets(P, *OA, *OB);
+  return lmad::disjointSets(P, LmadPairs, *OA, *OB);
 }
 
 //===----------------------------------------------------------------------===//
@@ -684,14 +715,14 @@ const Pred *Factorizer::includedHomo(const USR *S, const USR *U, int Depth) {
 }
 
 const Pred *Factorizer::includedApprox(const USR *A, const USR *B) {
-  auto OA = overestimateLMADs(A);
+  const KeyedSet *OA = overestimateLMADs(A);
   auto UB = underestimateLMADs(B);
   if (!OA || !UB)
     return P.getFalse();
-  if (OA->empty())
+  if (OA->LMADs.empty())
     return P.getTrue();
-  if (UB->Set.empty())
+  if (UB->Set->LMADs.empty())
     return P.getFalse();
   ++Stats.LmadIncludedRule;
-  return P.and2(UB->Cond, lmad::includedSets(P, *OA, UB->Set));
+  return P.and2(UB->Cond, lmad::includedSets(P, LmadPairs, *OA, *UB->Set));
 }

@@ -32,16 +32,19 @@
 #ifndef HALO_FACTOR_FACTOR_H
 #define HALO_FACTOR_FACTOR_H
 
+#include "lmad/LMADCompare.h"
 #include "usr/USR.h"
 
 #include <cstdint>
+#include <deque>
+#include <optional>
 #include <unordered_map>
 
 namespace halo {
 namespace factor {
 
 /// Feature toggles — each maps to one of the design choices benchmarked by
-/// the ablation harness (DESIGN.md Sec. 5).
+/// the ablation harness (`bench_ablations`, docs/BENCHMARKS.md).
 struct FactorOptions {
   /// The Sec. 3.3 monotonicity rule for U_i(S_i n U_{k<i} S_k).
   bool Monotonicity = true;
@@ -78,7 +81,8 @@ struct FactorStats {
 };
 
 /// The factorization engine. One instance per analyzed loop/array; holds
-/// memoization tables keyed on interned node identity.
+/// memoization tables keyed on interned node identity (the contract is in
+/// src/factor/README.md).
 class Factorizer {
 public:
   Factorizer(usr::USRContext &Ctx, FactorOptions Opts = FactorOptions());
@@ -112,7 +116,7 @@ private:
   const pdag::Pred *includedApprox(const usr::USR *A, const usr::USR *B);
 
   /// The Sec. 3.3 monotonicity rule; null when the pattern does not match.
-  const pdag::Pred *tryMonotonicity(const usr::RecurUSR *R, int Depth);
+  const pdag::Pred *tryMonotonicity(const usr::RecurUSR *R);
 
   /// Wraps a per-iteration predicate into a loop conjunction, first trying
   /// Fourier-Motzkin elimination of the loop variable; the FM result is
@@ -121,14 +125,15 @@ private:
                              const sym::Expr *Hi, const pdag::Pred *Body);
 
   /// LMAD-set overestimate of S (drops gates, subtrahends, one intersect
-  /// operand; aggregates recurrences). Nullopt on failure.
-  std::optional<lmad::LMADSet> overestimateLMADs(const usr::USR *S);
+  /// operand; aggregates recurrences). Null on failure; otherwise points
+  /// into the memo and lives as long as the Factorizer.
+  const lmad::KeyedSet *overestimateLMADs(const usr::USR *S);
 
   /// Conditional LMAD-set *underestimate* (P, set): when P holds the set
-  /// is contained in S's denotation.
+  /// is contained in S's denotation. Set points into the memo.
   struct CondSet {
     const pdag::Pred *Cond;
-    lmad::LMADSet Set;
+    const lmad::KeyedSet *Set;
   };
   std::optional<CondSet> underestimateLMADs(const usr::USR *S);
 
@@ -158,6 +163,13 @@ private:
   std::unordered_map<const usr::USR *, const pdag::Pred *> FactorMemo;
   std::unordered_map<uint64_t, const pdag::Pred *> DisjointMemo;
   std::unordered_map<uint64_t, const pdag::Pred *> IncludedMemo;
+  /// Per-node memos of the LMAD-level helpers; see src/factor/README.md.
+  std::unordered_map<const usr::USR *, const pdag::Pred *> ShallowMemo;
+  std::unordered_map<const usr::USR *, const lmad::KeyedSet *> OverMemo;
+  std::unordered_map<const usr::USR *, std::optional<CondSet>> UnderMemo;
+  /// Owns every set the two LMAD memos point to (a deque never moves them).
+  std::deque<lmad::KeyedSet> LmadSets;
+  lmad::PairMemo LmadPairs;
 };
 
 } // namespace factor

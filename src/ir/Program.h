@@ -7,7 +7,7 @@
 ///
 /// \file
 /// A small structured program representation standing in for the Polaris
-/// Fortran77 front end (see DESIGN.md, substitution table). The analysis
+/// Fortran77 front end (see src/ir/README.md). The analysis
 /// consumes structured control flow walked in program order, which is all
 /// the paper's data-flow equations (Fig. 2) need: statements, IF/ELSE
 /// branches (gates), DO loops (recurrences), CALLs with array reshaping

@@ -7,6 +7,8 @@
 
 #include "lmad/LMADCompare.h"
 
+#include "support/Hashing.h"
+
 #include <algorithm>
 #include <numeric>
 
@@ -267,25 +269,68 @@ const Pred *lmad::fillsArray(PredContext &Ctx, const LMAD &L,
 // Set lifts
 //===----------------------------------------------------------------------===//
 
-const Pred *lmad::disjointSets(PredContext &Ctx, const LMADSet &A,
-                               const LMADSet &B) {
+void PairMemo::append(KeyedSet &S, const LMAD &L) {
+  auto It = Ids.try_emplace(L, static_cast<uint32_t>(Ids.size())).first;
+  S.LMADs.push_back(L);
+  S.Ids.push_back(It->second);
+}
+
+size_t PairMemo::LMADHash::operator()(const LMAD &L) const {
+  size_t H = std::hash<const Expr *>{}(L.offset());
+  for (const Dim &D : L.dims()) {
+    hashCombine(H, D.Stride);
+    hashCombine(H, D.Span);
+  }
+  return H;
+}
+
+/// Looks the ordered pair (IdA, IdB) up in \p Table, computing and
+/// recording it on a miss.
+template <typename ComputeFn>
+static const Pred *lookupPair(std::unordered_map<uint64_t, const Pred *> &Table,
+                              uint32_t IdA, uint32_t IdB, ComputeFn Compute) {
+  const uint64_t Key = (static_cast<uint64_t>(IdA) << 32) | IdB;
+  auto It = Table.find(Key);
+  if (It != Table.end())
+    return It->second;
+  const Pred *Result = Compute();
+  Table.emplace(Key, Result);
+  return Result;
+}
+
+const Pred *PairMemo::disjoint(PredContext &Ctx, const KeyedSet &A, size_t I,
+                               const KeyedSet &B, size_t J) {
+  return lookupPair(Disjoint, A.Ids[I], B.Ids[J], [&] {
+    return disjointLMAD(Ctx, A.LMADs[I], B.LMADs[J]);
+  });
+}
+
+const Pred *PairMemo::included(PredContext &Ctx, const KeyedSet &A, size_t I,
+                               const KeyedSet &B, size_t J) {
+  return lookupPair(Included, A.Ids[I], B.Ids[J], [&] {
+    return includedLMAD(Ctx, A.LMADs[I], B.LMADs[J]);
+  });
+}
+
+const Pred *lmad::disjointSets(PredContext &Ctx, PairMemo &Memo,
+                               const KeyedSet &A, const KeyedSet &B) {
   std::vector<const Pred *> Cs;
-  Cs.reserve(A.size() * B.size());
-  for (const LMAD &LA : A)
-    for (const LMAD &LB : B)
-      Cs.push_back(disjointLMAD(Ctx, LA, LB));
+  Cs.reserve(A.LMADs.size() * B.LMADs.size());
+  for (size_t I = 0; I < A.LMADs.size(); ++I)
+    for (size_t J = 0; J < B.LMADs.size(); ++J)
+      Cs.push_back(Memo.disjoint(Ctx, A, I, B, J));
   return Ctx.andN(std::move(Cs));
 }
 
-const Pred *lmad::includedSets(PredContext &Ctx, const LMADSet &A,
-                               const LMADSet &B) {
+const Pred *lmad::includedSets(PredContext &Ctx, PairMemo &Memo,
+                               const KeyedSet &A, const KeyedSet &B) {
   std::vector<const Pred *> All;
-  All.reserve(A.size());
-  for (const LMAD &LA : A) {
+  All.reserve(A.LMADs.size());
+  for (size_t I = 0; I < A.LMADs.size(); ++I) {
     std::vector<const Pred *> Any;
-    Any.reserve(B.size());
-    for (const LMAD &LB : B)
-      Any.push_back(includedLMAD(Ctx, LA, LB));
+    Any.reserve(B.LMADs.size());
+    for (size_t J = 0; J < B.LMADs.size(); ++J)
+      Any.push_back(Memo.included(Ctx, A, I, B, J));
     All.push_back(Ctx.orN(std::move(Any)));
   }
   return Ctx.andN(std::move(All));

@@ -31,6 +31,10 @@
 #include "lmad/LMAD.h"
 #include "pdag/Pred.h"
 
+#include <cstdint>
+#include <unordered_map>
+#include <vector>
+
 namespace halo {
 namespace lmad {
 
@@ -69,13 +73,49 @@ CondLMAD denseUnderestimate(pdag::PredContext &Ctx, const LMAD &L);
 
 //===-- Set-of-LMAD lifts (footnote 2 of the paper) -----------------------==/
 
+/// An LMAD set whose descriptors carry their ids in one PairMemo, so a
+/// set lift keys each pair on two integers instead of hashing descriptors.
+struct KeyedSet {
+  LMADSet LMADs;
+  std::vector<uint32_t> Ids; ///< Ids[I] is the PairMemo id of LMADs[I].
+};
+
+/// Memo of the per-pair predicates behind the set lifts: disjointLMAD and
+/// includedLMAD of each ordered pair. Descriptors get dense ids by
+/// structure (their components are interned expressions, so equal LMADs
+/// share an id) and a pair is keyed on its two ids packed into 64 bits.
+/// A pair predicate is a pure function of the two descriptors, and every
+/// node it builds is hash-consed, so a hit skips only work that would
+/// intern nothing new. One memo serves one PredContext. Nothing iterates
+/// its tables, so their hash order never reaches a result.
+class PairMemo {
+public:
+  /// Appends \p L to \p S together with its id.
+  void append(KeyedSet &S, const LMAD &L);
+
+  /// disjointLMAD(A.LMADs[I], B.LMADs[J]), computed once per id pair.
+  const pdag::Pred *disjoint(pdag::PredContext &Ctx, const KeyedSet &A,
+                             size_t I, const KeyedSet &B, size_t J);
+  /// includedLMAD(A.LMADs[I], B.LMADs[J]), computed once per id pair.
+  const pdag::Pred *included(pdag::PredContext &Ctx, const KeyedSet &A,
+                             size_t I, const KeyedSet &B, size_t J);
+
+private:
+  struct LMADHash {
+    size_t operator()(const LMAD &L) const;
+  };
+  std::unordered_map<LMAD, uint32_t, LMADHash> Ids;
+  std::unordered_map<uint64_t, const pdag::Pred *> Disjoint;
+  std::unordered_map<uint64_t, const pdag::Pred *> Included;
+};
+
 /// AND over all pairs: every LMAD of A disjoint from every LMAD of B.
-const pdag::Pred *disjointSets(pdag::PredContext &Ctx, const LMADSet &A,
-                               const LMADSet &B);
+const pdag::Pred *disjointSets(pdag::PredContext &Ctx, PairMemo &Memo,
+                               const KeyedSet &A, const KeyedSet &B);
 
 /// Every LMAD of A included in at least one LMAD of B.
-const pdag::Pred *includedSets(pdag::PredContext &Ctx, const LMADSet &A,
-                               const LMADSet &B);
+const pdag::Pred *includedSets(pdag::PredContext &Ctx, PairMemo &Memo,
+                               const KeyedSet &A, const KeyedSet &B);
 
 } // namespace lmad
 } // namespace halo

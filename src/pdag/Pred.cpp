@@ -477,27 +477,38 @@ const Pred *PredContext::callSite(const std::string &Callee,
 // Negation
 //===----------------------------------------------------------------------===//
 
+const Pred *PredContext::negateLeaf(const Pred *P) {
+  if (const auto *D = dyn_cast<DividesPred>(P))
+    return divides(D->getDivisor(), D->getValue(), !D->isNegated());
+  const auto *C = cast<CmpPred>(P);
+  switch (C->getRel()) {
+  case CmpRel::GE0: // not(e >= 0)  <=>  -e - 1 >= 0.
+    return ge0(SymCtx.addConst(SymCtx.neg(C->getExpr()), -1));
+  case CmpRel::EQ0:
+    return ne0(C->getExpr());
+  case CmpRel::NE0:
+    return eq0(C->getExpr());
+  }
+  halo_unreachable("covered switch");
+}
+
 const Pred *PredContext::tryNot(const Pred *P) {
   switch (P->getKind()) {
   case PredKind::True:
     return getFalse();
   case PredKind::False:
     return getTrue();
-  case PredKind::Cmp: {
-    const auto *C = cast<CmpPred>(P);
-    switch (C->getRel()) {
-    case CmpRel::GE0: // not(e >= 0)  <=>  -e - 1 >= 0.
-      return ge0(SymCtx.addConst(SymCtx.neg(C->getExpr()), -1));
-    case CmpRel::EQ0:
-      return ne0(C->getExpr());
-    case CmpRel::NE0:
-      return eq0(C->getExpr());
-    }
-    halo_unreachable("covered switch");
-  }
+  case PredKind::Cmp:
   case PredKind::Divides: {
-    const auto *D = cast<DividesPred>(P);
-    return divides(D->getDivisor(), D->getValue(), !D->isNegated());
+    // The complement is interned, so negating a leaf again would re-intern
+    // the same nodes and create none: answering from the cache leaves node
+    // IDs and creation order as they were.
+    auto It = LeafNegations.find(P);
+    if (It != LeafNegations.end())
+      return It->second;
+    const Pred *N = negateLeaf(P);
+    LeafNegations.emplace(P, N);
+    return N;
   }
   case PredKind::And:
   case PredKind::Or: {

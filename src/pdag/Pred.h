@@ -268,10 +268,14 @@ private:
   const Pred *intern(std::unique_ptr<Pred> N, size_t Hash);
   const Pred *makeNary(PredKind K, std::vector<const Pred *> Cs);
   const Pred *makeCmp(const sym::Expr *E, CmpRel Rel);
+  /// The uncached complement of a Cmp or Divides leaf (tryNot caches it).
+  const Pred *negateLeaf(const Pred *P);
 
   sym::Context &SymCtx;
   std::vector<std::unique_ptr<Pred>> Nodes;
   std::unordered_multimap<size_t, const Pred *> InternTable;
+  /// Leaf -> its complement, filled by tryNot.
+  std::unordered_map<const Pred *, const Pred *> LeafNegations;
   const Pred *TruePred = nullptr;
   const Pred *FalsePred = nullptr;
 };

@@ -8,8 +8,8 @@
 /// \file
 /// Synthetic reconstructions of the PERFECT-CLUB / SPEC89/92/2000/2006
 /// benchmarks evaluated in the paper (Tables 1-3). We do not have the
-/// Fortran sources or datasets; per the substitution policy in DESIGN.md,
-/// each benchmark is rebuilt in the mini-IR around the loop patterns the
+/// Fortran sources or datasets; as src/suite/README.md describes, each
+/// benchmark is rebuilt in the mini-IR around the loop patterns the
 /// paper describes (SOLVH_DO20, CORREC_DO711/900, TRANX2_DO2100,
 /// EXTEND_DO400, MXMULT_DO10, INL1130_DO1, ...), with workload weights
 /// (the LSC column) taken from the tables.

@@ -3,8 +3,9 @@
 // Part of HALO, a reproduction of "Logical Inference Techniques for Loop
 // Parallelization" (Oancea & Rauchwerger, PLDI 2012).
 //
-// Locks in the ablation claims of DESIGN.md Sec. 5: disabling each
-// design choice degrades exactly the loops the paper credits it with.
+// Locks in the ablation claims of `bench_ablations` (docs/BENCHMARKS.md):
+// disabling each design choice degrades exactly the loops the paper
+// credits it with.
 //
 //===----------------------------------------------------------------------===//
 

@@ -263,6 +263,30 @@ TEST_F(FactorTest, DisjointRecurrencesViaInvariantOverestimate) {
   EXPECT_TRUE(holds(Pr, Bd));
 }
 
+TEST_F(FactorTest, SharingLadderDisjointInLinearTime) {
+  // Level i is the union of two differently gated copies of level i-1: the
+  // USR DAG grows by a few nodes per level but has 2^40 root-to-leaf paths.
+  // Every DISJOINT step starts from shallowEmptyPred of its operands, which
+  // walks each path unless it is memoized per node; without the memo this
+  // test would hang. LMAD approximation is off, so the LMAD-set memos play
+  // no part.
+  constexpr int Levels = 40;
+  const USR *Other = U.interval(s("b"), s("m"));
+  const USR *L = U.interval(s("a"), s("n"));
+  for (int I = 1; I <= Levels; ++I)
+    L = U.union2(U.gate(P.ge(s("x"), c(I)), L), U.gate(P.ge(s("y"), c(I)), L));
+  ASSERT_EQ(L->getKind(), USRKind::Union);
+
+  FactorOptions Opts;
+  Opts.LmadApproximation = false;
+  Factorizer G(U, Opts);
+  const size_t Before = P.numPreds();
+  const Pred *D = G.disjoint(L, Other);
+  EXPECT_FALSE(D->isFalse());
+  // Linear growth: a bounded number of new predicate nodes per level.
+  EXPECT_LT(P.numPreds() - Before, size_t(50 * Levels));
+}
+
 TEST_F(FactorTest, AblationMonotonicityOff) {
   FactorOptions Opts;
   Opts.Monotonicity = false;

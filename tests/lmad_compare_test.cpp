@@ -156,12 +156,42 @@ TEST_F(LmadCompareTest, DenseUnderestimateConditional) {
 }
 
 TEST_F(LmadCompareTest, SetLiftsCombine) {
-  LMADSet A{LMAD::makeInterval(Sym, c(0), c(10)),
-            LMAD::makeInterval(Sym, c(20), c(10))};
-  LMADSet B{LMAD::makeInterval(Sym, c(40), c(10))};
-  EXPECT_TRUE(disjointSets(P, A, B)->isTrue());
-  LMADSet Cover{LMAD::makeInterval(Sym, c(0), c(100))};
-  EXPECT_TRUE(includedSets(P, A, Cover)->isTrue());
+  PairMemo Memo;
+  auto Keyed = [&Memo](const LMADSet &Set) {
+    KeyedSet K;
+    for (const LMAD &L : Set)
+      Memo.append(K, L);
+    return K;
+  };
+  KeyedSet A = Keyed({LMAD::makeInterval(Sym, c(0), c(10)),
+                      LMAD::makeInterval(Sym, c(20), c(10))});
+  KeyedSet B = Keyed({LMAD::makeInterval(Sym, c(40), c(10))});
+  EXPECT_TRUE(disjointSets(P, Memo, A, B)->isTrue());
+  KeyedSet Cover = Keyed({LMAD::makeInterval(Sym, c(0), c(100))});
+  EXPECT_TRUE(includedSets(P, Memo, A, Cover)->isTrue());
+}
+
+TEST_F(LmadCompareTest, PairMemoKeysOnStructure) {
+  PairMemo Memo;
+  LMAD X = LMAD::makeStrided(c(2), s("n"), s("a"));
+  LMAD Y = LMAD::makeInterval(Sym, s("b"), s("m"));
+  KeyedSet A, B;
+  Memo.append(A, X);
+  Memo.append(A, Y);
+  Memo.append(B, LMAD::makeStrided(c(2), s("n"), s("a"))); // Equal to X.
+  EXPECT_EQ(A.Ids[0], B.Ids[0]);
+  EXPECT_NE(A.Ids[0], A.Ids[1]);
+
+  // A memoized pair is what the unmemoized comparison returns, and asking
+  // again interns nothing.
+  const pdag::Pred *D = Memo.disjoint(P, A, 1, B, 0);
+  EXPECT_EQ(D, disjointLMAD(P, Y, X));
+  const pdag::Pred *I = Memo.included(P, A, 1, B, 0);
+  EXPECT_EQ(I, includedLMAD(P, Y, X));
+  const pdag::Pred *Lift = disjointSets(P, Memo, A, B);
+  const size_t Nodes = P.numPreds();
+  EXPECT_EQ(disjointSets(P, Memo, A, B), Lift);
+  EXPECT_EQ(P.numPreds(), Nodes);
 }
 
 //===----------------------------------------------------------------------===//

@@ -126,6 +126,28 @@ TEST_F(PdagPredTest, NegationRoundTrips) {
   EXPECT_EQ(P.tryNot(P.eq(s("a"), c(0))), P.ne(s("a"), c(0)));
 }
 
+TEST_F(PdagPredTest, LeafNegationIsCachedWithoutNewNodes) {
+  const Pred *Leaves[] = {P.ge0(Sym.add(s("x"), s("y"))), P.ne0(s("x")),
+                          P.divides(c(4), s("x"))};
+  for (const Pred *L : Leaves) {
+    const Pred *N = P.tryNot(L);
+    ASSERT_NE(N, nullptr);
+    const size_t Preds = P.numPreds(), Exprs = Sym.numExprs();
+    EXPECT_EQ(P.tryNot(L), N);
+    EXPECT_EQ(P.numPreds(), Preds);
+    EXPECT_EQ(Sym.numExprs(), Exprs);
+  }
+  // z >= 0 and z < 0 still folds, both when makeNary is the first to
+  // negate the leaves and when their negations are already cached.
+  const Pred *GE = P.ge0(s("z"));
+  const Pred *LT = P.lt(s("z"), c(0));
+  EXPECT_TRUE(P.and2(GE, LT)->isFalse());
+  EXPECT_TRUE(P.and2(LT, GE)->isFalse());
+  EXPECT_EQ(P.tryNot(GE), LT);
+  EXPECT_EQ(P.tryNot(LT), GE);
+  EXPECT_TRUE(P.or2(LT, GE)->isTrue());
+}
+
 TEST_F(PdagPredTest, DeMorganOnNary) {
   const Pred *A = P.le(s("a"), s("b"));
   const Pred *B = P.eq(s("c"), c(0));
