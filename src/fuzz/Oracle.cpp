@@ -469,6 +469,16 @@ void compareMemory(const rt::Memory &Want, const rt::Memory &Got,
   }
 }
 
+/// Names one engine configuration in a failure: \p Config plus the body
+/// engine the run actually used (a compiled tier whose body was demoted
+/// ran the interpreter; an empty iteration space runs no body).
+std::string engineLabel(const std::string &Config, const rt::ExecStats &ES) {
+  const char *Body = ES.CompiledBodyRuns ? "compiled"
+                     : ES.InterpBodyRuns ? "interpreted"
+                                         : "no";
+  return Config + " (" + Body + " body)";
+}
+
 } // namespace
 
 OracleResult fuzz::checkCase(GeneratedCase &C, const OracleOptions &O) {
@@ -575,7 +585,7 @@ OracleResult fuzz::checkCase(GeneratedCase &C, const OracleOptions &O) {
       rt::ExecStats ES = S.run(*C.Loop, MX, BX);
       Res.GuardDemotions += ES.GuardDemotions;
       compareMemory(MSeq, MX, RedArrays, O.Tolerance, C,
-                    rt::evalTierName(Tier), Res);
+                    engineLabel(rt::evalTierName(Tier), ES).c_str(), Res);
     }
 
     // --- Forced speculation ---------------------------------------------
@@ -598,6 +608,8 @@ OracleResult fuzz::checkCase(GeneratedCase &C, const OracleOptions &O) {
       rt::PredCompileCache Preds(C.sym());
       rt::USRCompileCache Usrs(C.sym(), Preds);
       rt::PlanCascades Pre = rt::PlanCascades::build(Spec, Preds);
+      std::unique_ptr<const rt::CompiledBody> Body =
+          rt::CompiledBody::compile(*C.Loop, C.sym());
       for (unsigned Threads : {1u, O.Threads}) {
         ThreadPool Pool(Threads);
         rt::ExecContext Ctx;
@@ -605,10 +617,11 @@ OracleResult fuzz::checkCase(GeneratedCase &C, const OracleOptions &O) {
         rt::Memory MX;
         sym::Bindings BX;
         C.bind(MX, BX);
-        rt::ExecStats ES = rt::runPlanned(Spec, Pre, MX, BX, Pool, Ctx,
-                                          Hoist, Usrs, rt::EvalTier::Block);
-        std::string Config =
-            "forced speculation, threads=" + std::to_string(Threads);
+        rt::ExecStats ES = rt::runPlanned(Spec, Pre, Body.get(), MX, BX,
+                                          Pool, Ctx, Hoist, Usrs,
+                                          rt::EvalTier::Block);
+        std::string Config = engineLabel(
+            "forced speculation, threads=" + std::to_string(Threads), ES);
         compareMemory(MSeq, MX, {}, 0, C, Config.c_str(), Res);
         if (ES.TLSSucceeded != Expect)
           (Expect ? Res.Parity : Res.Soundness)
@@ -653,8 +666,8 @@ OracleResult fuzz::checkCase(GeneratedCase &C, const OracleOptions &O) {
                  D.Message;
         Res.Other.push_back(Msg);
       }
-      compareMemory(MSeq, MX, RedArrays, O.Tolerance, C, "plan-roundtrip",
-                    Res);
+      compareMemory(MSeq, MX, RedArrays, O.Tolerance, C,
+                    engineLabel("plan-roundtrip", ES).c_str(), Res);
     }
   } catch (const std::exception &E) {
     Res.Other.push_back(std::string("engine threw on a benign case: ") +

@@ -17,8 +17,9 @@
 ///    Plan.Arrays,
 ///  - FramePool / USRFramePool / ExecContext: the *mutable* per-execution
 ///    state (pooled evaluation frames with their bind-skip stamps, memo
-///    tables and recurrence prefix caches), bundled so an execution can
-///    check one context out, run, and return it.
+///    tables and recurrence prefix caches, and the compiled-body frames
+///    of rt/BodyCode.h), bundled so an execution can check one context
+///    out, run, and return it.
 ///
 /// Thread-safety contract (the serving layer's concurrent intra-shard
 /// execution builds on this):
@@ -54,6 +55,7 @@
 
 #include "analysis/Analyzer.h"
 #include "pdag/PredCompile.h"
+#include "rt/BodyCode.h"
 #include "support/CancelToken.h"
 #include "support/Sync.h"
 #include "usr/USRCompile.h"
@@ -204,6 +206,8 @@ using USRFramePool =
 struct ExecContext {
   FramePool Frames;
   USRFramePool UsrFrames;
+  /// Compiled-body frames, one per pool worker (index = worker block).
+  std::vector<BodyFrame> BodyFrames;
   /// Per-execution cancellation token (deadline and/or caller cancel),
   /// set by the lease holder for the duration of one execution and
   /// cleared on return to the pool. The governor polls it at stage,

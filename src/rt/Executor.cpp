@@ -128,7 +128,32 @@ struct ArrayDecision {
   bool UseSLV = false;
   bool UseDLV = false;
   bool ReductionPrivate = false;
+  /// BOUNDS-COMP's touched span [RedLo, RedHi] of a privately reduced
+  /// array, when it was computed; private buffers cover only that span.
+  bool HasSpan = false;
+  int64_t RedLo = 0, RedHi = -1;
 };
+
+/// The body engine \p Tier selects: the compiled body, or null for the
+/// reference interpreter (the interpreted tier, and a demoted body).
+const CompiledBody *bodyEngine(const CompiledBody *Body, EvalTier Tier) {
+  assert((Body || Tier == EvalTier::Interpreted) &&
+         "the compiled tiers need the loop's compiled body");
+  return Tier != EvalTier::Interpreted && Body && Body->lowered() ? Body
+                                                                  : nullptr;
+}
+
+/// Counts \p Runs body runs on the engine \p Code names.
+void countBodyRuns(const CompiledBody *Code, EvalTier Tier, uint64_t Runs,
+                   ExecStats &Stats) {
+  if (Code) {
+    Stats.CompiledBodyRuns += Runs;
+    return;
+  }
+  Stats.InterpBodyRuns += Runs;
+  if (Tier != EvalTier::Interpreted)
+    Stats.GuardDemotions += Runs;
+}
 
 /// Evaluates a cascade and returns the stage depth used (-1 static, -2
 /// all failed). The interpreted tier walks the stages in cascade order;
@@ -209,19 +234,22 @@ int runCascade(const TestCascade &C, const CompiledCascade &CC,
 
 /// Runs iterations [Lo, Hi] of \p Plan's loop across \p Pool, one
 /// contiguous block per worker, with each array handled as \p Decisions
-/// says, then merges the worker-private views into \p M. A \p Speculate
-/// run (LRPD, contract in src/rt/README.md) returns false with \p M
-/// untouched when it finds a cross-iteration flow dependence.
+/// says, then merges the worker-private views into \p M. Blocks run on
+/// \p Code (frames from \p Ctx), or on the interpreter when it is null. A
+/// \p Speculate run (LRPD, contract in src/rt/README.md) returns false
+/// with \p M untouched when it finds a cross-iteration flow dependence.
 bool runParallel(const LoopPlan &Plan,
                  const std::map<SymbolId, ArrayDecision> &Decisions,
                  bool Speculate, int64_t Lo, int64_t Hi, Memory &M,
-                 const sym::Bindings &B, ThreadPool &Pool) {
+                 const sym::Bindings &B, ThreadPool &Pool,
+                 const CompiledBody *Code, EvalTier Tier, ExecContext &Ctx,
+                 ExecStats &Stats) {
   const DoLoop &Loop = *Plan.Loop;
   const unsigned NT = Pool.numThreads();
 
   // Per-worker private views and reduction buffers.
   std::map<SymbolId, std::vector<PrivateArray>> Views;
-  std::map<SymbolId, std::vector<std::vector<double>>> RedBufs;
+  std::map<SymbolId, std::vector<ReductionBuffer>> RedBufs;
   for (const auto &KV : Decisions) {
     const std::vector<double> *Shared = M.find(KV.first);
     if (!Shared)
@@ -241,19 +269,44 @@ bool runParallel(const LoopPlan &Plan,
           P.ExposedRead.assign(N, 0);
       }
     }
-    if (D.ReductionPrivate)
-      RedBufs[KV.first].assign(NT, std::vector<double>(N, 0.0));
+    if (D.ReductionPrivate) {
+      // BOUNDS-COMP's span, clipped to the array; the whole array when
+      // it did not run.
+      int64_t SLo = 0, SHi = static_cast<int64_t>(N) - 1;
+      if (D.HasSpan) {
+        SLo = std::max<int64_t>(SLo, D.RedLo);
+        SHi = std::min<int64_t>(SHi, D.RedHi);
+      }
+      const size_t Span = SHi >= SLo ? static_cast<size_t>(SHi - SLo + 1) : 0;
+      Stats.ReductionSpanElems += Span;
+      std::vector<ReductionBuffer> &Bufs = RedBufs[KV.first];
+      Bufs.resize(NT);
+      for (ReductionBuffer &RB : Bufs) {
+        RB.Lo = SLo;
+        RB.Buf.assign(Span, 0.0);
+      }
+    }
   }
 
-  std::vector<uint8_t> WorkerConflict(NT, 0);
+  if (Code && Ctx.BodyFrames.size() < NT)
+    Ctx.BodyFrames.resize(NT);
+  std::vector<uint8_t> WorkerConflict(NT, 0), WorkerRan(NT, 0);
   Pool.parallelForBlocked(
       Lo, Hi + 1, [&](int64_t BLo, int64_t BHi, unsigned T) {
-        ExecState St(M, B);
-        St.Speculative = Speculate;
+        WorkerViews V;
+        V.Speculative = Speculate;
         for (auto &KV : Views)
-          St.Private[KV.first] = &KV.second[T];
+          V.Private[KV.first] = &KV.second[T];
         for (auto &KV : RedBufs)
-          St.RedBuf[KV.first] = &KV.second[T];
+          V.RedBuf[KV.first] = &KV.second[T];
+        WorkerRan[T] = 1;
+        if (Code) {
+          WorkerConflict[T] = Code->runBlock(Ctx.BodyFrames[T], M, B, V,
+                                             Plan.Civ, BLo, BHi);
+          return;
+        }
+        ExecState St(M, B);
+        static_cast<WorkerViews &>(St) = std::move(V);
         // Seed CIVs from the precomputed entry values.
         for (const summary::CivDesc &D : Plan.Civ.Civs)
           if (const sym::ArrayBinding *A = St.B.array(D.EntryArr))
@@ -267,6 +320,10 @@ bool runParallel(const LoopPlan &Plan,
         }
         WorkerConflict[T] = St.Conflict;
       });
+  countBodyRuns(Code, Tier,
+                static_cast<uint64_t>(
+                    std::count(WorkerRan.begin(), WorkerRan.end(), 1)),
+                Stats);
 
   if (Speculate &&
       (std::count(WorkerConflict.begin(), WorkerConflict.end(), 1) ||
@@ -275,14 +332,21 @@ bool runParallel(const LoopPlan &Plan,
        })))
     return false;
 
-  // Merge: reductions sum; privatized views apply in block (= iteration)
-  // order, so the last writer wins — SLV by its written mask, DLV by its
-  // last-iteration marks.
+  // Merge: reductions sum over each buffer's span; privatized views apply
+  // in block (= iteration) order, so the last writer wins — SLV by its
+  // written mask, DLV by its last-iteration marks.
   for (auto &KV : RedBufs) {
     std::vector<double> &Shared = *M.find(KV.first);
-    for (unsigned T = 0; T < NT; ++T)
-      for (size_t I = 0; I < Shared.size(); ++I)
-        Shared[I] += KV.second[T][I];
+    const int64_t N = static_cast<int64_t>(Shared.size());
+    for (const ReductionBuffer &RB : KV.second) {
+      const int64_t Size = static_cast<int64_t>(RB.Buf.size());
+      assert(RB.Lo >= 0 && RB.Lo + Size <= N &&
+             "reduction buffer outside its array");
+      for (int64_t I = std::max<int64_t>(0, -RB.Lo);
+           I < Size && RB.Lo + I < N; ++I)
+        Shared[static_cast<size_t>(RB.Lo + I)] +=
+            RB.Buf[static_cast<size_t>(I)];
+    }
   }
   for (auto &KV : Views) {
     std::vector<double> &Shared = *M.find(KV.first);
@@ -296,10 +360,25 @@ bool runParallel(const LoopPlan &Plan,
 
 } // namespace
 
+void rt::runSequentialBody(const DoLoop &Loop, const CompiledBody *Body,
+                           EvalTier Tier, Memory &M, sym::Bindings &B,
+                           ExecContext &Ctx, ExecStats &Stats) {
+  const CompiledBody *Code = bodyEngine(Body, Tier);
+  countBodyRuns(Code, Tier, 1, Stats);
+  if (!Code) {
+    interpSequential(Loop, M, B);
+    return;
+  }
+  if (Ctx.BodyFrames.empty())
+    Ctx.BodyFrames.resize(1);
+  Code->runSequential(Ctx.BodyFrames[0], M, B);
+}
+
 ExecStats rt::runPlanned(const LoopPlan &Plan, const PlanCascades &Pre,
-                         Memory &M, sym::Bindings &B, ThreadPool &Pool,
-                         ExecContext &Ctx, HoistCache &Hoist,
-                         USRCompileCache &UsrCompile, EvalTier Tier) {
+                         const CompiledBody *Body, Memory &M,
+                         sym::Bindings &B, ThreadPool &Pool, ExecContext &Ctx,
+                         HoistCache &Hoist, USRCompileCache &UsrCompile,
+                         EvalTier Tier) {
   assert(Pre.Arrays.size() == Plan.Arrays.size() &&
          "plan cascades must be built from this plan");
   support::faultAt("rt.exec");
@@ -328,7 +407,7 @@ ExecStats rt::runPlanned(const LoopPlan &Plan, const PlanCascades &Pre,
   if (Plan.Class == analysis::LoopClass::StaticSeq ||
       (!Plan.RuntimeTestsEnabled &&
        Plan.Class != analysis::LoopClass::StaticPar)) {
-    interpSequential(Loop, M, B);
+    runSequentialBody(Loop, Body, Tier, M, B, Ctx, Stats);
     Stats.TotalSeconds = nowSeconds() - T0;
     return Stats;
   }
@@ -444,10 +523,11 @@ ExecStats rt::runPlanned(const LoopPlan &Plan, const PlanCascades &Pre,
       if (AbortRun)
         break;
       D.ReductionPrivate = (RD == -2); // Injective => direct updates.
-      if (AP.NeedsBoundsComp && AP.BoundsUSR) {
+      // BOUNDS-COMP sizes the private reduction copies (Fig. 7a); a
+      // failed evaluation keeps them whole-array.
+      if (D.ReductionPrivate && AP.NeedsBoundsComp && AP.BoundsUSR) {
         double TB = nowSeconds();
-        int64_t BL = 0, BH = -1;
-        (void)interpBounds(AP.BoundsUSR, B, Pool, BL, BH);
+        D.HasSpan = interpBounds(AP.BoundsUSR, B, Pool, D.RedLo, D.RedHi);
         Stats.BoundsCompSeconds += nowSeconds() - TB;
       }
     }
@@ -477,11 +557,12 @@ ExecStats rt::runPlanned(const LoopPlan &Plan, const PlanCascades &Pre,
   const int64_t Hi = sym::eval(Loop.getHi(), B);
   if (Lo <= Hi) {
     if ((!Speculate || Stats.UsedTLS) &&
-        runParallel(Plan, Decisions, Speculate, Lo, Hi, M, B, Pool)) {
+        runParallel(Plan, Decisions, Speculate, Lo, Hi, M, B, Pool,
+                    bodyEngine(Body, Tier), Tier, Ctx, Stats)) {
       Stats.RanParallel = true;
       Stats.TLSSucceeded = Speculate;
     } else {
-      interpSequential(Loop, M, B);
+      runSequentialBody(Loop, Body, Tier, M, B, Ctx, Stats);
     }
   }
   Stats.TotalSeconds = nowSeconds() - T0;

@@ -14,8 +14,9 @@
 /// memoized — HOIST-USR) or buffered LRPD speculation, and finally
 /// executes the loop across a thread pool with the chosen techniques.
 ///
-/// Plain statement interpretation lives in the substrate layer
-/// (rt/Interp.h); plan-time cascade compilation and frame pooling in
+/// Loop bodies run on the compiled body code (rt/BodyCode.h) or, on the
+/// interpreted tier, on the reference interpreter (rt/Interp.h);
+/// plan-time cascade compilation and frame pooling live in
 /// rt/CompiledCascade.h. The governor itself is one free function,
 /// runPlanned(), and every plan-time artifact it needs is a required
 /// argument: the session layer (session/Session.h) hands in the
@@ -107,6 +108,17 @@ struct ExecStats {
   /// whose predicate failed to lower and exact tests whose USR failed to
   /// lower; semantically identical, only slower, and visible here.
   uint64_t GuardDemotions = 0;
+  /// Loop-body runs (one per parallel worker block, one per sequential
+  /// run) on the compiled body code (rt/BodyCode.h) vs. on the reference
+  /// interpreter. The interpreted tier fills only the second column; a
+  /// compiled tier fills it only for demoted bodies, each such run also
+  /// counted in GuardDemotions.
+  uint64_t CompiledBodyRuns = 0;
+  uint64_t InterpBodyRuns = 0;
+  /// Elements each worker's private reduction buffers cover, summed over
+  /// the privately reduced arrays: BOUNDS-COMP's BH - BL + 1 where it
+  /// ran, the array size otherwise.
+  uint64_t ReductionSpanElems = 0;
 
   /// Accumulates \p O into this: times and event counters sum, the
   /// boolean outcomes OR (e.g. `RanParallel` means "any accumulated
@@ -142,6 +154,9 @@ struct ExecStats {
     ScalarEvals += O.ScalarEvals;
     LanesPoisoned += O.LanesPoisoned;
     GuardDemotions += O.GuardDemotions;
+    CompiledBodyRuns += O.CompiledBodyRuns;
+    InterpBodyRuns += O.InterpBodyRuns;
+    ReductionSpanElems += O.ReductionSpanElems;
     return *this;
   }
 };
@@ -221,21 +236,32 @@ private:
 };
 
 /// Hybrid execution of \p Plan (the governor): predicate cascades,
-/// technique selection, exact-test / TLS fallback, parallel
-/// interpretation. \p Pre holds the plan's cascades compiled and
-/// cost-ordered at plan time (PlanCascades::build over \p Plan), \p Ctx
-/// the leased per-execution frames and cancel token, \p Hoist the
-/// HOIST-USR memo and \p UsrCompile the compiled exact tests. \p Tier
-/// selects the engine that evaluates cascade stages and exact tests;
-/// every tier yields the same Memory. The call mutates nothing but
-/// \p M, \p B, \p Ctx and the internally synchronized caches, so
-/// concurrent calls are safe as long as every caller brings its own
-/// Memory/Bindings/ExecContext (the serving layer's intra-shard
-/// concurrency contract).
+/// technique selection, exact-test / TLS fallback, parallel execution.
+/// \p Pre holds the plan's cascades compiled and cost-ordered at plan
+/// time (PlanCascades::build over \p Plan), \p Body the loop body lowered
+/// once (CompiledBody::compile over Plan.Loop; required on the compiled
+/// tiers, ignored on EvalTier::Interpreted), \p Ctx the leased
+/// per-execution frames and cancel token, \p Hoist the HOIST-USR memo and
+/// \p UsrCompile the compiled exact tests. \p Tier selects the engine
+/// that evaluates cascade stages, exact tests and the loop body; every
+/// tier yields the same Memory. The call mutates nothing but \p M, \p B,
+/// \p Ctx and the internally synchronized caches, so concurrent calls are
+/// safe as long as every caller brings its own Memory/Bindings/ExecContext
+/// (the serving layer's intra-shard concurrency contract).
 ExecStats runPlanned(const analysis::LoopPlan &Plan, const PlanCascades &Pre,
-                     Memory &M, sym::Bindings &B, ThreadPool &Pool,
-                     ExecContext &Ctx, HoistCache &Hoist,
+                     const CompiledBody *Body, Memory &M, sym::Bindings &B,
+                     ThreadPool &Pool, ExecContext &Ctx, HoistCache &Hoist,
                      USRCompileCache &UsrCompile, EvalTier Tier);
+
+/// Runs \p Loop sequentially (interpSequential's semantics, including the
+/// scalars it leaves in \p B) on the body engine \p Tier selects: \p Body
+/// on the compiled tiers unless it was demoted, the reference interpreter
+/// otherwise. The run is counted in \p Stats. This is the sequential
+/// fallback of runPlanned and the session's timing baseline, so both
+/// time the same engine.
+void runSequentialBody(const ir::DoLoop &Loop, const CompiledBody *Body,
+                       EvalTier Tier, Memory &M, sym::Bindings &B,
+                       ExecContext &Ctx, ExecStats &Stats);
 
 } // namespace rt
 } // namespace halo

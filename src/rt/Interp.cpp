@@ -21,17 +21,24 @@ using namespace halo::rt;
 using namespace halo::ir;
 using sym::SymbolId;
 
-namespace {
-
-/// Deterministic synthetic per-statement work (models loop granularity).
-double spinWork(unsigned N, double Seed) {
+double rt::spinWork(unsigned N, double Seed) {
   double X = Seed;
   for (unsigned K = 0; K < N; ++K)
     X = X * 1.0000001 + 1e-9;
   return X;
 }
 
-} // namespace
+void ReductionBuffer::widen(int64_t Idx) {
+  if (Buf.empty()) {
+    Lo = Idx;
+    Buf.assign(1, 0.0);
+  } else if (Idx < Lo) {
+    Buf.insert(Buf.begin(), static_cast<size_t>(Lo - Idx), 0.0);
+    Lo = Idx;
+  } else {
+    Buf.resize(static_cast<size_t>(Idx - Lo + 1), 0.0);
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // ExecState
@@ -48,15 +55,6 @@ std::pair<SymbolId, int64_t> ExecState::resolve(SymbolId Arr,
   return {Arr, Off};
 }
 
-/// Speculation's load-side check of element \p Idx of \p P under \p St.
-static void exposedRead(ExecState &St, PrivateArray &P, int64_t Idx) {
-  int64_t W = P.LastIter[Idx];
-  if (W < 0)
-    P.ExposedRead[Idx] = 1; // No iteration of this worker wrote it yet.
-  else if (W != St.CurrentIter)
-    St.Conflict = true; // Reads what an earlier iteration wrote.
-}
-
 double ExecState::load(SymbolId Arr, int64_t Off) {
   auto [Base, Idx] = resolve(Arr, Off);
   auto PIt = Private.find(Base);
@@ -66,7 +64,7 @@ double ExecState::load(SymbolId Arr, int64_t Off) {
   assert(Idx >= 0 && static_cast<size_t>(Idx) < V->size() &&
          "array load out of bounds");
   if (Speculative && PIt != Private.end())
-    exposedRead(*this, *PIt->second, Idx);
+    Conflict |= PIt->second->exposedRead(Idx, CurrentIter);
   return (*V)[Idx];
 }
 
@@ -77,7 +75,11 @@ void ExecState::store(SymbolId Arr, int64_t Off, double Val,
     // Private reduction copy, else a direct (injective) update of the
     // shared array.
     auto RIt = RedBuf.find(Base);
-    std::vector<double> *V = RIt != RedBuf.end() ? RIt->second : M.find(Base);
+    if (RIt != RedBuf.end()) {
+      RIt->second->add(Idx, Val);
+      return;
+    }
+    std::vector<double> *V = M.find(Base);
     assert(V && Idx >= 0 && static_cast<size_t>(Idx) < V->size());
     (*V)[Idx] += Val;
     return;
@@ -93,7 +95,7 @@ void ExecState::store(SymbolId Arr, int64_t Off, double Val,
   assert(Idx >= 0 && static_cast<size_t>(Idx) < V->size() &&
          "array store out of bounds");
   if (IsReduction) { // Speculative: a read plus a write.
-    exposedRead(*this, *P, Idx);
+    Conflict |= P->exposedRead(Idx, CurrentIter);
     Val += (*V)[Idx];
   }
   (*V)[Idx] = Val;

@@ -6,15 +6,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The mini-IR interpreter the runtime executes loops on — split from the
-/// governor (rt/Executor.h) so cascade evaluation, technique decisions and
-/// fallback policy live in one layer and plain statement interpretation in
-/// another. The governor composes these pieces: it prepares an ExecState
-/// (private array views, reduction buffers, speculation marks), then drives
-/// interpStmt over the loop body, sequentially or from pool workers.
+/// The mini-IR interpreter: the reference body engine. It runs loop
+/// bodies on EvalTier::Interpreted and for bodies whose lowering was
+/// refused (demotion); the compiled tiers run the body code of
+/// rt/BodyCode.h instead, which must match it bit for bit, memory and
+/// scalar bindings alike. The governor (rt/Executor.h) prepares the
+/// per-worker array routing (WorkerViews: private array views, reduction
+/// buffers, speculation) that both engines consume, then drives one of
+/// them over the loop body, sequentially or from pool workers.
 ///
-/// Interpretation cost applies equally to sequential and parallel
-/// executions, so normalized timings (Figs. 10-13) retain their shape.
+/// The session's sequential timing baseline (Session::runSequential) and
+/// the planned run use the same body engine, so normalized timings (Figs.
+/// 10-13) compare like with like. This file also holds the CIV-COMP
+/// slice and BOUNDS-COMP, which stay tree walks on every tier.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +31,7 @@
 #include "support/ThreadPool.h"
 #include "sym/Eval.h"
 
+#include <cassert>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -46,26 +51,60 @@ struct PrivateArray {
   std::vector<uint8_t> Written;     ///< SLV: written by this worker.
   std::vector<int64_t> LastIter;    ///< DLV: last writing iteration, or -1.
   std::vector<uint8_t> ExposedRead; ///< LRPD: read before this worker wrote.
+
+  /// Speculation's load-side check of element \p Idx in iteration
+  /// \p Iter: marks an exposed read, or returns true (a conflict) when an
+  /// earlier iteration of this worker wrote the element.
+  bool exposedRead(int64_t Idx, int64_t Iter) {
+    const int64_t W = LastIter[static_cast<size_t>(Idx)];
+    if (W < 0)
+      ExposedRead[static_cast<size_t>(Idx)] = 1;
+    return W >= 0 && W != Iter;
+  }
+};
+
+/// A worker-private additive reduction buffer over elements
+/// [Lo, Lo + Buf.size()) of its array: BOUNDS-COMP's [BL, BH] when the
+/// governor has one, the whole array otherwise. Zero-initialized; the
+/// governor's merge adds it into the shared array over that span only.
+struct ReductionBuffer {
+  int64_t Lo = 0;
+  std::vector<double> Buf;
+
+  void add(int64_t Idx, double V) {
+    if (Idx < Lo || Idx - Lo >= static_cast<int64_t>(Buf.size())) {
+      assert(false && "reduction update outside the BOUNDS-COMP span");
+      widen(Idx); // Release builds stay correct, only wider.
+    }
+    Buf[static_cast<size_t>(Idx - Lo)] += V;
+  }
+  /// Grows the span with zeros so that it covers \p Idx.
+  void widen(int64_t Idx);
+};
+
+/// The array routing the governor installs for one worker block:
+/// worker-private views, reduction buffers, and whether the block runs
+/// speculatively. Both body engines consume it.
+struct WorkerViews {
+  /// Worker-private views: their loads and stores never touch Memory.
+  std::map<sym::SymbolId, PrivateArray *> Private;
+  /// Reduction private buffers (additive, zero-initialized).
+  std::map<sym::SymbolId, ReductionBuffer *> RedBuf;
+  /// LRPD run: reduction updates read and write their private view, and a
+  /// store to an array without one is a conflict instead of a write.
+  bool Speculative = false;
 };
 
 /// Mutable state of one interpretation: memory, scalar bindings, the
 /// call-site alias chain, and the per-array views the governor installs
 /// (worker-private arrays, reduction buffers).
-struct ExecState {
+struct ExecState : WorkerViews {
   Memory &M;
   sym::Bindings B;
 
   /// Call-site array aliasing: formal -> (array, offset) at call time.
   std::map<sym::SymbolId, std::pair<sym::SymbolId, int64_t>> Alias;
 
-  /// Worker-private views: their loads and stores never touch \c M.
-  std::map<sym::SymbolId, PrivateArray *> Private;
-  /// Reduction private buffers (additive, zero-initialized).
-  std::map<sym::SymbolId, std::vector<double> *> RedBuf;
-
-  /// LRPD run: reduction updates read and write their private view, and a
-  /// store to an array without one sets Conflict instead of writing \c M.
-  bool Speculative = false;
   /// A speculative iteration read what an earlier one of this worker
   /// wrote, or stored to an array without a private view.
   bool Conflict = false;
@@ -80,6 +119,11 @@ struct ExecState {
   double load(sym::SymbolId Arr, int64_t Off);
   void store(sym::SymbolId Arr, int64_t Off, double Val, bool IsReduction);
 };
+
+/// The deterministic synthetic work of an assignment with WorkCost \p N
+/// (models the paper's loop granularities). Both body engines call this
+/// one definition, so their results are bit-identical.
+double spinWork(unsigned N, double Seed);
 
 /// Speculation's post-join check over one array's views, in worker-block
 /// order: true when an element exposed-read in worker b was written in

@@ -51,12 +51,6 @@ EngineOptions sanitized(EngineOptions O) {
 /// Breaker state encoding (Engine::Breaker::State).
 constexpr uint8_t BrClosed = 0, BrOpen = 1, BrHalfOpen = 2;
 
-double nowSeconds() {
-  using Clock = std::chrono::steady_clock;
-  return std::chrono::duration<double>(Clock::now().time_since_epoch())
-      .count();
-}
-
 /// Identity of the engine worker running on this thread, recorded by
 /// drainLoop. Worker threads belong to exactly one engine for their whole
 /// lifetime, so a (engine, index) pair never goes stale while the thread
@@ -389,11 +383,7 @@ Response Engine::process(const Request &R) {
                          : "cancelled during degraded execution";
         return Resp;
       }
-      const double T0 = nowSeconds();
-      Sess->runSequential(*R.Loop, *R.M, *R.B);
-      rt::ExecStats St;
-      St.TotalSeconds = nowSeconds() - T0;
-      Resp.Stats.push_back(St);
+      Resp.Stats.push_back(Sess->runSequential(*R.Loop, *R.M, *R.B));
     }
     {
       support::MutexLock L(WC.M);

@@ -10,6 +10,7 @@
 #include "ir/Validate.h"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 
 using namespace halo;
@@ -102,6 +103,7 @@ PreparedLoop &Session::prepareWith(const ir::DoLoop &Loop,
   // Built against the plan in its final (heap) location: cascade stages
   // keep pointers into Plan.Arrays.
   PL->Cascades = rt::PlanCascades::build(PL->Plan, Compile);
+  PL->Body = compileBody(Loop);
   warmCompiledUSRs(PL->Plan);
   auto &Slot = Plans[&Loop];
   if (Slot)
@@ -117,6 +119,13 @@ void Session::warmCompiledUSRs(const analysis::LoopPlan &Plan) {
     for (const usr::USR *S : {AP.FlowUSR, AP.OutputUSR, AP.ExtRedUSR})
       if (S)
         (void)UsrCompile.get(S);
+}
+
+std::unique_ptr<const rt::CompiledBody>
+Session::compileBody(const ir::DoLoop &Loop) const {
+  if (Opts.Tier == rt::EvalTier::Interpreted)
+    return nullptr;
+  return rt::CompiledBody::compile(Loop, Prog.symCtx());
 }
 
 void Session::sweepRetired() {
@@ -182,8 +191,8 @@ rt::ExecStats Session::execute(PreparedLoop &PL, rt::Memory &M,
   PlanRef Ref(PL);
   ContextLease Ctx(*this);
   Ctx.get().Cancel = Cancel;
-  return rt::runPlanned(PL.Plan, PL.Cascades, M, B, Pool, Ctx.get(), Hoist,
-                        UsrCompile, Opts.Tier);
+  return rt::runPlanned(PL.Plan, PL.Cascades, PL.Body.get(), M, B, Pool,
+                        Ctx.get(), Hoist, UsrCompile, Opts.Tier);
 }
 
 rt::ExecStats Session::run(const ir::DoLoop &Loop, rt::Memory &M,
@@ -227,9 +236,25 @@ std::vector<rt::ExecStats> Session::runBatch(
   return Out;
 }
 
-void Session::runSequential(const ir::DoLoop &Loop, rt::Memory &M,
-                            sym::Bindings &B) {
-  rt::interpSequential(Loop, M, B);
+rt::ExecStats Session::runSequential(const ir::DoLoop &Loop, rt::Memory &M,
+                                     sym::Bindings &B) {
+  const auto T0 = std::chrono::steady_clock::now();
+  std::unique_ptr<const rt::CompiledBody> Own;
+  const rt::CompiledBody *Body = nullptr;
+  auto It = Plans.find(&Loop);
+  if (It != Plans.end()) {
+    Body = It->second->Body.get();
+  } else {
+    Own = compileBody(Loop);
+    Body = Own.get();
+  }
+  rt::ExecStats Stats;
+  ContextLease Ctx(*this);
+  rt::runSequentialBody(Loop, Body, Opts.Tier, M, B, Ctx.get(), Stats);
+  Stats.TotalSeconds = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - T0)
+                           .count();
+  return Stats;
 }
 
 bool Session::computeBounds(const usr::USR *S, sym::Bindings &B, int64_t &Lo,
@@ -333,6 +358,7 @@ PreparedLoop *Session::tryAdoptStaged(const ir::DoLoop &Loop) {
   PL->FactorStats = SL.FStats;
   PL->Cascades = std::move(SL.Cascades);
   PL->AOpts = Opts.Analyzer;
+  PL->Body = compileBody(Loop);
   StagedPlans.erase(SIt);
   // Pure cache hits here: the load already compiled them.
   warmCompiledUSRs(PL->Plan);

@@ -15,6 +15,8 @@
 ///  - the predicate compile cache (PredCompileCache) shared by all loops,
 ///  - per-TestCascade *pre-sorted* compiled cascades: stage vectors built
 ///    and cost-ordered once at plan time, never per execution,
+///  - per-loop compiled bodies (rt::CompiledBody), lowered once at plan
+///    time or plan adoption,
 ///  - the HOIST-USR exact-test memo cache,
 ///  - the thread pool,
 ///  - a pool of rt::ExecContext (pooled CompiledPred / CompiledUSR
@@ -74,6 +76,9 @@ struct SessionOptions {
 struct PreparedLoop {
   analysis::LoopPlan Plan;
   rt::PlanCascades Cascades;
+  /// The loop body lowered once to statement code (compiled tiers only;
+  /// null on EvalTier::Interpreted). Never serialized.
+  std::unique_ptr<const rt::CompiledBody> Body;
   factor::FactorStats FactorStats;
   /// The analyzer options the plan was produced under — folded into the
   /// plan key when the session serializes this loop (savePlans).
@@ -204,10 +209,17 @@ public:
            const std::function<void(unsigned, rt::Memory &, sym::Bindings &)>
                &BetweenElements);
 
-  /// Sequential interpretation (the timing baseline), through the same
-  /// substrate the planned path uses.
-  void runSequential(const ir::DoLoop &Loop, rt::Memory &M,
-                     sym::Bindings &B);
+  /// Sequential execution of \p Loop (the timing baseline) on the same
+  /// body engine the planned path uses: the loop's compiled body on the
+  /// compiled tiers (the prepared one, or one lowered for this call when
+  /// the loop is not prepared), the reference interpreter on
+  /// EvalTier::Interpreted and for a demoted body. Leaves \p M and \p B
+  /// exactly as rt::interpSequential would. The returned stats carry only
+  /// the body-run split (CompiledBodyRuns / InterpBodyRuns /
+  /// GuardDemotions) and TotalSeconds. Safe concurrently with other
+  /// executions, never with analysis.
+  rt::ExecStats runSequential(const ir::DoLoop &Loop, rt::Memory &M,
+                              sym::Bindings &B);
 
   /// BOUNDS-COMP against the session pool (Fig. 7a).
   bool computeBounds(const usr::USR *S, sym::Bindings &B, int64_t &Lo,
@@ -290,6 +302,10 @@ private:
   /// execution ever pays USR compilation and the code cache stays
   /// read-only on the concurrent execute path.
   void warmCompiledUSRs(const analysis::LoopPlan &Plan);
+  /// The body code a PreparedLoop of \p Loop carries on this session's
+  /// tier (null on EvalTier::Interpreted).
+  std::unique_ptr<const rt::CompiledBody>
+  compileBody(const ir::DoLoop &Loop) const;
   /// Frees retired plans no execution references anymore. Called from
   /// the analysis-exclusive entry points only.
   void sweepRetired();

@@ -51,16 +51,20 @@ protected:
   }
 
   /// Runs the governor on \p Plan with freshly built plan-time artifacts
-  /// (compiled cascades, frames, HOIST-USR memo, compiled-USR cache).
+  /// (compiled cascades and body, frames, HOIST-USR memo, compiled-USR
+  /// cache).
   ExecStats runPlan(const analysis::LoopPlan &Plan, Memory &M,
-                    sym::Bindings &B, ThreadPool &Pool) {
+                    sym::Bindings &B, ThreadPool &Pool,
+                    EvalTier Tier = EvalTier::Block) {
     PredCompileCache Preds(Sym);
     USRCompileCache Usrs(Sym, Preds);
     PlanCascades Pre = PlanCascades::build(Plan, Preds);
+    std::unique_ptr<const CompiledBody> Body =
+        CompiledBody::compile(*Plan.Loop, Sym);
     ExecContext Ctx;
     HoistCache Hoist;
-    return runPlanned(Plan, Pre, M, B, Pool, Ctx, Hoist, Usrs,
-                      EvalTier::Block);
+    return runPlanned(Plan, Pre, Body.get(), M, B, Pool, Ctx, Hoist, Usrs,
+                      Tier);
   }
   /// Declares indirectLoop's data array X and index arrays IDX, JDX.
   void declareIndirect() {
@@ -504,6 +508,63 @@ TEST_F(RtTest, ReductionPrivateCopiesMatchDirect) {
   EXPECT_TRUE(S.RanParallel);
   for (int K = 0; K < 8; ++K)
     EXPECT_NEAR((*SeqM.find(A))[K], (*ParM.find(A))[K], 1e-9);
+}
+
+TEST_F(RtTest, ReductionBuffersCoverOnlyTheBoundsCompSpan) {
+  // A(Q(i) + 10) += f() on an assumed-size A of 64 elements with Q(i) in
+  // 0..6: BOUNDS-COMP finds [10, 16], so each worker's private buffer
+  // holds BH - BL + 1 = 7 elements instead of 64. Memory must be
+  // bit-identical to a whole-array run on both body engines.
+  sym::SymbolId A = Sym.symbol("A", 0, true);
+  sym::SymbolId QQ = Sym.symbol("Q", 0, true);
+  Main->declareArray(ArrayDecl{A, nullptr, false});
+  Main->declareArray(ArrayDecl{QQ, nullptr, true});
+  sym::SymbolId I = Sym.symbol("i", 1);
+  DoLoop *L = Prog.make<DoLoop>("red_span", I, c(1), s("N"), 1);
+  L->append(Prog.make<AssignStmt>(
+      ArrayAccess{A, Sym.addConst(Sym.arrayRef(QQ, Sym.symRef(I)), 10)},
+      std::vector<ArrayAccess>{}, true, 0));
+  auto Setup = [&](Memory &M, sym::Bindings &B) {
+    int64_t N = 300;
+    B.setScalar(Sym.symbol("N"), N);
+    sym::ArrayBinding QV;
+    QV.Lo = 1;
+    for (int64_t K = 0; K < N; ++K)
+      QV.Vals.push_back(K % 7);
+    B.setArray(QQ, QV);
+    auto &AV = M.alloc(A, 64);
+    for (size_t K = 0; K < AV.size(); ++K)
+      AV[K] = static_cast<double>(K) + 0.25;
+  };
+  sym::Bindings Probe;
+  {
+    Memory PM;
+    Setup(PM, Probe);
+  }
+  const analysis::LoopPlan Plan = planFor(L, &Probe);
+  ASSERT_EQ(Plan.Arrays.size(), 1u);
+  ASSERT_TRUE(Plan.Arrays[0].NeedsBoundsComp);
+  analysis::LoopPlan Whole = Plan;
+  Whole.Arrays[0].BoundsUSR = nullptr;
+  ThreadPool Pool(4);
+  for (EvalTier Tier : AllEvalTiers) {
+    Memory MS, MW;
+    sym::Bindings BS, BW;
+    Setup(MS, BS);
+    Setup(MW, BW);
+    ExecStats Span = runPlan(Plan, MS, BS, Pool, Tier);
+    ExecStats Full = runPlan(Whole, MW, BW, Pool, Tier);
+    ASSERT_TRUE(Span.RanParallel) << evalTierName(Tier);
+    EXPECT_EQ(Span.ReductionSpanElems, 7u) << evalTierName(Tier);
+    EXPECT_EQ(Full.ReductionSpanElems, 64u) << evalTierName(Tier);
+    EXPECT_TRUE(bitIdentical(MS, MW, A)) << evalTierName(Tier);
+    Memory MSeq;
+    sym::Bindings BSeq;
+    Setup(MSeq, BSeq);
+    interpSequential(*L, MSeq, BSeq);
+    for (int K = 0; K < 64; ++K)
+      EXPECT_NEAR((*MSeq.find(A))[K], (*MS.find(A))[K], 1e-9) << K;
+  }
 }
 
 TEST_F(RtTest, CallSiteAliasingResolvesNestedOffsets) {
