@@ -259,6 +259,16 @@ public:
     return nullptr;
   }
 
+  /// Every DO loop of the program, nested and callee loops included, in
+  /// creation order (the program owns every statement).
+  std::vector<const DoLoop *> loops() const {
+    std::vector<const DoLoop *> Ls;
+    for (const auto &S : Stmts)
+      if (S->getKind() == StmtKind::DoLoop)
+        Ls.push_back(static_cast<const DoLoop *>(S.get()));
+    return Ls;
+  }
+
   template <typename T, typename... Args> T *make(Args &&...As) {
     auto Node = std::make_unique<T>(std::forward<Args>(As)...);
     T *Raw = Node.get();

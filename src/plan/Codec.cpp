@@ -911,10 +911,9 @@ bool orderMatches(const OrderRec &O, const rt::CompiledCascade &CC,
 
 } // namespace
 
-LoadResult load(std::istream &In, usr::USRContext &UC,
-                rt::PredCompileCache &Preds, rt::USRCompileCache &Usrs,
-                std::vector<StagedLoop> &Out) {
-  std::vector<wire::Chunk> Chunks = wire::readAll(In);
+LoadResult load(const std::vector<Chunk> &Chunks, const LabelSet &Wanted,
+                usr::USRContext &UC, rt::PredCompileCache &Preds,
+                rt::USRCompileCache &Usrs, std::vector<StagedLoop> &Out) {
   LoadResult Res;
 
   const uint32_t Expect[6] = {ChunkSymbols, ChunkExprs,    ChunkPreds,
@@ -929,6 +928,27 @@ LoadResult load(std::istream &In, usr::USRContext &UC,
     if (Chunks[I].Tag != ChunkLoop)
       wire::corrupt("unexpected chunk tag at position " + std::to_string(I));
   const size_t LoopCount = Chunks.size() - 6;
+
+  // Peek each LOOP record's label (its first field) before touching any
+  // context: a stream saved from another program stops here.
+  std::vector<bool> Want(LoopCount);
+  size_t NumWanted = 0;
+  for (size_t LI = 0; LI < LoopCount; ++LI) {
+    const Chunk &C = Chunks[6 + LI];
+    ByteReader R(C.Payload.data(), C.Payload.size(), "LOOP");
+    Want[LI] = Wanted.count(R.str()) != 0;
+    NumWanted += Want[LI];
+  }
+  Res.Skipped = LoopCount - NumWanted;
+  if (NumWanted == 0) {
+    if (LoopCount != 0)
+      Res.Diags.emplace_back(
+          support::Diag::Code::PlanKeyMismatch,
+          "none of the stream's " + std::to_string(LoopCount) +
+              " loop plan(s) names a loop of this program; nothing "
+              "decoded");
+    return Res;
+  }
 
   sym::Context &Sym = UC.symCtx();
   pdag::PredContext &PC = UC.predCtx();
@@ -954,7 +974,7 @@ LoadResult load(std::istream &In, usr::USRContext &UC,
         const sym::Symbol &Info = Sym.symbolInfo(Id);
         if (Info.DefLevel != DefLevel || Info.IsArray != IsArray ||
             Info.MonotoneArray != Monotone) {
-          Res.Rejected = LoopCount;
+          Res.Rejected = NumWanted;
           Res.Diags.emplace_back(
               support::Diag::Code::PlanKeyMismatch,
               "symbol '" + Name +
@@ -1297,6 +1317,8 @@ LoadResult load(std::istream &In, usr::USRContext &UC,
 
   // --- LOOP chunks
   for (size_t CI = 6; CI < Chunks.size(); ++CI) {
+    if (!Want[CI - 6])
+      continue;
     ByteReader R(Chunks[CI].Payload.data(), Chunks[CI].Payload.size(),
                  "LOOP");
     StagedLoop SL;

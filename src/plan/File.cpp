@@ -22,7 +22,6 @@
 
 namespace halo {
 namespace plan {
-namespace wire {
 
 namespace {
 
@@ -49,6 +48,8 @@ bool getU32(std::istream &In, uint32_t &V) {
 
 } // namespace
 
+namespace wire {
+
 void writePreamble(std::ostream &Out, uint32_t ChunkCount) {
   Out.write(Magic, 4);
   putU32(Out, FormatVersion);
@@ -65,29 +66,31 @@ void writeChunk(std::ostream &Out, uint32_t Tag,
               static_cast<std::streamsize>(Payload.size()));
 }
 
-std::vector<Chunk> readAll(std::istream &In) {
+} // namespace wire
+
+std::vector<Chunk> frame(std::istream &In) {
   char M[4];
   if (!In.read(M, 4) || std::memcmp(M, Magic, 4) != 0)
     reject(support::Diag::Code::PlanBadMagic,
            "not a plan-cache stream (bad magic)");
   uint32_t Version = 0, Count = 0;
   if (!getU32(In, Version))
-    corrupt("truncated preamble (missing version)");
+    wire::corrupt("truncated preamble (missing version)");
   if (Version != FormatVersion)
     reject(support::Diag::Code::PlanVersionSkew,
            "plan format version " + std::to_string(Version) +
                " (this build reads version " +
                std::to_string(FormatVersion) + ")");
   if (!getU32(In, Count))
-    corrupt("truncated preamble (missing chunk count)");
+    wire::corrupt("truncated preamble (missing chunk count)");
 
   std::vector<Chunk> Chunks;
   Chunks.reserve(std::min<uint32_t>(Count, 1024));
   for (uint32_t I = 0; I < Count; ++I) {
     uint32_t Tag = 0, Len = 0, Crc = 0;
     if (!getU32(In, Tag) || !getU32(In, Len) || !getU32(In, Crc))
-      corrupt("truncated chunk header (chunk " + std::to_string(I) + " of " +
-              std::to_string(Count) + ")");
+      wire::corrupt("truncated chunk header (chunk " + std::to_string(I) +
+                    " of " + std::to_string(Count) + ")");
     Chunk C;
     C.Tag = Tag;
     // Read the payload in bounded pieces: a hostile length field fails on
@@ -99,26 +102,25 @@ std::vector<Chunk> readAll(std::istream &In) {
       size_t Old = C.Payload.size();
       C.Payload.resize(Old + N);
       if (!In.read(reinterpret_cast<char *>(C.Payload.data() + Old), N))
-        corrupt("truncated chunk payload (chunk " + std::to_string(I) +
-                ", expected " + std::to_string(Len) + " bytes)");
+        wire::corrupt("truncated chunk payload (chunk " +
+                      std::to_string(I) + ", expected " +
+                      std::to_string(Len) + " bytes)");
       Left -= N;
     }
     if (crc32(C.Payload.data(), C.Payload.size()) != Crc)
-      corrupt("CRC mismatch in chunk " + std::to_string(I));
+      wire::corrupt("CRC mismatch in chunk " + std::to_string(I));
     Chunks.push_back(std::move(C));
   }
   if (In.peek() != std::char_traits<char>::eof())
-    corrupt("trailing bytes after last chunk");
+    wire::corrupt("trailing bytes after last chunk");
   return Chunks;
 }
 
-} // namespace wire
-
 std::string inspect(std::istream &In) {
-  std::vector<wire::Chunk> Chunks = wire::readAll(In);
+  std::vector<Chunk> Chunks = frame(In);
   std::ostringstream OS;
   OS << "hplan v" << FormatVersion << ", " << Chunks.size() << " chunks\n";
-  for (const wire::Chunk &C : Chunks) {
+  for (const Chunk &C : Chunks) {
     char Tag[5] = {static_cast<char>(C.Tag), static_cast<char>(C.Tag >> 8),
                    static_cast<char>(C.Tag >> 16),
                    static_cast<char>(C.Tag >> 24), 0};

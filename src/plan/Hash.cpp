@@ -29,22 +29,39 @@ namespace plan {
 //===----------------------------------------------------------------------===//
 
 uint32_t crc32(const void *Data, size_t Len) {
-  // Table-driven IEEE CRC32 (reflected, poly 0xEDB88320); table built on
-  // first use — no zlib dependency.
-  static const auto Table = [] {
-    std::array<uint32_t, 256> T{};
+  // Slicing-by-8 IEEE CRC32 (reflected, poly 0xEDB88320): T[0] is the
+  // classic bytewise table, T[K][B] is byte B's CRC followed by K zero
+  // bytes, so one step folds eight input bytes with eight lookups. Tables
+  // built on first use — no zlib dependency.
+  static const auto T = [] {
+    std::array<std::array<uint32_t, 256>, 8> T{};
     for (uint32_t I = 0; I < 256; ++I) {
       uint32_t C = I;
       for (int K = 0; K < 8; ++K)
         C = (C & 1) ? (0xEDB88320u ^ (C >> 1)) : (C >> 1);
-      T[I] = C;
+      T[0][I] = C;
     }
+    for (int K = 1; K < 8; ++K)
+      for (uint32_t I = 0; I < 256; ++I)
+        T[K][I] = (T[K - 1][I] >> 8) ^ T[0][T[K - 1][I] & 0xFFu];
     return T;
   }();
+  auto Le32 = [](const uint8_t *B) {
+    return static_cast<uint32_t>(B[0]) | static_cast<uint32_t>(B[1]) << 8 |
+           static_cast<uint32_t>(B[2]) << 16 |
+           static_cast<uint32_t>(B[3]) << 24;
+  };
   const uint8_t *P = static_cast<const uint8_t *>(Data);
   uint32_t C = 0xFFFFFFFFu;
-  for (size_t I = 0; I < Len; ++I)
-    C = Table[(C ^ P[I]) & 0xFFu] ^ (C >> 8);
+  for (; Len >= 8; P += 8, Len -= 8) {
+    const uint32_t Lo = C ^ Le32(P);
+    const uint32_t Hi = Le32(P + 4);
+    C = T[7][Lo & 0xFFu] ^ T[6][(Lo >> 8) & 0xFFu] ^
+        T[5][(Lo >> 16) & 0xFFu] ^ T[4][Lo >> 24] ^ T[3][Hi & 0xFFu] ^
+        T[2][(Hi >> 8) & 0xFFu] ^ T[1][(Hi >> 16) & 0xFFu] ^ T[0][Hi >> 24];
+  }
+  for (; Len != 0; ++P, --Len)
+    C = T[0][(C ^ *P) & 0xFFu] ^ (C >> 8);
   return C ^ 0xFFFFFFFFu;
 }
 

@@ -46,6 +46,8 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 namespace halo {
@@ -151,12 +153,32 @@ struct StagedLoop {
 };
 
 /// Outcome of a load: how many loops were staged for adoption, how many
-/// were rejected (with a structured Diag each), and the Diags themselves.
+/// were rejected (with a structured Diag each), how many were skipped
+/// because their label names no loop of the loading program, and the
+/// Diags themselves.
 struct LoadResult {
   size_t Staged = 0;
   size_t Rejected = 0;
+  size_t Skipped = 0;
   std::vector<support::Diag> Diags;
 };
+
+/// One framed chunk of a .hplan stream, CRC already checked.
+struct Chunk {
+  uint32_t Tag = 0;
+  std::vector<uint8_t> Payload;
+};
+
+/// Reads and validates a whole stream's framing: magic (PlanBadMagic),
+/// version (PlanVersionSkew), chunk framing, per-chunk CRC and trailing
+/// bytes (PlanCorrupt). Throws support::ValidationError on any anomaly.
+/// The chunks are context-free: one framed stream can be handed to load()
+/// for any number of sessions.
+std::vector<Chunk> frame(std::istream &In);
+
+/// The loop labels of the loading program (ir::Program::loops()): a LOOP
+/// record is decoded only when its label is in the set.
+using LabelSet = std::unordered_set<std::string_view>;
 
 /// Serializes \p Loops to \p Out. Compiles any not-yet-compiled cascade
 /// stage predicate / plan USR through the caches (so the record set is
@@ -167,14 +189,20 @@ size_t save(std::ostream &Out, const ir::Program &Prog,
             rt::PredCompileCache &Preds, rt::USRCompileCache &Usrs,
             const std::vector<SavedLoop> &Loops, CodegenKey CG);
 
-/// Reads a .hplan stream, re-interns every table into the live contexts
+/// Loads a framed stream (frame()) into one program's contexts. First
+/// peeks every LOOP record's label: when none is in \p Wanted the stream
+/// belongs to another program, and load() decodes nothing, leaves every
+/// context untouched and returns `Staged == 0` with one PlanKeyMismatch
+/// Diag. Otherwise it re-interns every table into the live contexts
 /// behind \p UC, re-compiles through \p Preds / \p Usrs (populating them)
-/// and byte-verifies against the file's bytecode records. Verified loops
-/// are appended to \p Out; per-loop failures are recorded in the result.
-/// Throws `support::ValidationError` on stream-integrity anomalies.
-LoadResult load(std::istream &In, usr::USRContext &UC,
-                rt::PredCompileCache &Preds, rt::USRCompileCache &Usrs,
-                std::vector<StagedLoop> &Out);
+/// and byte-verifies against the file's bytecode records; the wanted
+/// loops that verify are appended to \p Out, the others are counted in
+/// `Skipped` without being decoded. Per-loop failures are recorded in the
+/// result. Throws `support::ValidationError` on stream-integrity
+/// anomalies.
+LoadResult load(const std::vector<Chunk> &Chunks, const LabelSet &Wanted,
+                usr::USRContext &UC, rt::PredCompileCache &Preds,
+                rt::USRCompileCache &Usrs, std::vector<StagedLoop> &Out);
 
 /// Pre-order collection of every IfStmt reachable from \p L's body
 /// (including callee bodies, cycle-safe) — the index space CivJoin

@@ -153,12 +153,6 @@ private:
   const char *Name;
 };
 
-/// One framed chunk, CRC already checked by the reader.
-struct Chunk {
-  uint32_t Tag = 0;
-  std::vector<uint8_t> Payload;
-};
-
 /// Writes the 12-byte preamble (magic + version + chunk count). The
 /// preamble is deliberately *not* CRC-protected so a flipped version byte
 /// classifies as PlanVersionSkew, not PlanCorrupt.
@@ -167,11 +161,6 @@ void writePreamble(std::ostream &Out, uint32_t ChunkCount);
 /// Frames one chunk: tag + payload length + CRC32 + payload.
 void writeChunk(std::ostream &Out, uint32_t Tag,
                 const std::vector<uint8_t> &Payload);
-
-/// Reads and validates the whole stream: magic (PlanBadMagic), version
-/// (PlanVersionSkew), chunk framing, per-chunk CRC and trailing bytes
-/// (PlanCorrupt). Throws support::ValidationError on any anomaly.
-std::vector<Chunk> readAll(std::istream &In);
 
 } // namespace wire
 } // namespace plan

@@ -8,7 +8,6 @@
 #include "serve/Engine.h"
 
 #include "support/FaultInjection.h"
-#include "support/Hashing.h"
 
 #include <algorithm>
 #include <cassert>
@@ -183,15 +182,14 @@ Engine::prepareImpl(ProgramId Program, const ir::DoLoop &Loop,
   // Label collision check before touching any session: the label is the
   // routing address, and two different loops behind one address would
   // silently send findLoop traffic to whichever prepared last. The
-  // session re-checks its own shard-local view (a colliding loop may
-  // hash to a different shard, which only this registry can see).
+  // program's session re-checks its own view of prepared loops.
   auto Key = std::make_pair(Program, Loop.getLabel());
   auto It = Labels.find(Key);
   if (It != Labels.end() && It->second != &Loop)
     throw std::invalid_argument(
         "duplicate loop label '" + Loop.getLabel() +
         "': a different loop of this program is already prepared under it");
-  Shard &S = *Shards[shardOf(Program, Loop)];
+  Shard &S = *Shards[shardOf(Program)];
   session::Session *Sess;
   {
     support::MutexLock SL(S.M);
@@ -205,20 +203,32 @@ Engine::prepareImpl(ProgramId Program, const ir::DoLoop &Loop,
     // held across analysis or execution.
     auto NewSess = std::make_unique<session::Session>(*PE.Prog, *PE.Ctx,
                                                       Opts.Session);
-    // Warm-start: stage the plan cache into the fresh session while we
-    // hold the exclusive gate (loading interns into the shared contexts).
-    // Every failure mode — absent file, version skew, corruption — lands
-    // here and degrades to a cold start; prepare() below then simply
-    // finds nothing to adopt.
+    // Warm-start: offer the plan cache to the fresh session while we hold
+    // the exclusive gate (loading interns into the shared contexts). The
+    // file is read and framed once, by the first session that needs it;
+    // later sessions get the framed chunks, and a session of a program
+    // the stream was not saved from decodes none of it. Every failure
+    // mode — absent file, version skew, corruption — degrades to a cold
+    // start; prepare() below then simply finds nothing to adopt.
     if (!Opts.PlanCachePath.empty()) {
-      std::ifstream PlanIn(Opts.PlanCachePath, std::ios::binary);
-      if (PlanIn) {
-        try {
-          (void)NewSess->loadPlans(PlanIn);
-        } catch (const support::ValidationError &) {
-          // Degraded cold start; the session records nothing and the
-          // next savePlans simply regenerates the cache.
+      if (!PlanCache) {
+        PlanCache.emplace();
+        std::ifstream PlanIn(Opts.PlanCachePath, std::ios::binary);
+        if (PlanIn) {
+          try {
+            *PlanCache = plan::frame(PlanIn);
+          } catch (const support::ValidationError &) {
+            // Unreadable: every session of this engine starts cold.
+          }
         }
+      }
+      try {
+        if (!PlanCache->empty())
+          (void)NewSess->loadPlans(*PlanCache);
+      } catch (const support::ValidationError &) {
+        // A stream that fails to decode is dropped, so no later session
+        // retries it; the next savePlans regenerates it.
+        PlanCache->clear();
       }
     }
     Sess = NewSess.get();
@@ -260,13 +270,11 @@ const ir::DoLoop *Engine::findLoop(ProgramId Program,
   return It == Labels.end() ? nullptr : It->second;
 }
 
-unsigned Engine::shardOf(ProgramId Program, const ir::DoLoop &Loop) const {
-  // Hash-sharded registry: route by (program, loop) so one hot program's
-  // loops spread over shards while any single loop always lands on the
-  // shard whose caches served it before.
-  size_t H = std::hash<const ir::DoLoop *>{}(&Loop);
-  hashCombine(H, static_cast<size_t>(Program) + 0x9e3779b9u);
-  return static_cast<unsigned>(H % Shards.size());
+unsigned Engine::shardOf(ProgramId Program) const {
+  // Route by program alone: all of a program's loops share one session —
+  // one compile cache, one plan-cache decode — and consecutive program
+  // ids land on consecutive shards.
+  return static_cast<unsigned>(Program % Shards.size());
 }
 
 //===----------------------------------------------------------------------===//
@@ -305,7 +313,7 @@ Response Engine::process(const Request &R) {
     Resp.St = Exp ? Status::Expired : Status::Cancelled;
     Resp.Error = Exp ? "deadline expired before execution"
                      : "cancelled before execution";
-    const unsigned SI = R.Loop ? shardOf(R.Program, *R.Loop) : 0;
+    const unsigned SI = R.Loop ? shardOf(R.Program) : 0;
     if (R.Loop)
       Resp.Shard = SI;
     support::MutexLock L(WC.M);
@@ -334,7 +342,7 @@ Response Engine::process(const Request &R) {
     Resp.Error = R.Loop ? "unknown program id" : "null loop";
     return Resp;
   }
-  const unsigned SI = shardOf(R.Program, *R.Loop);
+  const unsigned SI = shardOf(R.Program);
   Resp.Shard = SI;
   Shard &S = *Shards[SI];
   auto CountFailed = [&] {

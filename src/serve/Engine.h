@@ -17,9 +17,10 @@
 ///    own plan / predicate-compile / USR-compile caches (shard-local for
 ///    cache warmth, internally synchronized for the execute path — see
 ///    the contract in rt/CompiledCascade.h);
-///  - a registry hash-routes every (program, loop) pair to one shard, so
-///    a hot program's loops spread across shards while every request for
-///    the same loop always lands where its caches are warm;
+///  - every request for a program is routed to that program's shard
+///    (program id modulo the shard count), so each program has exactly
+///    one session — one compile cache, one plan-cache decode — and every
+///    request for a loop lands where its caches are warm;
 ///  - submit()/submitBatch() enqueue execution requests onto a bounded
 ///    MPMC work queue (support/ThreadPool.h BoundedWorkQueue) drained by
 ///    a pool of worker threads; push-side backpressure (submit blocks at
@@ -79,6 +80,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -92,9 +94,11 @@ using ProgramId = uint32_t;
 
 /// Engine sizing knobs, fixed at construction.
 struct EngineOptions {
-  /// Number of shards (independent session groups). Shards partition the
-  /// cache working set; since executions no longer serialize per shard,
-  /// more shards buy cache locality, not concurrency (workers do that).
+  /// Number of shards (independent session groups). Each program is
+  /// routed to one shard (Engine::shardOf), so it has exactly one session;
+  /// shards partition the programs' cache working sets. Since executions
+  /// no longer serialize per shard, more shards buy cache locality, not
+  /// concurrency (workers do that).
   unsigned Shards = 4;
   /// Worker threads draining the request queue. This is the execution
   /// concurrency — even a single (program, loop) can be served by all
@@ -107,14 +111,19 @@ struct EngineOptions {
   /// not from fan-out inside one request.
   session::SessionOptions Session;
 
-  /// Warm-start: path of a .hplan plan-cache stream (plan/Plan.h) loaded
-  /// into each shard session when it is first created (under the same
-  /// writer-preference exclusive gate prepare() takes). Prepared loops
-  /// whose label and re-derived plan key match a loaded plan skip full
-  /// analysis; everything else cold-starts exactly as without the file.
-  /// A missing, stale (version-skewed) or corrupt file degrades to a
-  /// cold start — it never fails engine construction or prepare().
-  /// Empty (default) disables warm-start.
+  /// Warm-start: path of a .hplan plan-cache stream (plan/Plan.h). The
+  /// engine reads and frames the file once, when the first session is
+  /// created, and offers the framed stream to every session at its
+  /// creation (under the same writer-preference exclusive gate prepare()
+  /// takes); the file is not read again, so replacing or deleting it
+  /// later changes nothing for this engine. A session decodes only the
+  /// plans whose label names a loop of its program — a stream saved from
+  /// another program costs it a label peek. Prepared loops whose label
+  /// and re-derived plan key match a loaded plan skip full analysis;
+  /// everything else cold-starts exactly as without the file. A missing,
+  /// stale (version-skewed) or corrupt file degrades to a cold start — it
+  /// never fails engine construction or prepare(). Empty (default)
+  /// disables warm-start.
   std::string PlanCachePath;
 
   /// Retries per repeat for *transient, retry-safe* failures (a failure
@@ -331,8 +340,9 @@ public:
   const ir::DoLoop *findLoop(ProgramId Program, std::string_view Label)
       const HALO_EXCLUDES(ConfigLock);
 
-  /// Shard that requests for (\p Program, \p Loop) are routed to.
-  unsigned shardOf(ProgramId Program, const ir::DoLoop &Loop) const;
+  /// Shard that every request for \p Program is routed to: all of a
+  /// program's loops live in that shard's one session for the program.
+  unsigned shardOf(ProgramId Program) const;
   unsigned numShards() const { return static_cast<unsigned>(Shards.size()); }
 
   /// Enqueues \p R, blocking while the queue is at capacity
@@ -470,6 +480,12 @@ private:
   std::map<std::pair<ProgramId, const ir::DoLoop *>,
            std::unique_ptr<Breaker>>
       Breakers HALO_GUARDED_BY(ConfigLock);
+  /// The framed EngineOptions::PlanCachePath stream: unset until the
+  /// first session is created with a path set, empty when the file was
+  /// unreadable or failed to decode. Read and written only under the
+  /// exclusive config lock.
+  std::optional<std::vector<plan::Chunk>> PlanCache
+      HALO_GUARDED_BY(ConfigLock);
   std::vector<std::unique_ptr<Shard>> Shards;
   /// One accumulator set per worker, created up front (index == worker).
   std::vector<std::unique_ptr<WorkerCounters>> PerWorker;

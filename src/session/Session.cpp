@@ -284,8 +284,16 @@ size_t Session::savePlans(std::ostream &Out) {
 }
 
 plan::LoadResult Session::loadPlans(std::istream &In) {
+  return loadPlans(plan::frame(In));
+}
+
+plan::LoadResult Session::loadPlans(const std::vector<plan::Chunk> &Chunks) {
+  plan::LabelSet Labels;
+  for (const ir::DoLoop *L : Prog.loops())
+    Labels.insert(L->getLabel());
   std::vector<plan::StagedLoop> Ls;
-  plan::LoadResult R = plan::load(In, Ctx, Compile, UsrCompile, Ls);
+  plan::LoadResult R =
+      plan::load(Chunks, Labels, Ctx, Compile, UsrCompile, Ls);
   for (plan::StagedLoop &SL : Ls) {
     std::string Label = SL.Label;
     StagedPlans.insert_or_assign(std::move(Label), std::move(SL));

@@ -241,8 +241,15 @@ public:
   /// re-interns tables and compiles through the shared caches, so this
   /// is analysis-exclusive. Throws support::ValidationError on stream
   /// integrity anomalies (the session state is unchanged in that case
-  /// except for interned-but-unreferenced table nodes).
+  /// except for interned-but-unreferenced table nodes). Only plans whose
+  /// label names a loop of this session's program are decoded and staged;
+  /// a stream saved from another program stages nothing, records one
+  /// PlanKeyMismatch Diag and leaves every context untouched.
+  /// Equivalent to loadPlans(plan::frame(In)).
   plan::LoadResult loadPlans(std::istream &In);
+  /// loadPlans() over an already framed stream (plan::frame), so one read
+  /// of a plan-cache file can be offered to many sessions.
+  plan::LoadResult loadPlans(const std::vector<plan::Chunk> &Chunks);
 
   /// Plans adopted from a loaded stream instead of analyzed (warm starts).
   size_t numPlansWarmStarted() const { return PlansWarmStarted; }

@@ -21,8 +21,12 @@
 //  - the two-hash key discipline: a forged primary key (KeyA patched to
 //    the adopting loop's own value, chunk CRC re-sealed) must be caught by
 //    the independent verify hash and counted as a key collision;
-//  - engine warm-start: EngineOptions::PlanCachePath populates shard
-//    sessions at creation, visible as ShardStats::PlansWarmStarted.
+//  - foreign streams: a stream saved from one program decodes nothing in
+//    another program's session (no context grows), a mixed stream stages
+//    only the loading program's loops;
+//  - engine warm-start: EngineOptions::PlanCachePath is read once per
+//    engine and offered to every session at creation, visible as
+//    ShardStats::PlansWarmStarted; only the owning program decodes it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -166,6 +170,39 @@ std::string fuzzPlanBytes(uint64_t Seed = 5) {
   S.prepare(*C->Loop);
   return saveBytes(S);
 }
+
+/// Node counts of one program's shared contexts.
+struct ContextSizes {
+  size_t Exprs = 0, Preds = 0, Usrs = 0;
+  bool operator==(const ContextSizes &O) const {
+    return Exprs == O.Exprs && Preds == O.Preds && Usrs == O.Usrs;
+  }
+};
+
+ContextSizes sizesOf(usr::USRContext &UC) {
+  return {UC.symCtx().numExprs(), UC.predCtx().numPreds(), UC.numNodes()};
+}
+
+/// A small program of session_test's symbolic-stride ("strided") and
+/// monotonic-block ("blocks") loops; the second loop is optional, so two
+/// builds can share one loop and differ in the other.
+struct TwoLoopProgram {
+  suite::Benchmark B;
+  suite::BenchBuilder BB{B};
+  ir::DoLoop *Strided = nullptr, *Blocks = nullptr;
+
+  explicit TwoLoopProgram(bool WithBlocks) {
+    sym::SymbolId XS = BB.dataArray("XS", BB.Sym.mulConst(BB.s("N"), 4));
+    Strided = suite::makeSymbolicStrideLoop(BB, "strided", "i", XS, "s",
+                                            BB.s("N"), 0);
+    if (WithBlocks) {
+      sym::SymbolId XB = BB.dataArray("XB", BB.Sym.mulConst(BB.s("N"), 8));
+      sym::SymbolId IB = BB.indexArray("IB");
+      Blocks = suite::makeMonotonicBlockLoop(BB, "blocks", "i", XB, IB,
+                                             BB.c(4), BB.s("N"), 0);
+    }
+  }
+};
 
 void expectSameMemory(const rt::Memory &Want, const rt::Memory &Got,
                       const char *What) {
@@ -616,6 +653,187 @@ TEST(PlanEngine, WarmStartFromPlanCachePath) {
   E2.prepare(Id2, *C2->Loop);
   EXPECT_EQ(E2.stats().totals().PlansWarmStarted, 0u);
   std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// CRC32
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Bytewise reference CRC32 (reflected, poly 0xEDB88320), one bit at a
+/// time: the definition plan::crc32's sliced tables must reproduce.
+uint32_t crc32Reference(const uint8_t *P, size_t Len) {
+  uint32_t C = 0xFFFFFFFFu;
+  for (size_t I = 0; I < Len; ++I) {
+    C ^= P[I];
+    for (int K = 0; K < 8; ++K)
+      C = (C & 1) ? (0xEDB88320u ^ (C >> 1)) : (C >> 1);
+  }
+  return C ^ 0xFFFFFFFFu;
+}
+
+} // namespace
+
+TEST(PlanCrc, StandardCheckValue) {
+  const char *Check = "123456789";
+  EXPECT_EQ(plan::crc32(Check, 9), 0xCBF43926u);
+  EXPECT_EQ(plan::crc32(Check, 0), 0u);
+}
+
+// Every length 0..80 at every start offset 0..7 (each tail and alignment
+// of the eight-byte steps), plus long buffers, against the reference.
+TEST(PlanCrc, MatchesBytewiseReferenceAtAnyOffset) {
+  std::mt19937_64 Rng(0x5EED);
+  std::vector<uint8_t> Buf(4096 + 8);
+  for (uint8_t &B : Buf)
+    B = static_cast<uint8_t>(Rng());
+  for (size_t Off = 0; Off < 8; ++Off)
+    for (size_t Len = 0; Len <= 80; ++Len)
+      ASSERT_EQ(plan::crc32(Buf.data() + Off, Len),
+                crc32Reference(Buf.data() + Off, Len))
+          << "offset " << Off << ", length " << Len;
+  for (int I = 0; I < 64; ++I) {
+    size_t Off = Rng() % 8, Len = Rng() % 4097;
+    ASSERT_EQ(plan::crc32(Buf.data() + Off, Len),
+              crc32Reference(Buf.data() + Off, Len))
+        << "offset " << Off << ", length " << Len;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Foreign streams
+//===----------------------------------------------------------------------===//
+
+// A stream saved from one suite program, offered to a session of every
+// other program: no label names a loop there, so the load decodes
+// nothing — no context grows, nothing is compiled or staged — and says so
+// with one PlanKeyMismatch Diag instead of throwing.
+TEST(PlanForeign, OtherProgramsDecodeNothing) {
+  const std::string Owner = "mdg";
+  auto Save = suite::buildAllBenchmarks();
+  std::string Bytes;
+  size_t OwnerLoops = 0;
+  for (auto &B : Save)
+    if (B->Name == Owner) {
+      session::Session S(B->prog(), B->usr());
+      for (const suite::LoopSpec &LS : B->Loops)
+        S.prepare(*LS.Loop);
+      Bytes = saveBytes(S);
+      OwnerLoops = B->Loops.size();
+    }
+  ASSERT_GT(OwnerLoops, 0u) << "no suite program named " << Owner;
+
+  size_t Others = 0;
+  for (auto &B : suite::buildAllBenchmarks()) {
+    if (B->Name == Owner)
+      continue;
+    SCOPED_TRACE(B->Name);
+    ++Others;
+    session::Session S(B->prog(), B->usr());
+    const ContextSizes Before = sizesOf(B->usr());
+    plan::LoadResult R;
+    ASSERT_NO_THROW(R = loadBytes(S, Bytes));
+    EXPECT_EQ(R.Staged, 0u);
+    EXPECT_EQ(R.Rejected, 0u);
+    EXPECT_EQ(R.Skipped, OwnerLoops);
+    ASSERT_EQ(R.Diags.size(), 1u);
+    EXPECT_EQ(R.Diags.front().Kind, support::Diag::Code::PlanKeyMismatch);
+    EXPECT_EQ(S.numStagedPlans(), 0u);
+    EXPECT_EQ(S.numCompiledPreds(), 0u);
+    EXPECT_EQ(S.numCompiledUSRs(), 0u);
+    EXPECT_TRUE(sizesOf(B->usr()) == Before)
+        << "a foreign stream must leave the contexts untouched";
+  }
+  EXPECT_GE(Others, 20u);
+}
+
+// A stream holding one loop the loading program has ("strided") and one
+// it does not ("blocks"): only the wanted loop is staged, and it adopts.
+TEST(PlanForeign, MixedStreamStagesOnlyWantedLoops) {
+  std::string Bytes;
+  {
+    TwoLoopProgram P(/*WithBlocks=*/true);
+    session::Session S(P.B.prog(), P.B.usr());
+    S.prepare(*P.Strided);
+    S.prepare(*P.Blocks);
+    Bytes = saveBytes(S);
+  }
+  TwoLoopProgram P(/*WithBlocks=*/false);
+  session::Session S(P.B.prog(), P.B.usr());
+  plan::LoadResult R = loadBytes(S, Bytes);
+  EXPECT_EQ(R.Staged, 1u);
+  EXPECT_EQ(R.Skipped, 1u);
+  EXPECT_EQ(R.Rejected, 0u)
+      << (R.Diags.empty() ? "" : R.Diags.front().Message);
+  EXPECT_EQ(S.numStagedPlans(), 1u);
+  S.prepare(*P.Strided);
+  EXPECT_EQ(S.numPlansWarmStarted(), 1u)
+      << (S.planDiags().empty() ? "no diags"
+                                : S.planDiags().front().Message);
+}
+
+// An engine serving several programs behind one program's cache file:
+// the file is read once, at the first session, so deleting it afterwards
+// does not stop the owner from warm-starting; the other programs'
+// contexts end exactly as a lone cold session leaves its twin's.
+TEST(PlanForeign, EngineDecodesCacheOnlyIntoItsOwner) {
+  std::string Path = ::testing::TempDir() + "plan_foreign_test.hplan";
+  {
+    TwoLoopProgram P(/*WithBlocks=*/true);
+    session::Session S(P.B.prog(), P.B.usr());
+    S.prepare(*P.Strided);
+    S.prepare(*P.Blocks);
+    std::ofstream Out(Path, std::ios::binary);
+    ASSERT_TRUE(Out.is_open());
+    ASSERT_EQ(S.savePlans(Out), 2u);
+  }
+
+  // Cold twins of the two foreign programs, prepared without any cache.
+  std::vector<ContextSizes> Cold;
+  for (uint64_t Seed : {5, 9}) {
+    fuzz::GenOptions GO;
+    GO.Seed = Seed;
+    auto C = fuzz::generate(GO);
+    session::Session S(C->prog(), C->usrCtx());
+    S.prepare(*C->Loop);
+    Cold.push_back(sizesOf(C->usrCtx()));
+  }
+
+  std::vector<std::unique_ptr<fuzz::GeneratedCase>> Foreign;
+  for (uint64_t Seed : {5, 9}) {
+    fuzz::GenOptions GO;
+    GO.Seed = Seed;
+    Foreign.push_back(fuzz::generate(GO));
+  }
+  TwoLoopProgram Owner(/*WithBlocks=*/true);
+  serve::EngineOptions EO;
+  EO.Shards = 2;
+  EO.Workers = 1;
+  EO.PlanCachePath = Path;
+  serve::Engine E(EO);
+  std::vector<serve::ProgramId> Ids;
+  for (auto &C : Foreign)
+    Ids.push_back(E.addProgram(C->prog(), C->usrCtx()));
+  const serve::ProgramId OwnerId =
+      E.addProgram(Owner.B.prog(), Owner.B.usr());
+
+  E.prepare(Ids[0], *Foreign[0]->Loop);
+  ASSERT_EQ(std::remove(Path.c_str()), 0);
+  E.prepare(Ids[1], *Foreign[1]->Loop);
+  const ContextSizes OwnerBefore = sizesOf(Owner.B.usr());
+  E.prepare(OwnerId, *Owner.Strided);
+  E.prepare(OwnerId, *Owner.Blocks);
+
+  EXPECT_EQ(E.stats().totals().PlansWarmStarted, 2u)
+      << "the owner must warm-start from the stream read before deletion";
+  for (size_t I = 0; I < Foreign.size(); ++I)
+    EXPECT_TRUE(sizesOf(Foreign[I]->usrCtx()) == Cold[I])
+        << "foreign program " << I << " grew beyond its cold prepare";
+  const ContextSizes OwnerAfter = sizesOf(Owner.B.usr());
+  EXPECT_GT(OwnerAfter.Preds + OwnerAfter.Usrs,
+            OwnerBefore.Preds + OwnerBefore.Usrs)
+      << "the owner's contexts receive the decoded plans";
 }
 
 //===----------------------------------------------------------------------===//

@@ -212,7 +212,7 @@ TEST(ServeEngineTest, ConcurrentSubmissionsMatchSequentialSession) {
     ASSERT_TRUE(Slots[I].Fut.valid());
     serve::Response Resp = Slots[I].Fut.get();
     ASSERT_TRUE(Resp.OK) << Resp.Error;
-    EXPECT_EQ(Resp.Shard, E.shardOf(Ids[D.Prog], *L));
+    EXPECT_EQ(Resp.Shard, E.shardOf(Ids[D.Prog]));
     ASSERT_EQ(Resp.Stats.size(), 1u);
 
     rt::Memory MR;
@@ -238,6 +238,51 @@ TEST(ServeEngineTest, ConcurrentSubmissionsMatchSequentialSession) {
   EXPECT_EQ(T.Failed, 0u);
   EXPECT_EQ(T.Executions, NumRequests);
   EXPECT_TRUE(T.Exec.RanParallel); // Some dataset must have parallelized.
+}
+
+// Routing is by program alone: at every shard count, all loops of a
+// program are served from one shard, so each program has exactly one
+// session (one compile cache, one plan-cache decode), and every response
+// names that shard.
+TEST(ServeEngineTest, EveryLoopOfAProgramRoutesToOneShard) {
+  for (unsigned NumShards = 1; NumShards <= 5; ++NumShards) {
+    SCOPED_TRACE("shards " + std::to_string(NumShards));
+    serve::EngineOptions EO;
+    EO.Shards = NumShards;
+    EO.Workers = 1;
+    EO.Session.Threads = 1;
+    std::vector<ServedProgram> Progs(3);
+    std::vector<serve::ProgramId> Ids;
+    serve::Engine E(EO);
+    prepareAll(E, Progs, Ids);
+
+    for (size_t PI = 0; PI < Progs.size(); ++PI) {
+      const unsigned Want = E.shardOf(Ids[PI]);
+      ASSERT_LT(Want, NumShards);
+      for (ir::DoLoop *L : Progs[PI].loops()) {
+        rt::Memory M;
+        sym::Bindings B;
+        Progs[PI].dataset(3, M, B);
+        serve::Request Req;
+        Req.Program = Ids[PI];
+        Req.Loop = L;
+        Req.M = &M;
+        Req.B = &B;
+        serve::Response Resp = E.submit(Req).get();
+        ASSERT_TRUE(Resp.OK) << Resp.Error;
+        EXPECT_EQ(Resp.Shard, Want) << L->getLabel();
+      }
+    }
+
+    // One session per program, holding all of its loops.
+    serve::ServeStats St = E.stats();
+    ASSERT_EQ(St.Shards.size(), NumShards);
+    EXPECT_EQ(St.totals().Programs, Progs.size());
+    for (size_t PI = 0; PI < Progs.size(); ++PI)
+      EXPECT_GE(St.Shards[E.shardOf(Ids[PI])].PreparedLoops,
+                Progs[PI].loops().size());
+    EXPECT_EQ(St.totals().PreparedLoops, 4 * Progs.size());
+  }
 }
 
 TEST(ServeEngineTest, PreparingNewLoopsWhileServingIsExcluded) {
@@ -870,7 +915,7 @@ TEST(ServeEngineTest, DeadlinesAndCancellationShedWithoutSideEffects) {
   expectClassified(Resp);
   EXPECT_EQ(Resp.St, serve::Status::Expired);
   EXPECT_FALSE(Resp.OK);
-  EXPECT_EQ(Resp.Shard, E.shardOf(Ids[0], *P.Strided));
+  EXPECT_EQ(Resp.Shard, E.shardOf(Ids[0]));
   expectMemoryEq(M, MTwin, "expired request must not touch memory");
 
   // Pre-cancelled caller token: shed at dequeue as Cancelled.

@@ -18,6 +18,11 @@
 //   halo_planc warmstart --suite --plans DIR --expect-cold
 //                                                # stale cache must fall
 //                                                # back cleanly (exit 0)
+//   halo_planc warmstart --suite --plans DIR --cross
+//                                                # every other program's
+//                                                # stream first: one naming
+//                                                # none of its loops must
+//                                                # stage and decode nothing
 //   halo_planc bump-version FILE                 # make FILE version-skewed
 //
 //===----------------------------------------------------------------------===//
@@ -28,6 +33,8 @@
 #include "suite/Suite.h"
 #include "support/Error.h"
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -50,6 +57,7 @@ int usage(const char *Msg) {
       "       halo_planc dump FILE\n"
       "       halo_planc verify FILE\n"
       "       halo_planc warmstart --suite --plans DIR [--expect-cold]\n"
+      "                            [--cross]\n"
       "       halo_planc bump-version FILE\n");
   return 2;
 }
@@ -143,43 +151,108 @@ int cmdDumpOrVerify(const std::string &Path, bool Dump) {
   }
 }
 
-int cmdWarmstart(const std::string &PlansDir, bool ExpectCold) {
+/// Node counts of a program's shared contexts (a foreign stream must not
+/// change them).
+std::array<size_t, 3> contextSizes(usr::USRContext &UC) {
+  return {UC.symCtx().numExprs(), UC.predCtx().numPreds(), UC.numNodes()};
+}
+
+int cmdWarmstart(const std::string &PlansDir, bool ExpectCold, bool Cross) {
   if (PlansDir.empty())
     return usage("warmstart requires --plans DIR");
-  size_t Warm = 0, Prepared = 0;
-  for (std::unique_ptr<suite::Benchmark> &B : suite::buildAllBenchmarks()) {
-    session::Session S(B->prog(), B->usr());
-    std::string Path = PlansDir + "/" + sanitize(B->Name) + ".hplan";
-    std::ifstream In(Path, std::ios::binary);
-    if (In) {
+  std::vector<std::unique_ptr<suite::Benchmark>> Suite =
+      suite::buildAllBenchmarks();
+  // Frame every program's stream once. A missing file stays empty; a
+  // stale (version-skewed) or corrupt cache must degrade to a cold start,
+  // never crash: report it and continue un-warmed.
+  std::vector<std::vector<plan::Chunk>> Streams(Suite.size());
+  std::vector<std::string> Paths(Suite.size());
+  for (size_t BI = 0; BI < Suite.size(); ++BI) {
+    Paths[BI] = PlansDir + "/" + sanitize(Suite[BI]->Name) + ".hplan";
+    std::ifstream In(Paths[BI], std::ios::binary);
+    if (!In)
+      continue;
+    try {
+      Streams[BI] = plan::frame(In);
+    } catch (const support::ValidationError &E) {
+      for (const support::Diag &D : E.diags())
+        std::fprintf(stderr, "halo_planc: %s: %s: %s (cold start)\n",
+                     Paths[BI].c_str(), support::diagCodeName(D.Kind),
+                     D.Message.c_str());
+    }
+  }
+
+  size_t Warm = 0, Prepared = 0, Offered = 0, Shared = 0;
+  for (size_t BI = 0; BI < Suite.size(); ++BI) {
+    suite::Benchmark &B = *Suite[BI];
+    session::Session S(B.prog(), B.usr());
+    // --cross: every other program's stream first. A stream whose labels
+    // name no loop of this program must stage nothing and decode nothing.
+    // Programs that share loop labels (one benchmark in two suites) may
+    // stage each other's plans; adoption re-derives the keys, and the
+    // program's own stream, loaded next, replaces them by label.
+    for (size_t FI = 0; Cross && FI < Suite.size(); ++FI) {
+      if (FI == BI || Streams[FI].empty())
+        continue;
+      const size_t Records = static_cast<size_t>(
+          std::count_if(Streams[FI].begin(), Streams[FI].end(),
+                        [](const plan::Chunk &C) {
+                          return C.Tag == plan::ChunkLoop;
+                        }));
+      const std::array<size_t, 3> Before = contextSizes(B.usr());
+      const size_t StagedBefore = S.numStagedPlans();
+      plan::LoadResult R = S.loadPlans(Streams[FI]);
+      ++Offered;
+      if (R.Skipped != Records) {
+        ++Shared;
+        std::printf("%s: %s's stream shares %zu loop label(s)\n",
+                    B.Name.c_str(), Suite[FI]->Name.c_str(),
+                    Records - R.Skipped);
+        continue;
+      }
+      if (R.Staged != 0 || S.numStagedPlans() != StagedBefore ||
+          contextSizes(B.usr()) != Before) {
+        std::fprintf(stderr,
+                     "halo_planc: %s: %s's stream names none of its "
+                     "loops but staged %zu plan(s) or grew the contexts\n",
+                     B.Name.c_str(), Suite[FI]->Name.c_str(), R.Staged);
+        return 1;
+      }
+    }
+    const size_t ForeignDiags = S.planDiags().size();
+    if (!Streams[BI].empty()) {
       try {
-        plan::LoadResult R = S.loadPlans(In);
+        plan::LoadResult R = S.loadPlans(Streams[BI]);
         if (R.Rejected != 0 && !ExpectCold) {
           std::fprintf(stderr, "halo_planc: %s: %zu plan(s) rejected:\n",
-                       Path.c_str(), R.Rejected);
+                       Paths[BI].c_str(), R.Rejected);
           for (const support::Diag &D : R.Diags)
             std::fprintf(stderr, "  %s: %s\n",
                          support::diagCodeName(D.Kind), D.Message.c_str());
           return 1;
         }
       } catch (const support::ValidationError &E) {
-        // A stale (version-skewed) or corrupt cache must degrade to a
-        // cold start, never crash: report and continue un-warmed.
         for (const support::Diag &D : E.diags())
           std::fprintf(stderr, "halo_planc: %s: %s: %s (cold start)\n",
-                       Path.c_str(), support::diagCodeName(D.Kind),
+                       Paths[BI].c_str(), support::diagCodeName(D.Kind),
                        D.Message.c_str());
       }
     }
-    for (const suite::LoopSpec &LS : B->Loops) {
+    for (const suite::LoopSpec &LS : B.Loops) {
       S.prepare(*LS.Loop);
       ++Prepared;
     }
     Warm += S.numPlansWarmStarted();
-    for (const support::Diag &D : S.planDiags())
-      std::fprintf(stderr, "halo_planc: %s: %s: %s\n", B->Name.c_str(),
+    for (size_t DI = ForeignDiags; DI < S.planDiags().size(); ++DI) {
+      const support::Diag &D = S.planDiags()[DI];
+      std::fprintf(stderr, "halo_planc: %s: %s: %s\n", B.Name.c_str(),
                    support::diagCodeName(D.Kind), D.Message.c_str());
+    }
   }
+  if (Cross)
+    std::printf("offered %zu foreign streams: %zu decoded nothing, %zu "
+                "share loop labels\n",
+                Offered, Offered - Shared, Shared);
   std::printf("prepared %zu loops, %zu warm-started\n", Prepared, Warm);
   if (ExpectCold)
     return Warm == 0 ? 0 : (std::fprintf(stderr,
@@ -237,7 +310,7 @@ int main(int Argc, char **Argv) {
   std::string Cmd = Argv[1];
 
   std::string Out, PlansDir, File;
-  bool Suite = false, ExpectCold = false, HaveSeed = false;
+  bool Suite = false, ExpectCold = false, Cross = false, HaveSeed = false;
   uint64_t Seed = 1;
   unsigned Body = 6;
   int64_t Trip = 48;
@@ -250,6 +323,8 @@ int main(int Argc, char **Argv) {
       Suite = true;
     } else if (A == "--expect-cold") {
       ExpectCold = true;
+    } else if (A == "--cross") {
+      Cross = true;
     } else if (A == "--out") {
       const char *V = Next();
       if (!V)
@@ -292,7 +367,7 @@ int main(int Argc, char **Argv) {
       return cmdDumpOrVerify(File, Cmd == "dump");
     }
     if (Cmd == "warmstart")
-      return cmdWarmstart(PlansDir, ExpectCold);
+      return cmdWarmstart(PlansDir, ExpectCold, Cross);
     if (Cmd == "bump-version") {
       if (File.empty())
         return usage("bump-version requires a FILE");
