@@ -4,11 +4,11 @@
 // Parallelization" (Oancea & Rauchwerger, PLDI 2012).
 //
 // The serving-layer claim behind the ROADMAP's heavy-traffic north star:
-// once loops are analyzed (once), a sharded serve::Engine must sustain
-// the session layer's steady-state execution rate while serving many
-// programs to many concurrent clients — i.e. the bounded queue and the
-// shard hand-off must not cost noticeable throughput against a lone
-// Session::runBatch on one thread.
+// once loops are analyzed (once), serve::Engine must sustain the session
+// layer's steady-state execution rate while serving many programs to many
+// concurrent clients — i.e. the bounded queue and the worker hand-off
+// must not cost noticeable throughput against a lone Session::runBatch on
+// one thread.
 //
 // The generator builds M programs (each with an O(1) symbolic-stride
 // cascade loop and an O(N) monotonicity-cascade loop), pre-builds every
@@ -16,14 +16,14 @@
 //
 //  1. the single-session baseline: all requests executed back-to-back
 //     through one Session on one thread (the PR 2 steady state);
-//  2. the engine under several shards x workers configurations, K
+//  2. the engine under several worker x batch configurations, K
 //     closed-loop client threads each submitting its share of requests
 //     and blocking on the response future (concurrency = K).
 //
 // Columns: req/s (served requests per second), xbase (speedup over the
-// single-session baseline; 1sx1w >= ~1.0x is the no-queue-regression
+// single-session baseline; 1w >= ~1.0x is the no-queue-regression
 // check), p50/p99 (client-observed request latency, queueing included),
-// peakQ (queue high-water mark), and a per-shard ServeStats table for
+// peakQ (queue high-water mark), and the engine's ServeStats row for
 // the last configuration. A fault-rate sweep (0%/1%/10% injected
 // transient failures on one worker) closes the run: the 0% row bounds
 // the clean-path cost of the robustness layer, the rest chart retries,
@@ -92,25 +92,23 @@ double percentileUs(std::vector<double> &LatSeconds, double P) {
   return 1e6 * LatSeconds[Idx];
 }
 
-/// Runs \p Requests loop executions through an engine with the given
-/// geometry, \p Clients closed-loop threads submitting round-robin over
+/// Runs \p Requests loop executions through an engine with \p Workers
+/// workers, \p Clients closed-loop threads submitting round-robin over
 /// programs and loops. \p Batch is Request::Repeats: how many executions
 /// one submission carries (the mini-runBatch shape that amortizes the
 /// queue hand-off; Batch=1 measures the raw per-request overhead).
 /// \p SameLoop routes EVERY request to one (program, loop) — the
-/// same-loop-contention scenario: one shard, one session, all workers.
-/// Before the intra-shard concurrency work this serialized on the shard
-/// lock regardless of the worker count. \p AllowFaults tolerates
-/// classified non-OK responses (the fault-rate sweep arms the injector,
-/// so ExecError after exhausted retries is an expected outcome there);
-/// on the clean path any non-OK response still aborts the run. Returns
+/// same-loop-contention scenario: one session, all workers.
+/// \p AllowFaults tolerates classified non-OK responses (the fault-rate
+/// sweep arms the injector, so ExecError after exhausted retries is an
+/// expected outcome there); on the clean path any non-OK response still
+/// aborts the run. Returns
 /// wall time and client-observed per-submission latency percentiles.
 LoadResult runEngine(std::vector<std::unique_ptr<ServedProgram>> &Progs,
-                     unsigned Shards, unsigned Workers, unsigned Clients,
-                     size_t Requests, unsigned Batch, bool SameLoop = false,
+                     unsigned Workers, unsigned Clients, size_t Requests,
+                     unsigned Batch, bool SameLoop = false,
                      bool AllowFaults = false) {
   serve::EngineOptions EO;
-  EO.Shards = Shards;
   EO.Workers = Workers;
   EO.QueueCapacity = 64;
   serve::Engine E(EO);
@@ -203,7 +201,7 @@ int main() {
   // bench_rtov_overhead). Crucially it walks the SAME working set in the
   // SAME (client, program, loop) order as the engine's clients below —
   // Clients x Programs live datasets — so the comparison isolates the
-  // queue/shard hand-off instead of cache-footprint differences.
+  // queue/worker hand-off instead of cache-footprint differences.
   session::SessionOptions SO;
   SO.Threads = 1;
   std::vector<std::unique_ptr<session::Session>> Sessions;
@@ -264,23 +262,21 @@ int main() {
   // engine-side analog of the runBatch baseline, amortizing the hand-off
   // across a mini-batch — the steady-state serving configuration.
   struct Geometry {
-    unsigned Shards, Workers, Batch;
+    unsigned Workers, Batch;
   };
-  const Geometry Geos[] = {{1, 1, 1}, {1, 1, 8}, {2, 2, 8}, {4, 4, 8}};
+  const Geometry Geos[] = {{1, 1}, {1, 8}, {2, 8}, {4, 8}};
   LoadResult Last;
   for (const Geometry &G : Geos) {
     LoadResult Best;
     Best.Seconds = 1e30;
     for (int Rep = 0; Rep < Reps; ++Rep) {
-      LoadResult R = runEngine(Progs, G.Shards, G.Workers, Clients, Requests,
-                               G.Batch);
+      LoadResult R = runEngine(Progs, G.Workers, Clients, Requests, G.Batch);
       if (R.Seconds < Best.Seconds)
         Best = std::move(R);
     }
     double Rps = Requests / Best.Seconds;
     char Name[32];
-    std::snprintf(Name, sizeof(Name), "engine %usx%uw b%u", G.Shards,
-                  G.Workers, G.Batch);
+    std::snprintf(Name, sizeof(Name), "engine %uw b%u", G.Workers, G.Batch);
     std::printf("%-18s %10.0f %7.2fx %9.1f %9.1f %6zu %9llu\n", Name, Rps,
                 Rps / BaseRps, Best.P50Us, Best.P99Us,
                 Best.Stats.PeakQueueDepth,
@@ -289,9 +285,8 @@ int main() {
   }
 
   // Same-loop contention: every client hammers ONE prepared loop of ONE
-  // program — one shard, one session. The scenario the shard-wide execute
-  // lock used to serialize: with intra-shard concurrency, W workers all
-  // execute the same plan at once (per-execution contexts, shared memo).
+  // program — one session. W workers all execute the same plan at once
+  // (per-execution contexts, shared memo).
   // The 1-worker row is the no-regression check against the same-loop
   // single-session baseline; multi-worker xbase only exceeds ~1.0 on a
   // multi-core runner (see docs/BENCHMARKS.md, "Single-core caveat").
@@ -336,20 +331,20 @@ int main() {
     std::printf("%-18s %10.0f %8s %9.1f %9.1f %6s %9s\n", "single-session",
                 SameRps, "1.00x", percentileUs(SameLatBest, 0.50),
                 percentileUs(SameLatBest, 0.99), "-", "-");
-    const Geometry SameGeos[] = {{1, 1, 8}, {1, 2, 8}, {1, 4, 8}};
+    const Geometry SameGeos[] = {{1, 8}, {2, 8}, {4, 8}};
     for (const Geometry &G : SameGeos) {
       LoadResult Best;
       Best.Seconds = 1e30;
       for (int Rep = 0; Rep < Reps; ++Rep) {
-        LoadResult R = runEngine(Progs, G.Shards, G.Workers, Clients,
-                                 Requests, G.Batch, /*SameLoop=*/true);
+        LoadResult R = runEngine(Progs, G.Workers, Clients, Requests,
+                                 G.Batch, /*SameLoop=*/true);
         if (R.Seconds < Best.Seconds)
           Best = std::move(R);
       }
       double Rps = Requests / Best.Seconds;
       char Name[32];
-      std::snprintf(Name, sizeof(Name), "engine %usx%uw b%u", G.Shards,
-                    G.Workers, G.Batch);
+      std::snprintf(Name, sizeof(Name), "engine %uw b%u", G.Workers,
+                    G.Batch);
       std::printf("%-18s %10.0f %7.2fx %9.1f %9.1f %6zu %9llu\n", Name, Rps,
                   Rps / SameRps, Best.P50Us, Best.P99Us,
                   Best.Stats.PeakQueueDepth,
@@ -357,19 +352,19 @@ int main() {
     }
   }
 
-  // Fault-rate sweep: the 1sx1w b8 clean-path geometry with the
+  // Fault-rate sweep: the 1w b8 clean-path geometry with the
   // "serve.process.transient" injection point armed at increasing rates.
   // The 0% row runs with the injector fully disarmed and is the
   // robustness-overhead gate: deadline/token checks, the breaker lookup
   // and the injector fast path together must stay within ~2% of the
-  // pre-robustness engine (compare req/s against the engine 1sx1w b8 row
+  // pre-robustness engine (compare req/s against the engine 1w b8 row
   // above — same geometry, same requests). Non-zero rows show the
   // degradation curve: retries absorb most faults (Ok stays dominant),
   // exhausted retries surface as classified ExecError responses, and
   // breaker opens demote to the sequential tier (degExec).
   {
     support::FaultInjector &FI = support::FaultInjector::instance();
-    std::printf("\n=== Fault-rate sweep (engine 1sx1w b8, point "
+    std::printf("\n=== Fault-rate sweep (engine 1w b8, point "
                 "serve.process.transient) ===\n");
     std::printf("%-18s %10s %8s %9s %6s %6s %6s %8s %7s %8s\n", "CONFIG",
                 "req/s", "xbase", "p50(us)", "ok", "degr", "fail", "retried",
@@ -386,7 +381,7 @@ int main() {
           FI.armPoint("serve.process.transient", Rate);
         }
         LoadResult R =
-            runEngine(Progs, 1, 1, Clients, Requests, 8, /*SameLoop=*/false,
+            runEngine(Progs, 1, Clients, Requests, 8, /*SameLoop=*/false,
                       /*AllowFaults=*/true);
         FI.disarm();
         if (R.Seconds < Best.Seconds)
@@ -408,23 +403,13 @@ int main() {
     }
   }
 
-  // Per-shard ServeStats of the last geometry: routing spread, execution
-  // counts and the shard-local compile/frame caches.
-  std::printf("\nPer-shard ServeStats (last config):\n");
-  std::printf("%-6s %8s %8s %8s %10s %12s %12s\n", "SHARD", "progs", "loops",
+  // The engine's ServeStats row for the last geometry: execution counts
+  // and the sessions' compile/frame caches.
+  std::printf("\nServeStats (last config):\n");
+  std::printf("%-6s %8s %8s %8s %10s %12s %12s\n", "", "progs", "loops",
               "reqs", "execs", "predEvals", "frameReuse");
-  const serve::ServeStats &SS = Last.Stats;
-  for (size_t I = 0; I < SS.Shards.size(); ++I) {
-    const serve::ShardStats &S = SS.Shards[I];
-    std::printf("%-6zu %8zu %8zu %8llu %10llu %12llu %12llu\n", I, S.Programs,
-                S.PreparedLoops, static_cast<unsigned long long>(S.Completed),
-                static_cast<unsigned long long>(S.Executions),
-                static_cast<unsigned long long>(S.Exec.CompiledPredEvals),
-                static_cast<unsigned long long>(
-                    S.Exec.FrameRebindsSkipped));
-  }
-  serve::ShardStats T = SS.totals();
-  std::printf("%-6s %8zu %8zu %8llu %10llu %12llu %12llu\n", "total",
+  serve::ShardStats T = Last.Stats.totals();
+  std::printf("%-6s %8zu %8zu %8llu %10llu %12llu %12llu\n", "engine",
               T.Programs, T.PreparedLoops,
               static_cast<unsigned long long>(T.Completed),
               static_cast<unsigned long long>(T.Executions),

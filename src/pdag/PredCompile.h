@@ -244,14 +244,6 @@ public:
   /// the access shape the block tier's fused gathers accelerate; the Auto
   /// governor requires it.
   bool bodyHasVarArrayLoad() const { return BodyHasVarLoad; }
-  /// Frame-stack slots (stack entries across the tri-state and expression
-  /// stacks) the exact-depth precompute saves per bound frame, relative to
-  /// the old code-length-based over-allocation. Surfaced through
-  /// rt::FramePoolOf stats.
-  size_t frameStackSlotsSaved() const {
-    return (PCode.size() + 2 - PMaxDepth) + (XCode.size() + 1 - XMaxDepth);
-  }
-
   /// Governor ordering key: loop depth dominates, bytecode length breaks
   /// ties (cheapest-first stage scheduling, Sec. 3.5 cascade ordering).
   uint64_t costEstimate() const {

@@ -21,8 +21,8 @@
 ///    of rt/BodyCode.h), bundled so an execution can check one context
 ///    out, run, and return it.
 ///
-/// Thread-safety contract (the serving layer's concurrent intra-shard
-/// execution builds on this):
+/// Thread-safety contract (the serving layer's concurrent execution
+/// within one session builds on this):
 ///
 ///  - Compiled bytecode (pdag::CompiledPred, usr::CompiledUSR) is
 ///    immutable after compilation and may be evaluated from any number of
@@ -162,32 +162,22 @@ struct PlanCascades {
 /// stamps, memo tables, prefix caches, per-worker scratch copies) per
 /// immutable CodeT. One frame per unit suffices for a single execution
 /// stream; a pool must only be used by one execution at a time (see
-/// ExecContext). size()/stackSlotsSaved() alone are safe to read
-/// concurrently (stats snapshots) via the mirrored atomics.
+/// ExecContext). size() alone is safe to read concurrently (stats
+/// snapshots) via the mirrored atomic.
 template <class CodeT, class FrameT> class FramePoolOf {
 public:
   FrameT &frameFor(const CodeT *Code) {
     auto R = Frames.try_emplace(Code);
-    if (R.second) {
+    if (R.second)
       Count.store(Frames.size(), std::memory_order_relaxed);
-      Saved.fetch_add(Code->frameStackSlotsSaved(),
-                      std::memory_order_relaxed);
-    }
     return R.first->second;
   }
   size_t size() const { return Count.load(std::memory_order_relaxed); }
-  /// Stack slots the compiled units' exact-depth precompute saved across
-  /// every frame pooled here, relative to the old code-length-based
-  /// sizing (CodeT::frameStackSlotsSaved summed over distinct units).
-  size_t stackSlotsSaved() const {
-    return Saved.load(std::memory_order_relaxed);
-  }
 
 private:
   std::unordered_map<const CodeT *, FrameT> Frames;
   /// Mirrors Frames.size() so concurrent stats snapshots need no lock.
   std::atomic<size_t> Count{0};
-  std::atomic<size_t> Saved{0};
 };
 
 /// Pooled per-predicate evaluation frames (cascade stages).

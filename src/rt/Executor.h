@@ -123,7 +123,7 @@ struct ExecStats {
   /// Accumulates \p O into this: times and event counters sum, the
   /// boolean outcomes OR (e.g. `RanParallel` means "any accumulated
   /// execution ran parallel") and CascadeDepthUsed keeps the deepest
-  /// stage. The serving layer folds per-request stats into per-shard
+  /// stage. The serving layer folds per-request stats into engine-wide
   /// totals with this.
   ExecStats &operator+=(const ExecStats &O) {
     if (Aborted == AbortReason::None)
@@ -247,7 +247,7 @@ private:
 /// tier yields the same Memory. The call mutates nothing but \p M, \p B,
 /// \p Ctx and the internally synchronized caches, so concurrent calls are
 /// safe as long as every caller brings its own Memory/Bindings/ExecContext
-/// (the serving layer's intra-shard concurrency contract).
+/// (the serving layer's within-session concurrency contract).
 ExecStats runPlanned(const analysis::LoopPlan &Plan, const PlanCascades &Pre,
                      const CompiledBody *Body, Memory &M, sym::Bindings &B,
                      ThreadPool &Pool, ExecContext &Ctx, HoistCache &Hoist,

@@ -41,7 +41,6 @@ const char *halo::serve::statusName(Status S) {
 namespace {
 
 EngineOptions sanitized(EngineOptions O) {
-  O.Shards = std::max(1u, O.Shards);
   O.Workers = std::max(1u, O.Workers);
   O.QueueCapacity = std::max<size_t>(1, O.QueueCapacity);
   return O;
@@ -116,16 +115,9 @@ Engine::ExclusiveHold Engine::quiesce() { return ExclusiveHold(*this); }
 Engine::Engine(EngineOptions O)
     : Opts(sanitized(std::move(O))), Queue(Opts.QueueCapacity),
       Workers(Opts.Workers, ThreadPool::SingleThread::Spawn) {
-  Shards.reserve(Opts.Shards);
-  for (unsigned I = 0; I != Opts.Shards; ++I)
-    Shards.push_back(std::make_unique<Shard>());
   PerWorker.reserve(Opts.Workers);
-  for (unsigned W = 0; W != Opts.Workers; ++W) {
+  for (unsigned W = 0; W != Opts.Workers; ++W)
     PerWorker.push_back(std::make_unique<WorkerCounters>());
-    WorkerCounters &WC = *PerWorker.back();
-    support::MutexLock L(WC.M);
-    WC.Shards.resize(Opts.Shards);
-  }
   // Every worker becomes a drainer of the request queue for the engine's
   // whole lifetime; the pool is dedicated to that (one drainLoop per
   // worker, which also stamps the thread with its accumulator index).
@@ -170,7 +162,36 @@ Engine::WorkerCounters &Engine::myCounters() {
 
 ProgramId Engine::addProgram(ir::Program &Prog, usr::USRContext &Ctx) {
   ExclusiveSection Cfg(*this);
-  Programs.push_back(ProgramEntry{&Prog, &Ctx});
+  auto Sess = std::make_unique<session::Session>(Prog, Ctx, Opts.Session);
+  // Warm-start: offer the plan cache to the fresh session while we hold
+  // the exclusive gate (loading interns into the shared contexts). The
+  // file is read and framed once, by the first program registered; later
+  // sessions get the framed chunks, and a session of a program the stream
+  // was not saved from decodes none of it. Every failure mode — absent
+  // file, version skew, corruption — degrades to a cold start; prepare()
+  // then simply finds nothing to adopt.
+  if (!Opts.PlanCachePath.empty()) {
+    if (!PlanCache) {
+      PlanCache.emplace();
+      std::ifstream PlanIn(Opts.PlanCachePath, std::ios::binary);
+      if (PlanIn) {
+        try {
+          *PlanCache = plan::frame(PlanIn);
+        } catch (const support::ValidationError &) {
+          // Unreadable: every session of this engine starts cold.
+        }
+      }
+    }
+    try {
+      if (!PlanCache->empty())
+        (void)Sess->loadPlans(*PlanCache);
+    } catch (const support::ValidationError &) {
+      // A stream that fails to decode is dropped, so no later session
+      // retries it; the next savePlans regenerates it.
+      PlanCache->clear();
+    }
+  }
+  Programs.push_back(ProgramEntry{std::move(Sess), {}});
   return static_cast<ProgramId>(Programs.size() - 1);
 }
 
@@ -179,75 +200,19 @@ Engine::prepareImpl(ProgramId Program, const ir::DoLoop &Loop,
                     const analysis::AnalyzerOptions *AOpts) {
   ExclusiveSection Cfg(*this);
   ProgramEntry &PE = Programs.at(Program);
-  // Label collision check before touching any session: the label is the
-  // routing address, and two different loops behind one address would
-  // silently send findLoop traffic to whichever prepared last. The
-  // program's session re-checks its own view of prepared loops.
-  auto Key = std::make_pair(Program, Loop.getLabel());
-  auto It = Labels.find(Key);
-  if (It != Labels.end() && It->second != &Loop)
-    throw std::invalid_argument(
-        "duplicate loop label '" + Loop.getLabel() +
-        "': a different loop of this program is already prepared under it");
-  Shard &S = *Shards[shardOf(Program)];
-  session::Session *Sess;
-  {
-    support::MutexLock SL(S.M);
-    auto It = S.Sessions.find(Program);
-    Sess = It == S.Sessions.end() ? nullptr : It->second.get();
-  }
-  if (!Sess) {
-    // Build and warm-start the session outside the shard mutex (the
-    // config-exclusive phase already serializes prepares), then publish
-    // it under S.M — the shard mutex covers map access only and is never
-    // held across analysis or execution.
-    auto NewSess = std::make_unique<session::Session>(*PE.Prog, *PE.Ctx,
-                                                      Opts.Session);
-    // Warm-start: offer the plan cache to the fresh session while we hold
-    // the exclusive gate (loading interns into the shared contexts). The
-    // file is read and framed once, by the first session that needs it;
-    // later sessions get the framed chunks, and a session of a program
-    // the stream was not saved from decodes none of it. Every failure
-    // mode — absent file, version skew, corruption — degrades to a cold
-    // start; prepare() below then simply finds nothing to adopt.
-    if (!Opts.PlanCachePath.empty()) {
-      if (!PlanCache) {
-        PlanCache.emplace();
-        std::ifstream PlanIn(Opts.PlanCachePath, std::ios::binary);
-        if (PlanIn) {
-          try {
-            *PlanCache = plan::frame(PlanIn);
-          } catch (const support::ValidationError &) {
-            // Unreadable: every session of this engine starts cold.
-          }
-        }
-      }
-      try {
-        if (!PlanCache->empty())
-          (void)NewSess->loadPlans(*PlanCache);
-      } catch (const support::ValidationError &) {
-        // A stream that fails to decode is dropped, so no later session
-        // retries it; the next savePlans regenerates it.
-        PlanCache->clear();
-      }
-    }
-    Sess = NewSess.get();
-    support::MutexLock SL(S.M);
-    S.Sessions[Program] = std::move(NewSess);
-  }
+  // The session rejects a second loop under a prepared label before any
+  // analysis: the label is the findLoop address.
   const session::PreparedLoop &PL =
-      AOpts ? Sess->prepare(Loop, *AOpts) : Sess->prepare(Loop);
-  Labels[std::move(Key)] = &Loop;
+      AOpts ? PE.Sess->prepare(Loop, *AOpts) : PE.Sess->prepare(Loop);
   // A fresh (or re-)prepare starts the loop with a closed breaker: the
   // failure history belongs to the plan that produced it, and this call
   // just replaced the plan.
-  std::unique_ptr<Breaker> &BrSlot = Breakers[{Program, &Loop}];
-  if (!BrSlot)
-    BrSlot = std::make_unique<Breaker>();
-  else {
-    BrSlot->State.store(BrClosed, std::memory_order_relaxed);
-    BrSlot->Fails.store(0, std::memory_order_relaxed);
-    BrSlot->OpenServed.store(0, std::memory_order_relaxed);
+  auto [BIt, Fresh] = PE.Breakers.try_emplace(&Loop);
+  if (!Fresh) {
+    Breaker &Br = BIt->second;
+    Br.State.store(BrClosed, std::memory_order_relaxed);
+    Br.Fails.store(0, std::memory_order_relaxed);
+    Br.OpenServed.store(0, std::memory_order_relaxed);
   }
   return PL;
 }
@@ -266,19 +231,13 @@ const session::PreparedLoop &Engine::prepare(ProgramId Program,
 const ir::DoLoop *Engine::findLoop(ProgramId Program,
                                    std::string_view Label) const {
   support::SharedLock Cfg(ConfigLock);
-  auto It = Labels.find({Program, std::string(Label)});
-  return It == Labels.end() ? nullptr : It->second;
-}
-
-unsigned Engine::shardOf(ProgramId Program) const {
-  // Route by program alone: all of a program's loops share one session —
-  // one compile cache, one plan-cache decode — and consecutive program
-  // ids land on consecutive shards.
-  return static_cast<unsigned>(Program % Shards.size());
+  return Program < Programs.size()
+             ? Programs[Program].Sess->findPreparedLoop(Label)
+             : nullptr;
 }
 
 //===----------------------------------------------------------------------===//
-// Request processing (config-shared, no shard-wide execution lock)
+// Request processing (config-shared, no engine lock across execution)
 //===----------------------------------------------------------------------===//
 
 void Engine::finishOne() {
@@ -305,20 +264,14 @@ Response Engine::process(const Request &R) {
 
   // Dequeue shed: a request that is already dead is classified and
   // counted without touching the gate, the config lock, or any session.
-  // shardOf reads only the immutable shard array, so attribution is safe
-  // here (unroutable requests attribute to shard 0).
   if (support::stopRequested(Tok)) {
     const bool Exp =
         Tok->state() == support::CancelToken::State::Expired;
     Resp.St = Exp ? Status::Expired : Status::Cancelled;
     Resp.Error = Exp ? "deadline expired before execution"
                      : "cancelled before execution";
-    const unsigned SI = R.Loop ? shardOf(R.Program) : 0;
-    if (R.Loop)
-      Resp.Shard = SI;
     support::MutexLock L(WC.M);
-    ShardStats &SC = WC.Shards[SI];
-    ++(Exp ? SC.Expired : SC.Cancelled);
+    ++(Exp ? WC.Row.Expired : WC.Row.Cancelled);
     return Resp;
   }
 
@@ -334,7 +287,7 @@ Response Engine::process(const Request &R) {
   }
   // Shared: excludes addProgram/prepare (which intern into the shared
   // contexts) but runs concurrently with every other request — including
-  // requests for the same loop on the same shard.
+  // requests for the same loop.
   support::SharedLock Cfg(ConfigLock);
   if (R.Program >= Programs.size() || !R.Loop) {
     support::MutexLock L(FinMutex);
@@ -342,24 +295,13 @@ Response Engine::process(const Request &R) {
     Resp.Error = R.Loop ? "unknown program id" : "null loop";
     return Resp;
   }
-  const unsigned SI = shardOf(R.Program);
-  Resp.Shard = SI;
-  Shard &S = *Shards[SI];
+  ProgramEntry &PE = Programs[R.Program];
+  session::Session &Sess = *PE.Sess;
   auto CountFailed = [&] {
     support::MutexLock L(WC.M);
-    ++WC.Shards[SI].Failed;
+    ++WC.Row.Failed;
   };
-  session::Session *Sess;
-  {
-    // The only shard-wide lock on this path, and it covers exactly the
-    // session-map lookup (the map mutates only under the exclusive
-    // config lock; the narrow mutex keeps the lookup defensive and
-    // documents the boundary).
-    support::MutexLock SL(S.M);
-    auto It = S.Sessions.find(R.Program);
-    Sess = It == S.Sessions.end() ? nullptr : It->second.get();
-  }
-  if (!Sess || !Sess->isPrepared(*R.Loop)) {
+  if (!Sess.isPrepared(*R.Loop)) {
     CountFailed();
     Resp.Error = "loop was never prepared on this engine";
     return Resp;
@@ -382,7 +324,7 @@ Response Engine::process(const Request &R) {
         const bool Exp =
             Tok->state() == support::CancelToken::State::Expired;
         support::MutexLock L(WC.M);
-        ShardStats &SC = WC.Shards[SI];
+        ShardStats &SC = WC.Row;
         ++(Exp ? SC.Expired : SC.Cancelled);
         SC.DegradedExecs += E;
         Resp.Stats.clear();
@@ -391,13 +333,12 @@ Response Engine::process(const Request &R) {
                          : "cancelled during degraded execution";
         return Resp;
       }
-      Resp.Stats.push_back(Sess->runSequential(*R.Loop, *R.M, *R.B));
+      Resp.Stats.push_back(Sess.runSequential(*R.Loop, *R.M, *R.B));
     }
     {
       support::MutexLock L(WC.M);
-      ShardStats &SC = WC.Shards[SI];
-      ++SC.Completed;
-      SC.DegradedExecs += Repeats;
+      ++WC.Row.Completed;
+      WC.Row.DegradedExecs += Repeats;
     }
     Resp.OK = true;
     Resp.St = Status::DegradedOk;
@@ -409,9 +350,9 @@ Response Engine::process(const Request &R) {
   // the machinery entirely.
   Breaker *Br = nullptr;
   if (Opts.BreakerThreshold) {
-    auto BIt = Breakers.find({R.Program, R.Loop});
-    if (BIt != Breakers.end())
-      Br = BIt->second.get();
+    auto BIt = PE.Breakers.find(R.Loop);
+    if (BIt != PE.Breakers.end())
+      Br = &BIt->second;
   }
   bool Probe = false;
   if (Br) {
@@ -496,7 +437,7 @@ Response Engine::process(const Request &R) {
     FeedBreaker(MidRun && Exp ? BrOutcome::Failure
                               : BrOutcome::Inconclusive);
     support::MutexLock L(WC.M);
-    ShardStats &SC = WC.Shards[SI];
+    ShardStats &SC = WC.Row;
     ++(Exp ? SC.Expired : SC.Cancelled);
     SC.Executions += ExecsDone;
     SC.Exec += Acc;
@@ -527,7 +468,7 @@ Response Engine::process(const Request &R) {
         // re-prepare.
         std::optional<rt::ExecStats> St;
         if (!support::faultHit("serve.process.transient"))
-          St = Sess->runPrepared(*R.Loop, *R.M, *R.B, Tok);
+          St = Sess.runPrepared(*R.Loop, *R.M, *R.B, Tok);
         if (St && St->Aborted != rt::ExecStats::AbortReason::None)
           return FinishAborted(St->Aborted ==
                                    rt::ExecStats::AbortReason::Expired,
@@ -563,10 +504,10 @@ Response Engine::process(const Request &R) {
   FeedBreaker(Out == Status::Ok ? BrOutcome::Success : BrOutcome::Failure);
   {
     // Publish once per request into this worker's own accumulator row —
-    // never a shard-shared counter, so N workers on one hot loop do not
+    // never a shared counter, so N workers on one hot loop do not
     // contend.
     support::MutexLock L(WC.M);
-    ShardStats &SC = WC.Shards[SI];
+    ShardStats &SC = WC.Row;
     SC.Executions += ExecsDone;
     SC.Exec += Acc;
     SC.Retried += Resp.Retries;
@@ -591,6 +532,14 @@ Response Engine::process(const Request &R) {
 
 void Engine::serveTask(const Request &R,
                        const std::shared_ptr<std::promise<Response>> &Prom) {
+  // A task that throws never reached process()'s own accounting; count
+  // it here so chaos-run stats stay coherent.
+  auto CountTaskFailure = [this] {
+    WorkerCounters &WC = myCounters();
+    support::MutexLock L(WC.M);
+    ++WC.Row.Failed;
+    ++WC.Row.ExecErrors;
+  };
   Response Resp;
   try {
     // Worker-infrastructure fault point, distinct from faults inside the
@@ -600,17 +549,11 @@ void Engine::serveTask(const Request &R,
   } catch (const std::exception &Ex) {
     Resp.St = Status::ExecError;
     Resp.Error = std::string("worker task failed: ") + Ex.what();
+    CountTaskFailure();
   } catch (...) {
     Resp.St = Status::ExecError;
     Resp.Error = "worker task failed: unknown exception";
-  }
-  if (Resp.St == Status::ExecError && Resp.Shard == ~0u) {
-    // The task failed before process() could attribute a shard; account
-    // it on row/shard 0 so chaos-run stats stay coherent.
-    WorkerCounters &WC = myCounters();
-    support::MutexLock L(WC.M);
-    ++WC.Shards[0].Failed;
-    ++WC.Shards[0].ExecErrors;
+    CountTaskFailure();
   }
   Prom->set_value(std::move(Resp));
   finishOne();
@@ -690,39 +633,30 @@ ServeStats Engine::stats() const {
   }
   Out.QueueDepth = Queue.size();
   Out.PeakQueueDepth = Queue.peakDepth();
-  Out.Shards.reserve(Shards.size());
-  for (const std::unique_ptr<Shard> &SP : Shards) {
-    Shard &S = *SP;
-    ShardStats SS;
-    {
-      support::MutexLock SL(S.M);
-      SS.Programs = S.Sessions.size();
-      for (const auto &KV : S.Sessions) {
-        SS.PreparedLoops += KV.second->numPreparedLoops();
-        SS.CompiledPreds += KV.second->numCompiledPreds();
-        SS.CompiledUSRs += KV.second->numCompiledUSRs();
-        SS.PooledFrames += KV.second->numPooledFrames();
-        SS.ExecContexts += KV.second->numExecContexts();
-        SS.PlansWarmStarted += KV.second->numPlansWarmStarted();
-      }
-    }
-    Out.Shards.push_back(std::move(SS));
+  ShardStats T;
+  T.Programs = Programs.size();
+  for (const ProgramEntry &PE : Programs) {
+    const session::Session &S = *PE.Sess;
+    T.PreparedLoops += S.numPreparedLoops();
+    T.CompiledPreds += S.numCompiledPreds();
+    T.CompiledUSRs += S.numCompiledUSRs();
+    T.PooledFrames += S.numPooledFrames();
+    T.ExecContexts += S.numExecContexts();
+    T.PlansWarmStarted += S.numPlansWarmStarted();
   }
-  // Merge every worker's accumulator rows. A worker holds its row mutex
+  // Merge every worker's accumulator row. A worker holds its row mutex
   // only for the += at the end of a request, so this snapshot neither
   // blocks nor skews serving.
   for (const std::unique_ptr<WorkerCounters> &WCP : PerWorker) {
     WorkerCounters &WC = *WCP;
     support::MutexLock L(WC.M);
-    for (size_t SI = 0; SI < WC.Shards.size(); ++SI)
-      Out.Shards[SI] += WC.Shards[SI];
+    T += WC.Row;
   }
-  // Engine-wide robustness counters, summed over the shard rows.
-  const ShardStats T = Out.totals();
   Out.Expired = T.Expired;
   Out.Cancelled = T.Cancelled;
   Out.Retried = T.Retried;
   Out.BreakerOpen = T.BreakerOpen;
   Out.DegradedExecs = T.DegradedExecs;
+  Out.Shards.push_back(std::move(T));
   return Out;
 }

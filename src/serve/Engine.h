@@ -13,20 +13,19 @@
 /// made that one-program and single-threaded. The engine makes it
 /// concurrent and multi-program:
 ///
-///  - it owns N *shards*, each wrapping per-program sessions with their
-///    own plan / predicate-compile / USR-compile caches (shard-local for
-///    cache warmth, internally synchronized for the execute path — see
-///    the contract in rt/CompiledCascade.h);
-///  - every request for a program is routed to that program's shard
-///    (program id modulo the shard count), so each program has exactly
-///    one session — one compile cache, one plan-cache decode — and every
-///    request for a loop lands where its caches are warm;
+///  - it keeps a program table: addProgram() gives each program exactly
+///    one session, which owns every cache the program's requests use —
+///    its plans and its predicate-compile, USR-compile and HOIST-USR
+///    caches (internally synchronized for the execute path — see the
+///    contract in rt/CompiledCascade.h) — so one analysis, one compile
+///    cache and one plan-cache decode serve all of the program's
+///    traffic;
 ///  - submit()/submitBatch() enqueue execution requests onto a bounded
 ///    MPMC work queue (support/ThreadPool.h BoundedWorkQueue) drained by
 ///    a pool of worker threads; push-side backpressure (submit blocks at
 ///    capacity, trySubmit sheds load) bounds memory under overload;
 ///  - ServeStats aggregates the per-execution rt::ExecStats into
-///    per-shard and engine-wide totals.
+///    engine-wide totals.
 ///
 /// Concurrency contract (machine-checked: the locks below are
 /// support/Sync.h capabilities, the guarded fields carry HALO_GUARDED_BY,
@@ -40,10 +39,9 @@
 ///     A condition-variable gate parks workers (no spinning) while an
 ///     exclusive phase is pending or active, giving warm-up writer
 ///     preference over a saturated serving plane.
-///  2. Workers take the config lock *shared* per request. The shard
-///     mutex guards only the session-map lookup; the execution itself
-///     runs with NO shard-wide lock held, so one hot prepared loop is
-///     served by every worker at once (intra-shard concurrency).
+///  2. Workers take the config lock *shared* per request and hold no
+///     other engine lock while executing, so one hot prepared loop is
+///     served by every worker at once.
 ///  3. Requests execute through Session::runPrepared(), which never
 ///     analyzes and is safe for concurrent callers: immutable
 ///     PreparedLoop plans, per-execution rt::ExecContext leases, and
@@ -94,35 +92,29 @@ using ProgramId = uint32_t;
 
 /// Engine sizing knobs, fixed at construction.
 struct EngineOptions {
-  /// Number of shards (independent session groups). Each program is
-  /// routed to one shard (Engine::shardOf), so it has exactly one session;
-  /// shards partition the programs' cache working sets. Since executions
-  /// no longer serialize per shard, more shards buy cache locality, not
-  /// concurrency (workers do that).
-  unsigned Shards = 4;
   /// Worker threads draining the request queue. This is the execution
   /// concurrency — even a single (program, loop) can be served by all
   /// workers at once.
   unsigned Workers = 2;
   /// Bounded request-queue capacity (the backpressure point).
   size_t QueueCapacity = 256;
-  /// Template for every shard session. Threads defaults to 1 here (unlike
-  /// a standalone session): serving-side parallelism comes from workers,
-  /// not from fan-out inside one request.
+  /// Template for every program's session. Threads defaults to 1 here
+  /// (unlike a standalone session): serving-side parallelism comes from
+  /// workers, not from fan-out inside one request.
   session::SessionOptions Session;
 
   /// Warm-start: path of a .hplan plan-cache stream (plan/Plan.h). The
-  /// engine reads and frames the file once, when the first session is
-  /// created, and offers the framed stream to every session at its
-  /// creation (under the same writer-preference exclusive gate prepare()
-  /// takes); the file is not read again, so replacing or deleting it
-  /// later changes nothing for this engine. A session decodes only the
-  /// plans whose label names a loop of its program — a stream saved from
-  /// another program costs it a label peek. Prepared loops whose label
-  /// and re-derived plan key match a loaded plan skip full analysis;
-  /// everything else cold-starts exactly as without the file. A missing,
-  /// stale (version-skewed) or corrupt file degrades to a cold start — it
-  /// never fails engine construction or prepare(). Empty (default)
+  /// engine reads and frames the file once, at the first addProgram(),
+  /// and offers the framed stream to each program's session as
+  /// addProgram() creates it (under the same writer-preference exclusive
+  /// gate prepare() takes); the file is not read again, so replacing or
+  /// deleting it later changes nothing for this engine. A session decodes
+  /// only the plans whose label names a loop of its program — a stream
+  /// saved from another program costs it a label peek. Prepared loops
+  /// whose label and re-derived plan key match a loaded plan skip full
+  /// analysis; everything else cold-starts exactly as without the file. A
+  /// missing, stale (version-skewed) or corrupt file degrades to a cold
+  /// start — it never fails addProgram() or prepare(). Empty (default)
   /// disables warm-start.
   std::string PlanCachePath;
 
@@ -207,9 +199,6 @@ struct Response {
   /// Why the request failed (set iff OK is false): unknown program id,
   /// loop never prepared, null dataset, expired, cancelled, exec error.
   std::string Error;
-  /// Shard that served (or would have served) the request; ~0u when the
-  /// request was unroutable (unknown program / null loop).
-  unsigned Shard = ~0u;
   /// Transient-failure retries this request consumed across its repeats.
   unsigned Retries = 0;
   /// Per-repeat execution stats, in order. Populated only when OK is
@@ -218,12 +207,15 @@ struct Response {
   std::vector<rt::ExecStats> Stats;
 };
 
-/// Per-shard serving totals (a snapshot; see Engine::stats).
+/// Serving totals (a snapshot; see Engine::stats). Each engine worker
+/// accumulates one of these rows; stats() merges them into the
+/// engine-wide row.
 struct ShardStats {
   uint64_t Completed = 0;  ///< Requests served successfully (Ok or
                            ///< DegradedOk).
-  uint64_t Failed = 0;     ///< Requests that failed shard-side validation
-                           ///< or exhausted the execute path (ExecError).
+  uint64_t Failed = 0;     ///< Requests that failed validation after
+                           ///< the program lookup (unprepared loop, no
+                           ///< dataset) or ended ExecError.
   uint64_t Executions = 0; ///< Normal-tier loop executions (sum of served
                            ///< request repeats; degraded repeats count in
                            ///< DegradedExecs instead).
@@ -235,14 +227,14 @@ struct ShardStats {
   uint64_t DegradedExecs = 0; ///< Sequential-tier executions served while
                               ///< a breaker was open (or probing peers).
   rt::ExecStats Exec;      ///< All per-execution stats, accumulated.
-  size_t Programs = 0;      ///< Programs with a session on this shard.
-  size_t PreparedLoops = 0; ///< Plans cached across the shard's sessions.
-  size_t CompiledPreds = 0; ///< Predicates lowered by the shard's caches.
-  size_t CompiledUSRs = 0;  ///< USRs lowered by the shard's caches.
-  size_t PooledFrames = 0;  ///< Pooled predicate frames on the shard.
-  size_t ExecContexts = 0;  ///< Execution contexts created on the shard —
-                            ///< the high-water mark of concurrent
-                            ///< executions its sessions have served.
+  size_t Programs = 0;      ///< Registered programs (one session each).
+  size_t PreparedLoops = 0; ///< Plans cached across the sessions.
+  size_t CompiledPreds = 0; ///< Predicates lowered by the sessions' caches.
+  size_t CompiledUSRs = 0;  ///< USRs lowered by the sessions' caches.
+  size_t PooledFrames = 0;  ///< Pooled predicate frames, all sessions.
+  size_t ExecContexts = 0;  ///< Execution contexts the sessions created —
+                            ///< per session, the high-water mark of its
+                            ///< concurrent executions.
   size_t PlansWarmStarted = 0; ///< Plans adopted from the engine's plan
                                ///< cache (EngineOptions::PlanCachePath)
                                ///< instead of analyzed.
@@ -273,17 +265,22 @@ struct ShardStats {
 struct ServeStats {
   uint64_t Submitted = 0;  ///< Requests accepted onto the queue.
   uint64_t Rejected = 0;   ///< trySubmit loads shed at capacity.
-  uint64_t Unroutable = 0; ///< Requests with no valid shard target.
-  uint64_t Expired = 0;    ///< Deadline-shed/unwound requests (all shards).
-  uint64_t Cancelled = 0;  ///< Token-stopped requests (all shards).
-  uint64_t Retried = 0;    ///< Transient-failure retries (all shards).
-  uint64_t BreakerOpen = 0;    ///< Breaker open transitions (all shards).
-  uint64_t DegradedExecs = 0;  ///< Degraded-tier executions (all shards).
+  uint64_t Unroutable = 0; ///< Requests naming no registered program, or
+                           ///< a null loop.
+  uint64_t Expired = 0;    ///< Deadline-shed/unwound requests.
+  uint64_t Cancelled = 0;  ///< Token-stopped requests.
+  uint64_t Retried = 0;    ///< Transient-failure retries.
+  uint64_t BreakerOpen = 0;    ///< Breaker open transitions.
+  uint64_t DegradedExecs = 0;  ///< Degraded-tier executions.
   size_t QueueDepth = 0;     ///< Requests queued right now.
   size_t PeakQueueDepth = 0; ///< Queue high-water mark since construction.
-  std::vector<ShardStats> Shards; ///< One entry per shard, in shard order.
+  /// Exactly one entry: the engine-wide row. It stays a vector, under its
+  /// old per-shard name, only because perfbench/src/ServeMix.cpp reads
+  /// it; once perfbench drops its shard-skew metric this can become a
+  /// single ShardStats.
+  std::vector<ShardStats> Shards;
 
-  /// Sums the per-shard entries.
+  /// Sums the entries of Shards (the engine-wide row).
   ShardStats totals() const {
     ShardStats T;
     for (const ShardStats &S : Shards)
@@ -293,7 +290,7 @@ struct ServeStats {
 };
 
 /// The thread-safe multi-program serving engine. See the file comment for
-/// the shard/queue architecture and the concurrency contract.
+/// the program-table/queue architecture and the concurrency contract.
 class Engine {
 public:
   explicit Engine(EngineOptions Opts = EngineOptions());
@@ -311,39 +308,37 @@ public:
   Engine(const Engine &) = delete;
   Engine &operator=(const Engine &) = delete;
 
-  /// Registers a program for serving and returns its handle. \p Prog and
-  /// \p Ctx must outlive the engine. Takes the config lock exclusively
-  /// (waits for in-flight requests; see the concurrency contract).
+  /// Registers a program for serving and returns its handle: creates the
+  /// program's one session and offers it the plan cache
+  /// (EngineOptions::PlanCachePath). \p Prog and \p Ctx must outlive the
+  /// engine. Takes the config lock exclusively (waits for in-flight
+  /// requests; see the concurrency contract).
   ProgramId addProgram(ir::Program &Prog, usr::USRContext &Ctx)
       HALO_EXCLUDES(ConfigLock);
 
-  /// Analyzes \p Loop once, in the session of its owning shard, and
-  /// registers it for serving (the warm-up step: plans, compiled
-  /// cascades, compiled USRs and frames are all built here, so no served
-  /// request ever analyzes). Takes the config lock exclusively. Invalid
-  /// \p Program throws std::out_of_range; a label collision (a
-  /// *different* loop of the same program already registered under this
-  /// IR label) throws std::invalid_argument instead of silently
-  /// re-routing the label's traffic.
+  /// Analyzes \p Loop once, in its program's session, and registers it
+  /// for serving (the warm-up step: plans, compiled cascades, compiled
+  /// USRs and frames are all built here, so no served request ever
+  /// analyzes). Takes the config lock exclusively. Invalid \p Program
+  /// throws std::out_of_range; a label collision (a *different* loop of
+  /// the same program already prepared under this IR label) throws the
+  /// session's std::invalid_argument, before any analysis, instead of
+  /// silently re-routing the label's traffic.
   const session::PreparedLoop &
   prepare(ProgramId Program, const ir::DoLoop &Loop,
           const analysis::AnalyzerOptions &Opts) HALO_EXCLUDES(ConfigLock);
-  /// Same with the shard session's default analyzer options.
+  /// Same with the session's default analyzer options.
   const session::PreparedLoop &
   prepare(ProgramId Program, const ir::DoLoop &Loop)
       HALO_EXCLUDES(ConfigLock);
 
   /// Finds a prepared loop by (program, IR label) — the engine's loop-id
   /// addressing for clients that do not hold IR pointers. Returns nullptr
-  /// for unknown ids. Labels are collision-checked at prepare time, so a
-  /// non-null result is the unique loop serving that label.
+  /// for unknown ids. The program's session collision-checks labels at
+  /// prepare time (Session::findPreparedLoop), so a non-null result is the
+  /// unique loop serving that label.
   const ir::DoLoop *findLoop(ProgramId Program, std::string_view Label)
       const HALO_EXCLUDES(ConfigLock);
-
-  /// Shard that every request for \p Program is routed to: all of a
-  /// program's loops live in that shard's one session for the program.
-  unsigned shardOf(ProgramId Program) const;
-  unsigned numShards() const { return static_cast<unsigned>(Shards.size()); }
 
   /// Enqueues \p R, blocking while the queue is at capacity
   /// (backpressure). The future resolves once a worker served the
@@ -390,31 +385,18 @@ public:
   /// stats() while holding it.
   ExclusiveHold quiesce() HALO_EXCLUDES(ConfigLock);
 
-  /// Snapshot of the serving counters, per shard and engine-wide.
+  /// Snapshot of the engine-wide serving counters.
   ServeStats stats() const HALO_EXCLUDES(ConfigLock);
 
 private:
-  /// One shard: per-program sessions. The mutex guards only the map
-  /// lookup; executions run outside it (sessions are internally safe for
-  /// concurrent runPrepared). The map itself is only mutated during
-  /// config-exclusive phases.
-  struct Shard {
-    support::Mutex M;
-    std::map<ProgramId, std::unique_ptr<session::Session>> Sessions
-        HALO_GUARDED_BY(M);
-  };
-  struct ProgramEntry {
-    ir::Program *Prog = nullptr;
-    usr::USRContext *Ctx = nullptr;
-  };
-  /// One worker's accumulators, one row per shard: the per-request
-  /// counters of ShardStats (its gauge fields stay zero in worker rows;
-  /// stats() fills them from the sessions). The mutex is owned by that
-  /// worker in practice (contention-free on the serving path) and taken
-  /// by stats() snapshots only.
+  /// One worker's accumulator row: the per-request counters of ShardStats
+  /// (its gauge fields stay zero in worker rows; stats() fills them from
+  /// the sessions). The mutex is owned by that worker in practice
+  /// (contention-free on the serving path) and taken by stats() snapshots
+  /// only.
   struct WorkerCounters {
     support::Mutex M;
-    std::vector<ShardStats> Shards HALO_GUARDED_BY(M);
+    ShardStats Row HALO_GUARDED_BY(M);
   };
   /// RAII writer-preference section: raises the gate (parking workers),
   /// takes the config lock exclusively, releases both on destruction.
@@ -434,6 +416,16 @@ private:
     /// EngineOptions::BreakerCooldown triggers the half-open probe.
     std::atomic<uint32_t> OpenServed{0};
   };
+  /// One registered program. Its session holds the program's IR and
+  /// contexts and every cache its requests use; it exists from
+  /// addProgram() on. Entries are appended, and their breakers inserted
+  /// or reset, only under the exclusive config lock; the serving path
+  /// reads them under the shared lock.
+  struct ProgramEntry {
+    std::unique_ptr<session::Session> Sess;
+    /// Prepared loop -> circuit breaker (node-based: entries never move).
+    std::map<const ir::DoLoop *, Breaker> Breakers;
+  };
 
   const session::PreparedLoop &
   prepareImpl(ProgramId Program, const ir::DoLoop &Loop,
@@ -450,7 +442,7 @@ private:
   /// The long-running per-worker drain loop (records worker identity so
   /// process() can find its accumulator without shared state).
   void drainLoop(unsigned Worker);
-  /// The calling worker's accumulator row set.
+  /// The calling worker's accumulator row.
   WorkerCounters &myCounters();
 
   EngineOptions Opts;
@@ -469,25 +461,15 @@ private:
   mutable support::Mutex GateM;
   mutable support::CondVar GateCv;
   std::atomic<unsigned> PendingExclusive{0};
+  /// The program table, indexed by ProgramId.
   std::vector<ProgramEntry> Programs HALO_GUARDED_BY(ConfigLock);
-  /// (program, loop label) -> prepared loop, for id-based addressing.
-  /// Collision-checked at prepare time.
-  std::map<std::pair<ProgramId, std::string>, const ir::DoLoop *> Labels
-      HALO_GUARDED_BY(ConfigLock);
-  /// (program, loop) -> circuit breaker. Like Labels: inserted/reset only
-  /// under the exclusive config lock (prepare), looked up under the
-  /// shared lock; the Breaker's own fields are atomics.
-  std::map<std::pair<ProgramId, const ir::DoLoop *>,
-           std::unique_ptr<Breaker>>
-      Breakers HALO_GUARDED_BY(ConfigLock);
   /// The framed EngineOptions::PlanCachePath stream: unset until the
-  /// first session is created with a path set, empty when the file was
+  /// first addProgram() with a path set, empty when the file was
   /// unreadable or failed to decode. Read and written only under the
   /// exclusive config lock.
   std::optional<std::vector<plan::Chunk>> PlanCache
       HALO_GUARDED_BY(ConfigLock);
-  std::vector<std::unique_ptr<Shard>> Shards;
-  /// One accumulator set per worker, created up front (index == worker).
+  /// One accumulator row per worker, created up front (index == worker).
   std::vector<std::unique_ptr<WorkerCounters>> PerWorker;
   BoundedWorkQueue Queue;
 

@@ -386,14 +386,6 @@ size_t Session::numPooledFrames() const {
   return N;
 }
 
-size_t Session::pooledFrameSlotsSaved() const {
-  support::MutexLock L(CtxMutex);
-  size_t N = 0;
-  for (const std::unique_ptr<rt::ExecContext> &C : Contexts)
-    N += C->Frames.stackSlotsSaved() + C->UsrFrames.stackSlotsSaved();
-  return N;
-}
-
 size_t Session::numExecContexts() const {
   support::MutexLock L(CtxMutex);
   return Contexts.size();

@@ -283,10 +283,6 @@ public:
   /// Number of pooled per-predicate evaluation frames, summed over every
   /// execution context the session has created.
   size_t numPooledFrames() const HALO_EXCLUDES(CtxMutex);
-  /// Stack slots the exact-depth frame sizing saved across every pooled
-  /// predicate and USR frame (vs. the old code-length-based bound),
-  /// summed over every execution context.
-  size_t pooledFrameSlotsSaved() const HALO_EXCLUDES(CtxMutex);
   /// Number of rt::ExecContexts created so far — its high-water mark is
   /// the session's peak execution concurrency.
   size_t numExecContexts() const HALO_EXCLUDES(CtxMutex);

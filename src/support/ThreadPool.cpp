@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 
 using namespace halo;
 
@@ -154,19 +153,6 @@ void ThreadPool::run(std::function<void()> Task) {
     Tasks.push(std::move(Task));
   }
   TaskAvailable.notify_one();
-}
-
-void ThreadPool::drainQueue(BoundedWorkQueue &Q) {
-  // Misuse guard kept in release builds too: an inline pool would run the
-  // drain loop on the caller and never return.
-  if (Workers.empty())
-    throw std::logic_error(
-        "drainQueue needs real workers (SingleThread::Spawn)");
-  for (unsigned I = 0; I != NumWorkers; ++I)
-    run([&Q] {
-      while (std::function<void()> Task = Q.pop())
-        Task();
-    });
 }
 
 void ThreadPool::wait() {

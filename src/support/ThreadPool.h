@@ -111,8 +111,9 @@ class ThreadPool {
 public:
   /// Whether a 1-thread pool executes run() inline on the caller (the
   /// default, so single-threaded baselines pay no synchronization) or
-  /// still spawns a real worker (required by long-running tasks like
-  /// drainQueue(), which would otherwise block the caller forever).
+  /// still spawns a real worker (required by long-running tasks such as
+  /// serve::Engine's request-queue drainers, which would otherwise block
+  /// the caller forever).
   enum class SingleThread { Inline, Spawn };
 
   explicit ThreadPool(unsigned NumThreads,
@@ -129,14 +130,6 @@ public:
 
   /// Blocks until every enqueued task has completed.
   void wait();
-
-  /// Turns every worker into a drainer of \p Q: numThreads() long-running
-  /// tasks are spawned, each popping and executing tasks until the queue
-  /// is closed and empty. Returns immediately; close the queue and then
-  /// destroy (or wait() on) the pool to join the drainers. The pool must
-  /// have real workers (construct with SingleThread::Spawn for a 1-thread
-  /// pool) — an inline pool would execute the drain loop on the caller.
-  void drainQueue(BoundedWorkQueue &Q);
 
   /// Executes Body(I) for I in [Lo, Hi) across the pool, one contiguous
   /// block per worker, and blocks until all blocks are done.

@@ -257,10 +257,6 @@ public:
   size_t numRecurs() const { return Recurs.size(); }
   /// True when evalEmptyParallel can actually fan out.
   bool hasParallelRoot() const { return RootRecur >= 0; }
-  /// Expression-stack slots the exact-depth precompute saves per bound
-  /// frame, relative to the old code-length-based over-allocation.
-  /// Surfaced through rt::FramePoolOf stats.
-  size_t frameStackSlotsSaved() const { return XCode.size() + 1 - XMaxDepth; }
 
 private:
   CompiledUSR() = default;

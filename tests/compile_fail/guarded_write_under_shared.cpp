@@ -4,9 +4,10 @@
 // Parallelization" (Oancea & Rauchwerger, PLDI 2012).
 //
 // Violation class: writing config-lock-guarded registry state while
-// holding the lock only shared. The serving path reads Programs/Labels/
-// Breakers under a shared hold; every mutation belongs to the exclusive
-// warm-up phase. A shared-held write must not compile.
+// holding the lock only shared. The serving path reads the program table
+// (each program's session and its loops' breakers) under a shared hold;
+// every mutation belongs to the exclusive warm-up phase. A shared-held
+// write must not compile.
 //
 //===----------------------------------------------------------------------===//
 

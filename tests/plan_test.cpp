@@ -25,8 +25,9 @@
 //    another program's session (no context grows), a mixed stream stages
 //    only the loading program's loops;
 //  - engine warm-start: EngineOptions::PlanCachePath is read once per
-//    engine and offered to every session at creation, visible as
-//    ShardStats::PlansWarmStarted; only the owning program decodes it.
+//    engine and offered to each program's session as addProgram creates
+//    it, visible as ShardStats::PlansWarmStarted; only the owning program
+//    decodes it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -615,14 +616,13 @@ TEST(PlanEngine, WarmStartFromPlanCachePath) {
 
   auto C = fuzz::generate(GO);
   serve::EngineOptions EO;
-  EO.Shards = 2;
   EO.Workers = 2;
   EO.PlanCachePath = Path;
   serve::Engine E(EO);
   serve::ProgramId Id = E.addProgram(C->prog(), C->usrCtx());
   E.prepare(Id, *C->Loop);
   EXPECT_GT(E.stats().totals().PlansWarmStarted, 0u)
-      << "the shard session must adopt from the plan cache";
+      << "the program's session must adopt from the plan cache";
 
   // The warm-started plan serves requests like a cold one.
   rt::Memory M;
@@ -637,7 +637,7 @@ TEST(PlanEngine, WarmStartFromPlanCachePath) {
   EXPECT_TRUE(Resp.OK) << Resp.Error;
 
   // A corrupt cache degrades engine warm-start to a cold start — the
-  // engine must neither fail construction nor prepare().
+  // engine must neither fail addProgram() nor prepare().
   {
     std::ifstream In(Path, std::ios::binary);
     std::stringstream SS;
@@ -774,9 +774,9 @@ TEST(PlanForeign, MixedStreamStagesOnlyWantedLoops) {
 }
 
 // An engine serving several programs behind one program's cache file:
-// the file is read once, at the first session, so deleting it afterwards
-// does not stop the owner from warm-starting; the other programs'
-// contexts end exactly as a lone cold session leaves its twin's.
+// the file is read once, at the first addProgram, so deleting it
+// afterwards does not stop the owner from warm-starting; the other
+// programs' contexts end exactly as a lone cold session leaves its twin's.
 TEST(PlanForeign, EngineDecodesCacheOnlyIntoItsOwner) {
   std::string Path = ::testing::TempDir() + "plan_foreign_test.hplan";
   {
@@ -808,20 +808,19 @@ TEST(PlanForeign, EngineDecodesCacheOnlyIntoItsOwner) {
   }
   TwoLoopProgram Owner(/*WithBlocks=*/true);
   serve::EngineOptions EO;
-  EO.Shards = 2;
   EO.Workers = 1;
   EO.PlanCachePath = Path;
   serve::Engine E(EO);
   std::vector<serve::ProgramId> Ids;
-  for (auto &C : Foreign)
-    Ids.push_back(E.addProgram(C->prog(), C->usrCtx()));
+  Ids.push_back(E.addProgram(Foreign[0]->prog(), Foreign[0]->usrCtx()));
+  ASSERT_EQ(std::remove(Path.c_str()), 0);
+  Ids.push_back(E.addProgram(Foreign[1]->prog(), Foreign[1]->usrCtx()));
+  const ContextSizes OwnerBefore = sizesOf(Owner.B.usr());
   const serve::ProgramId OwnerId =
       E.addProgram(Owner.B.prog(), Owner.B.usr());
 
-  E.prepare(Ids[0], *Foreign[0]->Loop);
-  ASSERT_EQ(std::remove(Path.c_str()), 0);
-  E.prepare(Ids[1], *Foreign[1]->Loop);
-  const ContextSizes OwnerBefore = sizesOf(Owner.B.usr());
+  for (size_t I = 0; I < Foreign.size(); ++I)
+    E.prepare(Ids[I], *Foreign[I]->Loop);
   E.prepare(OwnerId, *Owner.Strided);
   E.prepare(OwnerId, *Owner.Blocks);
 

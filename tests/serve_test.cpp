@@ -4,10 +4,10 @@
 // Parallelization" (Oancea & Rauchwerger, PLDI 2012).
 //
 // The serving contract: randomized requests submitted concurrently from
-// several client threads, served by a sharded multi-program engine, must
-// produce bit-identical Memory and the same ExecStats classification as
-// executing the same requests one-by-one through a lone session::Session.
-// CI runs this suite under ThreadSanitizer (shards, the bounded MPMC
+// several client threads, served by a multi-program engine, must produce
+// bit-identical Memory and the same ExecStats classification as executing
+// the same requests one-by-one through a lone session::Session. CI runs
+// this suite under ThreadSanitizer (the program table, the bounded MPMC
 // queue, the worker pool and the config lock are the surfaces).
 //
 //===----------------------------------------------------------------------===//
@@ -145,7 +145,6 @@ void prepareAll(serve::Engine &E, std::vector<ServedProgram> &Progs,
 
 TEST(ServeEngineTest, ConcurrentSubmissionsMatchSequentialSession) {
   serve::EngineOptions EO;
-  EO.Shards = 3;
   EO.Workers = 3;
   EO.QueueCapacity = 8; // Small on purpose: exercises push backpressure.
   EO.Session.Threads = 2;
@@ -196,7 +195,7 @@ TEST(ServeEngineTest, ConcurrentSubmissionsMatchSequentialSession) {
   E.drain();
 
   // Sequential reference: one lone session per program, same options as
-  // the shard sessions, requests replayed in plan order.
+  // the engine's sessions, requests replayed in plan order.
   std::vector<std::unique_ptr<session::Session>> Refs;
   for (ServedProgram &P : Progs) {
     Refs.push_back(std::make_unique<session::Session>(P.B.prog(), P.B.usr(),
@@ -212,7 +211,6 @@ TEST(ServeEngineTest, ConcurrentSubmissionsMatchSequentialSession) {
     ASSERT_TRUE(Slots[I].Fut.valid());
     serve::Response Resp = Slots[I].Fut.get();
     ASSERT_TRUE(Resp.OK) << Resp.Error;
-    EXPECT_EQ(Resp.Shard, E.shardOf(Ids[D.Prog]));
     ASSERT_EQ(Resp.Stats.size(), 1u);
 
     rt::Memory MR;
@@ -240,49 +238,56 @@ TEST(ServeEngineTest, ConcurrentSubmissionsMatchSequentialSession) {
   EXPECT_TRUE(T.Exec.RanParallel); // Some dataset must have parallelized.
 }
 
-// Routing is by program alone: at every shard count, all loops of a
-// program are served from one shard, so each program has exactly one
-// session (one compile cache, one plan-cache decode), and every response
-// names that shard.
-TEST(ServeEngineTest, EveryLoopOfAProgramRoutesToOneShard) {
-  for (unsigned NumShards = 1; NumShards <= 5; ++NumShards) {
-    SCOPED_TRACE("shards " + std::to_string(NumShards));
-    serve::EngineOptions EO;
-    EO.Shards = NumShards;
-    EO.Workers = 1;
-    EO.Session.Threads = 1;
-    std::vector<ServedProgram> Progs(3);
-    std::vector<serve::ProgramId> Ids;
-    serve::Engine E(EO);
-    prepareAll(E, Progs, Ids);
+// Each registered program has exactly one session, holding all of its
+// loops, and every request is served from it; stats() reports those
+// sessions and the per-worker counters as one engine-wide row.
+TEST(ServeEngineTest, EveryProgramHasOneSessionAndStatsOneRow) {
+  serve::EngineOptions EO;
+  EO.Workers = 2;
+  std::vector<ServedProgram> Progs(3);
+  std::vector<serve::ProgramId> Ids;
+  serve::Engine E(EO);
+  prepareAll(E, Progs, Ids);
 
-    for (size_t PI = 0; PI < Progs.size(); ++PI) {
-      const unsigned Want = E.shardOf(Ids[PI]);
-      ASSERT_LT(Want, NumShards);
-      for (ir::DoLoop *L : Progs[PI].loops()) {
-        rt::Memory M;
-        sym::Bindings B;
-        Progs[PI].dataset(3, M, B);
-        serve::Request Req;
-        Req.Program = Ids[PI];
-        Req.Loop = L;
-        Req.M = &M;
-        Req.B = &B;
-        serve::Response Resp = E.submit(Req).get();
-        ASSERT_TRUE(Resp.OK) << Resp.Error;
-        EXPECT_EQ(Resp.Shard, Want) << L->getLabel();
-      }
+  for (size_t PI = 0; PI < Progs.size(); ++PI)
+    for (ir::DoLoop *L : Progs[PI].loops()) {
+      rt::Memory M;
+      sym::Bindings B;
+      Progs[PI].dataset(3, M, B);
+      serve::Request Req;
+      Req.Program = Ids[PI];
+      Req.Loop = L;
+      Req.M = &M;
+      Req.B = &B;
+      serve::Response Resp = E.submit(Req).get();
+      ASSERT_TRUE(Resp.OK) << Resp.Error;
     }
 
-    // One session per program, holding all of its loops.
-    serve::ServeStats St = E.stats();
-    ASSERT_EQ(St.Shards.size(), NumShards);
-    EXPECT_EQ(St.totals().Programs, Progs.size());
-    for (size_t PI = 0; PI < Progs.size(); ++PI)
-      EXPECT_GE(St.Shards[E.shardOf(Ids[PI])].PreparedLoops,
-                Progs[PI].loops().size());
-    EXPECT_EQ(St.totals().PreparedLoops, 4 * Progs.size());
-  }
+  serve::ServeStats St = E.stats();
+  const serve::ShardStats T = St.totals();
+  EXPECT_EQ(T.Programs, 3u);
+  EXPECT_EQ(T.PreparedLoops, 4u * 3u);
+  EXPECT_EQ(T.Completed, 4u * 3u);
+  EXPECT_EQ(T.Executions, 4u * 3u);
+  ASSERT_EQ(St.Shards.size(), 1u);
+  const serve::ShardStats &Row = St.Shards[0];
+  EXPECT_EQ(Row.Completed, T.Completed);
+  EXPECT_EQ(Row.Failed, T.Failed);
+  EXPECT_EQ(Row.Executions, T.Executions);
+  EXPECT_EQ(Row.Expired, T.Expired);
+  EXPECT_EQ(Row.Cancelled, T.Cancelled);
+  EXPECT_EQ(Row.Retried, T.Retried);
+  EXPECT_EQ(Row.ExecErrors, T.ExecErrors);
+  EXPECT_EQ(Row.BreakerOpen, T.BreakerOpen);
+  EXPECT_EQ(Row.DegradedExecs, T.DegradedExecs);
+  EXPECT_EQ(Row.Programs, T.Programs);
+  EXPECT_EQ(Row.PreparedLoops, T.PreparedLoops);
+  EXPECT_EQ(Row.CompiledPreds, T.CompiledPreds);
+  EXPECT_EQ(Row.CompiledUSRs, T.CompiledUSRs);
+  EXPECT_EQ(Row.PooledFrames, T.PooledFrames);
+  EXPECT_EQ(Row.ExecContexts, T.ExecContexts);
+  EXPECT_EQ(Row.PlansWarmStarted, T.PlansWarmStarted);
+  EXPECT_EQ(Row.Exec.TotalSeconds, T.Exec.TotalSeconds);
 }
 
 TEST(ServeEngineTest, PreparingNewLoopsWhileServingIsExcluded) {
@@ -291,7 +296,6 @@ TEST(ServeEngineTest, PreparingNewLoopsWhileServingIsExcluded) {
   // one loop while the main thread prepares the remaining loops of the
   // same program. TSan verifies the exclusion.
   serve::EngineOptions EO;
-  EO.Shards = 2;
   EO.Workers = 2;
   std::vector<ServedProgram> Progs(1);
   ServedProgram &P = Progs[0];
@@ -331,7 +335,6 @@ TEST(ServeEngineTest, PreparingNewLoopsWhileServingIsExcluded) {
 
 TEST(ServeEngineTest, InvalidRequestsResolveAsErrors) {
   serve::EngineOptions EO;
-  EO.Shards = 2;
   EO.Workers = 1;
   std::vector<ServedProgram> Progs(1);
   ServedProgram &P = Progs[0];
@@ -393,7 +396,6 @@ TEST(ServeEngineTest, FindLoopAddressesPreparedLoopsByLabel) {
 
 TEST(ServeEngineTest, RepeatsRunAsOneBatchAndMatchRunBatch) {
   serve::EngineOptions EO;
-  EO.Shards = 2;
   EO.Workers = 2;
   std::vector<ServedProgram> Progs(1);
   ServedProgram &P = Progs[0];
@@ -468,16 +470,14 @@ TEST(ServeEngineTest, DrainAndShutdownFulfillEveryAcceptedRequest) {
 }
 
 TEST(ServeEngineTest, ManyClientsOneLoopMatchSequentialSession) {
-  // The intra-shard concurrency contract: every request targets ONE
-  // prepared loop — one shard, one session — served by 4 workers at
-  // once, the configuration the old shard-wide execute lock used to
-  // serialize. Aggregate results must stay bit-identical to a lone
+  // The one-loop concurrency contract: every request targets ONE
+  // prepared loop — one session — served by 4 workers at once, the
+  // configuration an engine-wide execute lock would serialize. Aggregate results must stay bit-identical to a lone
   // sequential session. Runs once per loop kind so the concurrent
   // surface covers O(1) cascades, the O(N) parallel and-reduction, the
   // hoistable exact test (shared HOIST-USR memo under contention) and
   // the reduction path. TSan-covered in CI.
   serve::EngineOptions EO;
-  EO.Shards = 2;
   EO.Workers = 4;
   EO.QueueCapacity = 16;
 
@@ -574,7 +574,6 @@ TEST(ServeEngineTest, WorkersParkNotSpinDuringExclusivePhases) {
   // spinning workers consume ~wall-clock x min(cores, workers); parked
   // workers consume (almost) nothing.
   serve::EngineOptions EO;
-  EO.Shards = 1;
   EO.Workers = 3;
   EO.QueueCapacity = 8;
   std::vector<ServedProgram> Progs(1);
@@ -664,7 +663,6 @@ TEST(ServeEngineTest, RePrepareWhileServingKeepsServedPlansAlive) {
   // executing against it finish safely (TSan-covered; before the fix
   // this was a use-after-free on the plan's cascade stages).
   serve::EngineOptions EO;
-  EO.Shards = 1;
   EO.Workers = 2;
   std::vector<ServedProgram> Progs(1);
   ServedProgram &P = Progs[0];
@@ -711,21 +709,17 @@ TEST(ServeEngineTest, RePrepareWhileServingKeepsServedPlansAlive) {
   }
 }
 
-TEST(ServeEngineTest, PrepareStatsTrafficStormKeepsSessionMapConsistent) {
-  // Regression for a guard gap surfaced by the thread-safety
-  // annotations: Engine::prepareImpl used to create and insert a
-  // program's lazily-built Session into Shard::Sessions without holding
-  // the shard mutex, leaning on the exclusive config phase alone — a
-  // contract the annotations could not express and stats()' map walks
-  // did not share. The map is now HALO_GUARDED_BY(Shard::M) and the
-  // probe/publish happens under it (session construction and warm-start
-  // stay outside, per the never-hold-Shard::M-across-prepare rule).
-  // This storm drives the fixed path from every direction at once:
-  // lazy first-prepare of fresh programs, re-prepare of a served loop,
-  // stats() snapshots walking the session maps, and live traffic.
-  // TSan in CI pins the synchronization; the parity check pins results.
+TEST(ServeEngineTest, PrepareStatsTrafficStormKeepsProgramTableConsistent) {
+  // The program table (each entry a program's session and its loops'
+  // breakers) is HALO_GUARDED_BY the config lock: addProgram() appends
+  // to it and prepare() inserts breakers under the exclusive hold, while
+  // requests, findLoop() and stats() read it under a shared hold. This
+  // storm drives it from every direction at once: fresh programs
+  // registered (the table grows, each entry with a new session) and
+  // first-prepared mid-traffic, re-prepare of a served loop, stats()
+  // snapshots walking the table, and live traffic. TSan in CI pins the
+  // synchronization; the parity check pins results.
   serve::EngineOptions EO;
-  EO.Shards = 2;
   EO.Workers = 3;
   EO.QueueCapacity = 32;
 
@@ -736,25 +730,24 @@ TEST(ServeEngineTest, PrepareStatsTrafficStormKeepsSessionMapConsistent) {
   prepareAll(E, Progs, Ids);
 
   // Fresh programs the operator thread registers and first-prepares
-  // mid-traffic (each first prepare publishes a new session).
+  // mid-traffic (each addProgram appends a table entry with a new
+  // session).
   const int FreshPrograms = 4;
   std::vector<ServedProgram> Fresh(FreshPrograms);
 
   std::atomic<bool> Stop{false};
   std::atomic<uint64_t> Snapshots{0};
 
-  // Stats threads: walk the shard session maps while they grow.
+  // Stats threads: walk the program table while it grows.
   std::vector<std::thread> StatsTs;
   for (int T = 0; T < 2; ++T)
     StatsTs.emplace_back([&] {
       size_t LastPrograms = 0;
       while (!Stop.load(std::memory_order_acquire)) {
         serve::ServeStats St = E.stats();
-        size_t NumPrograms = 0;
-        for (const serve::ShardStats &SS : St.Shards)
-          NumPrograms += SS.Programs;
-        // The session count only ever grows (sessions are retired in
-        // place, never removed) — a torn map walk would break this.
+        const size_t NumPrograms = St.totals().Programs;
+        // The table only ever grows (entries are never removed) — a torn
+        // table walk would break this.
         EXPECT_GE(NumPrograms, LastPrograms);
         LastPrograms = NumPrograms;
         ++Snapshots;
@@ -786,8 +779,8 @@ TEST(ServeEngineTest, PrepareStatsTrafficStormKeepsSessionMapConsistent) {
       }
     });
 
-  // Operator: register fresh programs (lazy session publish on first
-  // prepare) interleaved with re-prepares of the served loop.
+  // Operator: register fresh programs (table growth) and first-prepare
+  // them, interleaved with re-prepares of the served loop.
   std::vector<serve::ProgramId> FreshIds;
   for (int F = 0; F < FreshPrograms; ++F) {
     serve::ProgramId Id = E.addProgram(Fresh[F].B.prog(), Fresh[F].B.usr());
@@ -804,7 +797,8 @@ TEST(ServeEngineTest, PrepareStatsTrafficStormKeepsSessionMapConsistent) {
     T.join();
   EXPECT_GT(Snapshots.load(), 0u);
 
-  // Fresh programs must be fully served after their mid-storm publish.
+  // Fresh programs must be fully served after their mid-storm
+  // registration.
   for (int F = 0; F < FreshPrograms; ++F) {
     rt::Memory M;
     sym::Bindings B;
@@ -832,11 +826,7 @@ TEST(ServeEngineTest, PrepareStatsTrafficStormKeepsSessionMapConsistent) {
     expectMemoryEq(S.M, MR, "prepare-stats-traffic-storm");
   }
 
-  serve::ServeStats St = E.stats();
-  size_t TotalPrograms = 0;
-  for (const serve::ShardStats &SS : St.Shards)
-    TotalPrograms += SS.Programs;
-  EXPECT_EQ(TotalPrograms, 1u + FreshPrograms);
+  EXPECT_EQ(E.stats().totals().Programs, 1u + FreshPrograms);
 }
 
 TEST(ServeEngineTest, TrySubmitAcceptsWithRoomAndCountsSheds) {
@@ -891,7 +881,6 @@ void expectClassified(const serve::Response &R) {
 
 TEST(ServeEngineTest, DeadlinesAndCancellationShedWithoutSideEffects) {
   serve::EngineOptions EO;
-  EO.Shards = 2;
   EO.Workers = 1;
   std::vector<ServedProgram> Progs(1);
   ServedProgram &P = Progs[0];
@@ -915,7 +904,6 @@ TEST(ServeEngineTest, DeadlinesAndCancellationShedWithoutSideEffects) {
   expectClassified(Resp);
   EXPECT_EQ(Resp.St, serve::Status::Expired);
   EXPECT_FALSE(Resp.OK);
-  EXPECT_EQ(Resp.Shard, E.shardOf(Ids[0]));
   expectMemoryEq(M, MTwin, "expired request must not touch memory");
 
   // Pre-cancelled caller token: shed at dequeue as Cancelled.
@@ -950,14 +938,13 @@ TEST(ServeEngineTest, DeadlinesAndCancellationShedWithoutSideEffects) {
   EXPECT_EQ(T.Expired, 1u);
   EXPECT_EQ(T.Cancelled, 2u);
   EXPECT_EQ(T.Completed, 1u);
-  EXPECT_EQ(St.Expired, 1u); // Engine-wide mirrors of the shard rows.
+  EXPECT_EQ(St.Expired, 1u); // Engine-wide mirrors of the stats row.
   EXPECT_EQ(St.Cancelled, 2u);
 }
 
 TEST(ServeEngineTest, TransientFaultsRetryWithBackoffThenClassify) {
   InjectorGuard G;
   serve::EngineOptions EO;
-  EO.Shards = 1;
   EO.Workers = 1;
   EO.MaxRetries = 3;
   EO.RetryBackoff = std::chrono::microseconds(1); // Fast test.
@@ -1013,7 +1000,6 @@ TEST(ServeEngineTest, TransientFaultsRetryWithBackoffThenClassify) {
 TEST(ServeEngineTest, BreakerOpensDegradesProbesAndRecovers) {
   InjectorGuard G;
   serve::EngineOptions EO;
-  EO.Shards = 1;
   EO.Workers = 1; // Deterministic request ordering for the state walk.
   EO.BreakerThreshold = 2;
   EO.BreakerCooldown = 3;
@@ -1206,7 +1192,6 @@ TEST(ServeEngineTest, ChaosEveryFutureResolvesClassifiedAndExact) {
   // and the engine healthy again once disarmed.
   InjectorGuard G;
   serve::EngineOptions EO;
-  EO.Shards = 2;
   EO.Workers = 3;
   EO.QueueCapacity = 8;
   EO.MaxRetries = 3;

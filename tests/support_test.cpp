@@ -558,14 +558,19 @@ TEST(BoundedWorkQueueTest, CloseIsIdempotentAndRacesSafely) {
   }
 }
 
-TEST(ThreadPoolTest, DrainQueueServesUntilClosed) {
-  // The serving shape: a pool whose workers drain the bounded queue as
-  // long-running tasks, including the 1-thread pool that must spawn a
-  // real worker instead of inlining.
+TEST(ThreadPoolTest, SpawnedWorkersDrainQueueUntilClosed) {
+  // The serving shape: every pool worker runs a long-running task that
+  // pops and executes queue tasks until the queue is closed and empty,
+  // including the 1-thread pool that must spawn a real worker instead of
+  // inlining (an inline pool would run the drain loop on the caller).
   for (unsigned Threads : {1u, 3u}) {
     BoundedWorkQueue Q(4);
     ThreadPool Pool(Threads, ThreadPool::SingleThread::Spawn);
-    Pool.drainQueue(Q);
+    for (unsigned W = 0; W != Threads; ++W)
+      Pool.run([&Q] {
+        while (std::function<void()> Task = Q.pop())
+          Task();
+      });
     std::atomic<int> Ran{0};
     for (int I = 0; I < 32; ++I)
       EXPECT_TRUE(Q.push([&Ran] { ++Ran; }));
