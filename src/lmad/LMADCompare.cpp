@@ -49,8 +49,12 @@ const Pred *lmad::disjointLMAD1D(PredContext &Ctx, const LMAD &A,
   sym::Context &Sym = Ctx.symCtx();
   Interval IA = intervalOverestimate(Sym, A);
   Interval IB = intervalOverestimate(Sym, B);
-  // Disjoint interval overestimates.
-  const Pred *Intervals = Ctx.or2(Ctx.gt(IA.Lo, IB.Hi), Ctx.gt(IB.Lo, IA.Hi));
+  // Disjoint interval overestimates. Operands that may create nodes are
+  // built into locals, the last one first: argument evaluation order is
+  // unspecified, and node IDs (so plan bytes) follow creation order.
+  const Pred *BAfterA = Ctx.gt(IB.Lo, IA.Hi);
+  const Pred *AAfterB = Ctx.gt(IA.Lo, IB.Hi);
+  const Pred *Intervals = Ctx.or2(AAfterB, BAfterA);
 
   // Interleaved accesses: gcd(d1, d2) does not divide (t1 - t2).
   const Pred *Interleave = Ctx.getFalse();
@@ -74,8 +78,9 @@ const Pred *lmad::includedLMAD1D(PredContext &Ctx, const LMAD &A,
   sym::Context &Sym = Ctx.symCtx();
   Interval IA = intervalOverestimate(Sym, A);
   Interval IB = intervalOverestimate(Sym, B);
-  const Pred *Bounds =
-      Ctx.and2(Ctx.ge(IA.Lo, IB.Lo), Ctx.le(IA.Hi, IB.Hi));
+  const Pred *HiInside = Ctx.le(IA.Hi, IB.Hi);
+  const Pred *LoInside = Ctx.ge(IA.Lo, IB.Lo);
+  const Pred *Bounds = Ctx.and2(LoInside, HiInside);
 
   // Stride compatibility: d2 | d1 and d2 | (t1 - t2).
   const Expr *D2 = B.isPoint() ? nullptr : B.dims()[0].Stride;
@@ -83,13 +88,13 @@ const Pred *lmad::includedLMAD1D(PredContext &Ctx, const LMAD &A,
       A.isPoint() ? Sym.intConst(0) : A.dims()[0].Stride; // 0 divisible by all.
   const Pred *Strides = Ctx.getTrue();
   if (D2) {
-    Strides = Ctx.and2(
-        stridesDividePred(Ctx, D2, D1, false),
-        stridesDividePred(Ctx, D2, Sym.sub(A.offset(), B.offset()), false));
+    const Pred *OffsetsDivide =
+        stridesDividePred(Ctx, D2, Sym.sub(A.offset(), B.offset()), false);
+    Strides = Ctx.and2(stridesDividePred(Ctx, D2, D1, false), OffsetsDivide);
   } else {
     // B is a single point: A must be that point.
-    Strides = Ctx.and2(Ctx.eq(A.offset(), B.offset()),
-                       Ctx.eq(IA.Hi, IA.Lo));
+    const Pred *APoint = Ctx.eq(IA.Hi, IA.Lo);
+    Strides = Ctx.and2(Ctx.eq(A.offset(), B.offset()), APoint);
   }
   return Ctx.and2(Strides, Bounds);
 }

@@ -79,11 +79,15 @@ public:
     } else {
       // (A >= 0 and A*Lo + B >= 0) or (A < 0 and A*Hi + B >= 0), with the
       // sign conditions themselves reduced (they have smaller exponent).
-      const Pred *Pos =
-          Ctx.and2(reduce(A, Depth + 1), reduce(AtLo, Depth + 1));
+      // Each conjunction's second operand is reduced first: argument
+      // evaluation order is unspecified, and node IDs (so plan bytes)
+      // follow creation order.
+      const Pred *LoHolds = reduce(AtLo, Depth + 1);
+      const Pred *Pos = Ctx.and2(reduce(A, Depth + 1), LoHolds);
+      const Pred *HiHolds = reduce(AtHi, Depth + 1);
       const Pred *Neg = Ctx.and2(
           reduce(Sym.addConst(Sym.neg(A), -1), Depth + 1), // -A - 1 >= 0.
-          reduce(AtHi, Depth + 1));
+          HiHolds);
       Res = Ctx.or2(Pos, Neg);
     }
     Memo.emplace(E, Res);

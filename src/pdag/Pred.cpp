@@ -48,93 +48,13 @@ std::string Pred::toString(const sym::Context &Ctx) const {
 //===----------------------------------------------------------------------===//
 // Interning machinery
 //===----------------------------------------------------------------------===//
+//
+// Probe-first hash-consing (src/sym/README.md, "Interning"): constructors
+// hash their key and pass the table a key comparison and a builder that
+// runs only on a miss.
 
-static bool predsEqual(const Pred *A, const Pred *B) {
-  if (A->getKind() != B->getKind())
-    return false;
-  switch (A->getKind()) {
-  case PredKind::True:
-  case PredKind::False:
-    return true;
-  case PredKind::Cmp: {
-    const auto *CA = cast<CmpPred>(A), *CB = cast<CmpPred>(B);
-    return CA->getExpr() == CB->getExpr() && CA->getRel() == CB->getRel();
-  }
-  case PredKind::Divides: {
-    const auto *DA = cast<DividesPred>(A), *DB = cast<DividesPred>(B);
-    return DA->getDivisor() == DB->getDivisor() &&
-           DA->getValue() == DB->getValue() &&
-           DA->isNegated() == DB->isNegated();
-  }
-  case PredKind::And:
-  case PredKind::Or:
-    return cast<NaryPred>(A)->getChildren() ==
-           cast<NaryPred>(B)->getChildren();
-  case PredKind::LoopAll: {
-    const auto *LA = cast<LoopAllPred>(A), *LB = cast<LoopAllPred>(B);
-    return LA->getVar() == LB->getVar() && LA->getLo() == LB->getLo() &&
-           LA->getHi() == LB->getHi() && LA->getBody() == LB->getBody();
-  }
-  case PredKind::CallSite: {
-    const auto *SA = cast<CallSitePred>(A), *SB = cast<CallSitePred>(B);
-    return SA->getCallee() == SB->getCallee() && SA->getBody() == SB->getBody();
-  }
-  }
-  halo_unreachable("covered switch");
-}
-
-static size_t hashPred(const Pred *P) {
-  size_t H = static_cast<size_t>(P->getKind()) * 0x9e3779b9u + 17;
-  switch (P->getKind()) {
-  case PredKind::True:
-  case PredKind::False:
-    break;
-  case PredKind::Cmp: {
-    const auto *C = cast<CmpPred>(P);
-    hashCombine(H, C->getExpr());
-    hashCombine(H, static_cast<size_t>(C->getRel()));
-    break;
-  }
-  case PredKind::Divides: {
-    const auto *D = cast<DividesPred>(P);
-    hashCombine(H, D->getDivisor());
-    hashCombine(H, D->getValue());
-    hashCombine(H, static_cast<size_t>(D->isNegated()));
-    break;
-  }
-  case PredKind::And:
-  case PredKind::Or:
-    for (const Pred *C : cast<NaryPred>(P)->getChildren())
-      hashCombine(H, C);
-    break;
-  case PredKind::LoopAll: {
-    const auto *L = cast<LoopAllPred>(P);
-    hashCombine(H, static_cast<size_t>(L->getVar()));
-    hashCombine(H, L->getLo());
-    hashCombine(H, L->getHi());
-    hashCombine(H, L->getBody());
-    break;
-  }
-  case PredKind::CallSite: {
-    const auto *S = cast<CallSitePred>(P);
-    hashCombine(H, std::hash<std::string>{}(S->getCallee()));
-    hashCombine(H, S->getBody());
-    break;
-  }
-  }
-  return H;
-}
-
-const Pred *PredContext::intern(std::unique_ptr<Pred> N, size_t Hash) {
-  auto Range = InternTable.equal_range(Hash);
-  for (auto It = Range.first; It != Range.second; ++It)
-    if (predsEqual(It->second, N.get()))
-      return It->second;
-  N->Id = static_cast<uint32_t>(Nodes.size());
-  const Pred *Raw = N.get();
-  Nodes.push_back(std::move(N));
-  InternTable.emplace(Hash, Raw);
-  return Raw;
+static size_t hashSeed(PredKind K) {
+  return static_cast<size_t>(K) * 0x9e3779b9u + 17;
 }
 
 namespace {
@@ -142,43 +62,41 @@ namespace {
 /// protected).
 class BoolPred : public Pred {
 public:
-  BoolPred(PredKind K) : Pred(K, {}, 0) {}
+  BoolPred(PredKind K, uint32_t Id) : Pred(K, Id, {}, 0) {}
 };
 } // namespace
 
+const Pred *PredContext::makeBool(PredKind K) {
+  return Nodes.intern(
+      hashSeed(K), [&](const Pred &P) { return P.getKind() == K; },
+      [&](uint32_t Id) { return std::unique_ptr<Pred>(new BoolPred(K, Id)); });
+}
+
 PredContext::PredContext(sym::Context &SymCtx) : SymCtx(SymCtx) {
-  {
-    std::unique_ptr<Pred> T(new BoolPred(PredKind::True));
-    size_t H = hashPred(T.get());
-    TruePred = intern(std::move(T), H);
-  }
-  {
-    std::unique_ptr<Pred> F(new BoolPred(PredKind::False));
-    size_t H = hashPred(F.get());
-    FalsePred = intern(std::move(F), H);
-  }
+  TruePred = makeBool(PredKind::True);
+  FalsePred = makeBool(PredKind::False);
 }
 
 PredContext::~PredContext() = default;
-
-static std::vector<SymbolId> unionSyms(std::vector<SymbolId> A,
-                                       const std::vector<SymbolId> &B) {
-  std::vector<SymbolId> Out;
-  Out.reserve(A.size() + B.size());
-  std::set_union(A.begin(), A.end(), B.begin(), B.end(),
-                 std::back_inserter(Out));
-  return Out;
-}
 
 //===----------------------------------------------------------------------===//
 // Leaves
 //===----------------------------------------------------------------------===//
 
 const Pred *PredContext::makeCmp(const Expr *E, CmpRel Rel) {
-  std::unique_ptr<Pred> N(
-      new CmpPred(E, Rel, std::vector<SymbolId>(E->freeSymbols())));
-  size_t H = hashPred(N.get());
-  return intern(std::move(N), H);
+  size_t H = hashSeed(PredKind::Cmp);
+  hashCombine(H, E);
+  hashCombine(H, static_cast<size_t>(Rel));
+  return Nodes.intern(
+      H,
+      [&](const Pred &P) {
+        const auto *C = dyn_cast<CmpPred>(&P);
+        return C && C->getExpr() == E && C->getRel() == Rel;
+      },
+      [&](uint32_t Id) {
+        return std::unique_ptr<Pred>(
+            new CmpPred(Id, E, Rel, std::vector<SymbolId>(E->freeSymbols())));
+      });
 }
 
 static int64_t floorDivInt(int64_t A, int64_t D) {
@@ -304,11 +222,21 @@ const Pred *PredContext::divides(const Expr *D, const Expr *E, bool Neg) {
   } else if (auto EC = SymCtx.constValue(E); EC && *EC == 0) {
     return boolConst(!Neg); // d | 0.
   }
-  std::vector<SymbolId> Free =
-      unionSyms(std::vector<SymbolId>(D->freeSymbols()), E->freeSymbols());
-  std::unique_ptr<Pred> N(new DividesPred(D, E, Neg, std::move(Free)));
-  size_t H = hashPred(N.get());
-  return intern(std::move(N), H);
+  size_t H = hashSeed(PredKind::Divides);
+  hashCombine(H, D);
+  hashCombine(H, E);
+  hashCombine(H, static_cast<size_t>(Neg));
+  return Nodes.intern(
+      H,
+      [&](const Pred &P) {
+        const auto *DP = dyn_cast<DividesPred>(&P);
+        return DP && DP->getDivisor() == D && DP->getValue() == E &&
+               DP->isNegated() == Neg;
+      },
+      [&](uint32_t Id) {
+        return std::unique_ptr<Pred>(new DividesPred(
+            Id, D, E, Neg, sym::unionSyms(D->freeSymbols(), E->freeSymbols())));
+      });
 }
 
 //===----------------------------------------------------------------------===//
@@ -339,10 +267,14 @@ const Pred *PredContext::makeNary(PredKind K, std::vector<const Pred *> Cs) {
   const Pred *Absorb = IsAnd ? getFalse() : getTrue();
   const Pred *Unit = IsAnd ? getTrue() : getFalse();
 
-  // Flatten same-kind children and fold constants.
-  std::vector<const Pred *> Flat;
-  Flat.reserve(Cs.size());
-  for (const Pred *C : Cs) {
+  // Flatten same-kind children and fold constants, in place: a same-kind
+  // child's children are appended and visited in turn (being canonical,
+  // they are neither constants nor of kind K), and the kept children are
+  // compacted to the front. The order is irrelevant; the sort fixes it.
+  std::vector<const Pred *> Flat = std::move(Cs);
+  size_t NumFlat = 0;
+  for (size_t I = 0; I < Flat.size(); ++I) {
+    const Pred *C = Flat[I];
     if (C == Absorb)
       return Absorb;
     if (C == Unit)
@@ -351,9 +283,10 @@ const Pred *PredContext::makeNary(PredKind K, std::vector<const Pred *> Cs) {
       const auto &Sub = cast<NaryPred>(C)->getChildren();
       Flat.insert(Flat.end(), Sub.begin(), Sub.end());
     } else {
-      Flat.push_back(C);
+      Flat[NumFlat++] = C;
     }
   }
+  Flat.resize(NumFlat);
   auto ById = [](const Pred *A, const Pred *B) {
     return A->getId() < B->getId();
   };
@@ -383,34 +316,43 @@ const Pred *PredContext::makeNary(PredKind K, std::vector<const Pred *> Cs) {
     // Absorption: in an And, an Or-child containing a sibling is redundant
     // (A and (A or B) == A and ...); dually for Or.
     const PredKind DualK = IsAnd ? PredKind::Or : PredKind::And;
-    std::vector<const Pred *> Kept;
-    Kept.reserve(Flat.size());
-    for (const Pred *C : Flat) {
-      bool Subsumed = false;
-      if (C->getKind() == DualK)
-        for (const Pred *Sub : cast<NaryPred>(C)->getChildren())
-          if (InFlat(Sub)) {
-            Subsumed = true;
-            break;
-          }
-      if (!Subsumed)
-        Kept.push_back(C);
+    auto Subsumed = [&](const Pred *C) {
+      if (C->getKind() != DualK)
+        return false;
+      const auto &Subs = cast<NaryPred>(C)->getChildren();
+      return std::any_of(Subs.begin(), Subs.end(), InFlat);
+    };
+    if (std::any_of(Flat.begin(), Flat.end(), Subsumed)) {
+      std::vector<const Pred *> Kept;
+      Kept.reserve(Flat.size());
+      for (const Pred *C : Flat)
+        if (!Subsumed(C))
+          Kept.push_back(C);
+      Flat = std::move(Kept);
+      if (Flat.size() == 1)
+        return Flat[0];
     }
-    Flat = std::move(Kept);
-    if (Flat.size() == 1)
-      return Flat[0];
   }
 
-  std::vector<SymbolId> Free;
-  int Depth = 0;
-  for (const Pred *C : Flat) {
-    Free = unionSyms(std::move(Free), C->freeSymbols());
-    Depth = std::max(Depth, C->loopDepth());
-  }
-  std::unique_ptr<Pred> N(
-      new NaryPred(K, std::move(Flat), std::move(Free), Depth));
-  size_t H = hashPred(N.get());
-  return intern(std::move(N), H);
+  size_t H = hashSeed(K);
+  for (const Pred *C : Flat)
+    hashCombine(H, C);
+  return Nodes.intern(
+      H,
+      [&](const Pred &P) {
+        return P.getKind() == K && cast<NaryPred>(&P)->getChildren() == Flat;
+      },
+      [&](uint32_t Id) {
+        std::vector<SymbolId> Free;
+        int Depth = 0;
+        for (const Pred *C : Flat) {
+          sym::appendSyms(Free, C->freeSymbols());
+          Depth = std::max(Depth, C->loopDepth());
+        }
+        sym::sortUniqueSyms(Free);
+        return std::unique_ptr<Pred>(
+            new NaryPred(K, Id, std::move(Flat), std::move(Free), Depth));
+      });
 }
 
 const Pred *PredContext::and2(const Pred *A, const Pred *B) {
@@ -451,26 +393,48 @@ const Pred *PredContext::loopAll(SymbolId Var, const Expr *Lo, const Expr *Hi,
     }
   }
 
-  std::vector<SymbolId> Free(Body->freeSymbols());
-  Free.erase(std::remove(Free.begin(), Free.end(), Var), Free.end());
-  Free = unionSyms(std::move(Free), Lo->freeSymbols());
-  Free = unionSyms(std::move(Free), Hi->freeSymbols());
-  std::unique_ptr<Pred> N(new LoopAllPred(Var, Lo, Hi, Body, std::move(Free),
-                                          Body->loopDepth() + 1));
-  size_t H = hashPred(N.get());
-  return intern(std::move(N), H);
+  size_t H = hashSeed(PredKind::LoopAll);
+  hashCombine(H, static_cast<size_t>(Var));
+  hashCombine(H, Lo);
+  hashCombine(H, Hi);
+  hashCombine(H, Body);
+  return Nodes.intern(
+      H,
+      [&](const Pred &P) {
+        const auto *L = dyn_cast<LoopAllPred>(&P);
+        return L && L->getVar() == Var && L->getLo() == Lo &&
+               L->getHi() == Hi && L->getBody() == Body;
+      },
+      [&](uint32_t Id) {
+        std::vector<SymbolId> Free(Body->freeSymbols());
+        Free.erase(std::remove(Free.begin(), Free.end(), Var), Free.end());
+        sym::appendSyms(Free, Lo->freeSymbols());
+        sym::appendSyms(Free, Hi->freeSymbols());
+        sym::sortUniqueSyms(Free);
+        return std::unique_ptr<Pred>(new LoopAllPred(
+            Id, Var, Lo, Hi, Body, std::move(Free), Body->loopDepth() + 1));
+      });
 }
 
 const Pred *PredContext::callSite(const std::string &Callee,
                                   const Pred *Body) {
   if (Body->isTrue() || Body->isFalse())
     return Body;
-  std::unique_ptr<Pred> N(
-      new CallSitePred(Callee, Body,
-                       std::vector<SymbolId>(Body->freeSymbols()),
-                       Body->loopDepth()));
-  size_t H = hashPred(N.get());
-  return intern(std::move(N), H);
+  size_t H = hashSeed(PredKind::CallSite);
+  hashCombine(H, std::hash<std::string>{}(Callee));
+  hashCombine(H, Body);
+  return Nodes.intern(
+      H,
+      [&](const Pred &P) {
+        const auto *S = dyn_cast<CallSitePred>(&P);
+        return S && S->getBody() == Body && S->getCallee() == Callee;
+      },
+      [&](uint32_t Id) {
+        return std::unique_ptr<Pred>(
+            new CallSitePred(Id, Callee, Body,
+                             std::vector<SymbolId>(Body->freeSymbols()),
+                             Body->loopDepth()));
+      });
 }
 
 //===----------------------------------------------------------------------===//
@@ -501,14 +465,14 @@ const Pred *PredContext::tryNot(const Pred *P) {
   case PredKind::Cmp:
   case PredKind::Divides: {
     // The complement is interned, so negating a leaf again would re-intern
-    // the same nodes and create none: answering from the cache leaves node
-    // IDs and creation order as they were.
-    auto It = LeafNegations.find(P);
-    if (It != LeafNegations.end())
-      return It->second;
-    const Pred *N = negateLeaf(P);
-    LeafNegations.emplace(P, N);
-    return N;
+    // the same nodes and create none: answering from the leaf leaves node
+    // IDs and creation order as they were. Only this direction is recorded
+    // (src/pdag/README.md, "Leaf-negation cache").
+    uint32_t &Ref = isa<CmpPred>(P) ? cast<CmpPred>(P)->ComplementRef
+                                    : cast<DividesPred>(P)->ComplementRef;
+    if (Ref == 0)
+      Ref = negateLeaf(P)->getId() + 1;
+    return Nodes[Ref - 1];
   }
   case PredKind::And:
   case PredKind::Or: {

@@ -29,13 +29,13 @@
 #ifndef HALO_PDAG_PRED_H
 #define HALO_PDAG_PRED_H
 
+#include "support/InternSet.h"
 #include "sym/Expr.h"
 
 #include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace halo {
@@ -80,14 +80,18 @@ public:
   std::string toString(const sym::Context &Ctx) const;
 
 protected:
-  Pred(PredKind K, std::vector<sym::SymbolId> Free, int LoopDepth)
-      : Kind(K), FreeSyms(std::move(Free)), LoopDepthCache(LoopDepth) {}
+  Pred(PredKind K, uint32_t Id, std::vector<sym::SymbolId> Free,
+       int LoopDepth)
+      : Id(Id), LoopDepthCache(LoopDepth), FreeSyms(std::move(Free)),
+        Kind(K) {}
 
 private:
-  PredKind Kind;
-  uint32_t Id = 0;
-  std::vector<sym::SymbolId> FreeSyms;
+  // Kind comes last so that the leaf subclasses pack their one-byte
+  // relation and their complement reference into the tail padding.
+  uint32_t Id;
   int LoopDepthCache;
+  std::vector<sym::SymbolId> FreeSyms;
+  PredKind Kind;
   friend class PredContext;
 };
 
@@ -103,10 +107,13 @@ public:
   static bool classof(const Pred *P) { return P->getKind() == PredKind::Cmp; }
 
 private:
-  CmpPred(const sym::Expr *E, CmpRel Rel, std::vector<sym::SymbolId> Free)
-      : Pred(PredKind::Cmp, std::move(Free), 0), E(E), Rel(Rel) {}
-  const sym::Expr *E;
+  CmpPred(uint32_t Id, const sym::Expr *E, CmpRel Rel,
+          std::vector<sym::SymbolId> Free)
+      : Pred(PredKind::Cmp, Id, std::move(Free), 0), Rel(Rel), E(E) {}
   CmpRel Rel;
+  /// ID + 1 of the complement once PredContext::tryNot has computed it.
+  mutable uint32_t ComplementRef = 0;
+  const sym::Expr *E;
   friend class PredContext;
 };
 
@@ -123,13 +130,15 @@ public:
   }
 
 private:
-  DividesPred(const sym::Expr *D, const sym::Expr *V, bool Neg,
+  DividesPred(uint32_t Id, const sym::Expr *D, const sym::Expr *V, bool Neg,
               std::vector<sym::SymbolId> Free)
-      : Pred(PredKind::Divides, std::move(Free), 0), Divisor(D), Value(V),
-        Neg(Neg) {}
+      : Pred(PredKind::Divides, Id, std::move(Free), 0), Neg(Neg), Divisor(D),
+        Value(V) {}
+  bool Neg;
+  /// ID + 1 of the complement once PredContext::tryNot has computed it.
+  mutable uint32_t ComplementRef = 0;
   const sym::Expr *Divisor;
   const sym::Expr *Value;
-  bool Neg;
   friend class PredContext;
 };
 
@@ -144,9 +153,9 @@ public:
   }
 
 private:
-  NaryPred(PredKind K, std::vector<const Pred *> C,
+  NaryPred(PredKind K, uint32_t Id, std::vector<const Pred *> C,
            std::vector<sym::SymbolId> Free, int LoopDepth)
-      : Pred(K, std::move(Free), LoopDepth), Children(std::move(C)) {}
+      : Pred(K, Id, std::move(Free), LoopDepth), Children(std::move(C)) {}
   std::vector<const Pred *> Children;
   friend class PredContext;
 };
@@ -166,11 +175,11 @@ public:
   }
 
 private:
-  LoopAllPred(sym::SymbolId Var, const sym::Expr *Lo, const sym::Expr *Hi,
-              const Pred *Body, std::vector<sym::SymbolId> Free,
-              int LoopDepth)
-      : Pred(PredKind::LoopAll, std::move(Free), LoopDepth), Var(Var), Lo(Lo),
-        Hi(Hi), Body(Body) {}
+  LoopAllPred(uint32_t Id, sym::SymbolId Var, const sym::Expr *Lo,
+              const sym::Expr *Hi, const Pred *Body,
+              std::vector<sym::SymbolId> Free, int LoopDepth)
+      : Pred(PredKind::LoopAll, Id, std::move(Free), LoopDepth), Var(Var),
+        Lo(Lo), Hi(Hi), Body(Body) {}
   sym::SymbolId Var;
   const sym::Expr *Lo;
   const sym::Expr *Hi;
@@ -191,16 +200,18 @@ public:
   }
 
 private:
-  CallSitePred(std::string Callee, const Pred *Body,
+  CallSitePred(uint32_t Id, std::string Callee, const Pred *Body,
                std::vector<sym::SymbolId> Free, int LoopDepth)
-      : Pred(PredKind::CallSite, std::move(Free), LoopDepth),
+      : Pred(PredKind::CallSite, Id, std::move(Free), LoopDepth),
         Callee(std::move(Callee)), Body(Body) {}
   std::string Callee;
   const Pred *Body;
   friend class PredContext;
 };
 
-/// Owns and interns predicates; provides canonicalizing constructors.
+/// Owns and interns predicates; provides canonicalizing constructors. Each
+/// constructor probes the intern table with its key before it builds
+/// anything, so a repeat construction allocates nothing.
 class PredContext {
 public:
   explicit PredContext(sym::Context &SymCtx);
@@ -265,17 +276,15 @@ public:
   size_t numPreds() const { return Nodes.size(); }
 
 private:
-  const Pred *intern(std::unique_ptr<Pred> N, size_t Hash);
+  const Pred *makeBool(PredKind K);
   const Pred *makeNary(PredKind K, std::vector<const Pred *> Cs);
   const Pred *makeCmp(const sym::Expr *E, CmpRel Rel);
-  /// The uncached complement of a Cmp or Divides leaf (tryNot caches it).
+  /// The uncached complement of a Cmp or Divides leaf (tryNot caches it
+  /// on the leaf).
   const Pred *negateLeaf(const Pred *P);
 
   sym::Context &SymCtx;
-  std::vector<std::unique_ptr<Pred>> Nodes;
-  std::unordered_multimap<size_t, const Pred *> InternTable;
-  /// Leaf -> its complement, filled by tryNot.
-  std::unordered_map<const Pred *, const Pred *> LeafNegations;
+  support::InternSet<Pred> Nodes;
   const Pred *TruePred = nullptr;
   const Pred *FalsePred = nullptr;
 };

@@ -77,8 +77,12 @@ std::unique_ptr<Benchmark> makeBdna() {
     sym::SymbolId Civ = BB.Sym.symbol("civ240", 1);
     DoLoop *L = BB.loop("ACTFOR_do240", "i_c", BB.c(1), N, 1);
     const sym::Expr *I = BB.sv(BB.Sym.symbol("i_c", 1));
+    // Where two operands of one call may both create nodes, the last is
+    // built first into a local: argument evaluation order is unspecified,
+    // and node IDs (so plan bytes) follow creation order.
+    const sym::Expr *Zero = BB.c(0);
     IfStmt *If =
-        B->prog().make<IfStmt>(BB.P.gt(BB.Sym.arrayRef(KND, I), BB.c(0)));
+        B->prog().make<IfStmt>(BB.P.gt(BB.Sym.arrayRef(KND, I), Zero));
     DoLoop *Blk = BB.loop("ACTFOR_do240_j", "j_c", BB.c(1), BB.c(3), 2);
     const sym::Expr *J = BB.sv(BB.Sym.symbol("j_c", 2));
     Blk->append(BB.assign(
@@ -160,8 +164,10 @@ std::unique_ptr<Benchmark> makeArc2d() {
     auto XP = BB.dataArray("XP", BB.Sym.add(BB.s("JL"), N));
     DoLoop *L = BB.loop("XPENT2_do11", "i_q", BB.c(1), N, 1);
     const sym::Expr *I = BB.sv(BB.Sym.symbol("i_q", 1));
+    // The read offset is built before the write offset (see makeBdna).
+    const sym::Expr *IM1 = BB.Sym.addConst(I, -1);
     L->append(BB.assign(XP, BB.Sym.addConst(BB.Sym.add(BB.s("JL"), I), -1),
-                        {ArrayAccess{XP, BB.Sym.addConst(I, -1)}}, 4));
+                        {ArrayAccess{XP, IM1}}, 4));
     B->Loops.push_back({"XPENT2_do11", 10.7, "FI O(1)", L, false});
   }
   // FILERX_do15 (FI O(1)): same family, different region split.
@@ -170,10 +176,11 @@ std::unique_ptr<Benchmark> makeArc2d() {
                            BB.Sym.add(BB.s("JF"), BB.Sym.mulConst(N, 2)));
     DoLoop *L = BB.loop("FILERX_do15", "i_f", BB.c(1), N, 1);
     const sym::Expr *I = BB.sv(BB.Sym.symbol("i_f", 1));
+    const sym::Expr *IM1 = BB.Sym.addConst(I, -1);
     L->append(BB.assign(
         XF, BB.Sym.addConst(BB.Sym.add(BB.s("JF"), BB.Sym.mulConst(I, 2)),
                             -2),
-        {ArrayAccess{XF, BB.Sym.addConst(I, -1)}}, 6));
+        {ArrayAccess{XF, IM1}}, 6));
     B->Loops.push_back({"FILERX_do15", 9.0, "FI O(1)", L, false});
   }
 
@@ -262,9 +269,11 @@ std::unique_ptr<Benchmark> makeDyfesm() {
       auto I2 = BB.Sym.symbol("i_s", 0);
       DoLoop *DJ = Prog.make<DoLoop>("sj", J, BB.c(1), BB.c(3), 1);
       DoLoop *DI = Prog.make<DoLoop>("si", I2, BB.c(1), BB.s("NPf_s"), 2);
+      // Node-creating operands are built last-first (see makeBdna).
+      const sym::Expr *JRef = BB.sv(J);
       auto Off = BB.Sym.addConst(
           BB.Sym.add(BB.Sym.mulConst(BB.Sym.addConst(BB.sv(I2), -1), 8),
-                     BB.sv(J)),
+                     JRef),
           -1);
       DI->append(BB.assign(HEf2, Off, {ArrayAccess{HEf2, Off}}, 2));
       DJ->append(DI);
@@ -277,11 +286,12 @@ std::unique_ptr<Benchmark> makeDyfesm() {
     const sym::Expr *K = BB.sv(BB.Sym.symbol("k_h", 2));
     auto Id = BB.Sym.addConst(BB.Sym.add(BB.Sym.arrayRef(IB, I), K), -1);
     auto HEOff = BB.Sym.mulConst(BB.Sym.addConst(Id, -1), 32);
+    std::vector<CallStmt::ScalarArg> GeteuScalars{
+        {BB.Sym.symbol("SYMf"), BB.s("SYM")},
+        {BB.Sym.symbol("NPf_g"), BB.s("NP")}};
     KL->append(Prog.make<CallStmt>(
         Geteu, std::vector<CallStmt::ArrayArg>{{XEf, XE, BB.c(0)}},
-        std::vector<CallStmt::ScalarArg>{
-            {BB.Sym.symbol("SYMf"), BB.s("SYM")},
-            {BB.Sym.symbol("NPf_g"), BB.s("NP")}}));
+        std::move(GeteuScalars)));
     KL->append(Prog.make<CallStmt>(
         Matmult,
         std::vector<CallStmt::ArrayArg>{{HEf, HE, HEOff},
@@ -379,8 +389,9 @@ std::unique_ptr<Benchmark> makeTrfd() {
   // fixed prefix [0..M-1]: flow independence iff JL >= M (the paper
   // resolves the original quadratic indexing with a light predicate).
   {
-    auto XO = BB.dataArray(
-        "XO", BB.Sym.add(BB.s("JLo"), BB.Sym.mul(N, BB.s("Mo"))));
+    // Node-creating operands are built last-first (see makeBdna).
+    const sym::Expr *Blocks = BB.Sym.mul(N, BB.s("Mo"));
+    auto XO = BB.dataArray("XO", BB.Sym.add(BB.s("JLo"), Blocks));
     DoLoop *L = BB.loop("OLDA_do300", "i_3", BB.c(1), N, 1);
     const sym::Expr *I = BB.sv(BB.Sym.symbol("i_3", 1));
     DoLoop *Inner = BB.loop("OLDA_do300_j", "j_3", BB.c(1), BB.s("Mo"), 2);
@@ -522,8 +533,10 @@ std::unique_ptr<Benchmark> makeSpec77() {
     auto XS = BB.dataArray("SIC", BB.Sym.add(BB.s("JS"), N));
     DoLoop *L = BB.loop("SICDKD_do1000", "i_k", BB.c(1), N, 1);
     const sym::Expr *I = BB.sv(BB.Sym.symbol("i_k", 1));
+    // The read offset is built before the write offset (see makeBdna).
+    const sym::Expr *IM1 = BB.Sym.addConst(I, -1);
     L->append(BB.assign(XS, BB.Sym.addConst(BB.Sym.add(BB.s("JS"), I), -1),
-                        {ArrayAccess{XS, BB.Sym.addConst(I, -1)}}, 10));
+                        {ArrayAccess{XS, IM1}}, 10));
     B->Loops.push_back({"SICDKD_do1000", 2.6, "FI O(1)", L, false});
   }
   sym::Context *Sym = &B->sym();
@@ -555,7 +568,9 @@ std::unique_ptr<Benchmark> makeOcean() {
     auto X = BB.dataArray("FT", BB.Sym.mulConst(N, 4));
     DoLoop *L = BB.loop("FTRVMT_do109", "i_v", BB.c(1), N, 1);
     const sym::Expr *I = BB.sv(BB.Sym.symbol("i_v", 1));
-    const sym::Expr *WOff = BB.Sym.mul(BB.Sym.addConst(I, -1), BB.s("INC"));
+    // Node-creating operands are built last-first (see makeBdna).
+    const sym::Expr *Inc = BB.s("INC");
+    const sym::Expr *WOff = BB.Sym.mul(BB.Sym.addConst(I, -1), Inc);
     const sym::Expr *ROff = BB.Sym.addConst(
         BB.Sym.mul(BB.Sym.addConst(I, -1), BB.s("INC")), 1);
     L->append(BB.assign(X, WOff, {ArrayAccess{X, ROff}}, 30));

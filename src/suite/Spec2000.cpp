@@ -36,12 +36,13 @@ std::unique_ptr<Benchmark> makeWupwise() {
     const sym::Expr *J = BB.sv(BB.Sym.symbol(Var + "j", 2));
     const sym::Expr *Row =
         BB.Sym.mul(BB.Sym.addConst(I, -1), BB.s("LD"));
-    // Write the first half of the row, read the second half.
-    Inner->append(BB.assign(
-        X, BB.Sym.addConst(BB.Sym.add(Row, J), -1),
-        {ArrayAccess{X, BB.Sym.addConst(
-                            BB.Sym.add(Row, BB.Sym.add(J, BB.s("M"))), -1)}},
-        50));
+    // Write the first half of the row, read the second half. The read
+    // offset is built before the write offset: argument evaluation order
+    // is unspecified, and node IDs (so plan bytes) follow creation order.
+    const sym::Expr *ReadOff =
+        BB.Sym.addConst(BB.Sym.add(Row, BB.Sym.add(J, BB.s("M"))), -1);
+    Inner->append(BB.assign(X, BB.Sym.addConst(BB.Sym.add(Row, J), -1),
+                            {ArrayAccess{X, ReadOff}}, 50));
     L->append(Inner);
     B->Loops.push_back({Name, Lsc, "F/OI O(1)", L, false});
   };
@@ -200,28 +201,25 @@ std::unique_ptr<Benchmark> makeZeusmp() {
     DoLoop *L = BB.loop("TRANX2_do2100", "i_z", BB.c(1), N, 1);
     const sym::Expr *I = BB.sv(BB.Sym.symbol("i_z", 1));
     const sym::Expr *Row = BB.Sym.mul(BB.Sym.addConst(I, -1), BB.s("MT"));
-    IfStmt *If = Prog.make<IfStmt>(BB.P.eq(BB.s("jbeg"), BB.s("js")));
+    // Node-creating operands are built last-first, as in makeWupwise.
+    const sym::Expr *JS = BB.s("js");
+    IfStmt *If = Prog.make<IfStmt>(BB.P.eq(BB.s("jbeg"), JS));
     {
       DoLoop *DJ = BB.loop("TRANX2_then", "j_z1", BB.c(1), BB.s("jend"), 2);
       const sym::Expr *J = BB.sv(BB.Sym.symbol("j_z1", 2));
-      DJ->append(BB.assign(
-          DEOD, BB.Sym.addConst(BB.Sym.add(Row, J), -1),
-          {ArrayAccess{DEOD,
-                       BB.Sym.addConst(
-                           BB.Sym.add(Row, BB.Sym.add(J, BB.s("jend"))),
-                           -1)}},
-          25));
+      const sym::Expr *ReadOff = BB.Sym.addConst(
+          BB.Sym.add(Row, BB.Sym.add(J, BB.s("jend"))), -1);
+      DJ->append(BB.assign(DEOD, BB.Sym.addConst(BB.Sym.add(Row, J), -1),
+                           {ArrayAccess{DEOD, ReadOff}}, 25));
       If->appendThen(DJ);
     }
     {
       DoLoop *DJ = BB.loop("TRANX2_else", "j_z2", BB.c(1), BB.s("jend"), 2);
       const sym::Expr *J = BB.sv(BB.Sym.symbol("j_z2", 2));
       // Same row, shifted by one element (jbeg != js layout).
-      DJ->append(BB.assign(
-          DEOD, BB.Sym.add(Row, J),
-          {ArrayAccess{DEOD,
-                       BB.Sym.add(Row, BB.Sym.add(J, BB.s("jend")))}},
-          25));
+      const sym::Expr *ReadOff = BB.Sym.add(Row, BB.Sym.add(J, BB.s("jend")));
+      DJ->append(BB.assign(DEOD, BB.Sym.add(Row, J),
+                           {ArrayAccess{DEOD, ReadOff}}, 25));
       If->appendElse(DJ);
     }
     L->append(If);

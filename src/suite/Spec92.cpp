@@ -140,8 +140,12 @@ std::unique_ptr<Benchmark> makeNasa7() {
     auto X = BB.dataArray("GM", BB.Sym.add(BB.s("JG"), N));
     DoLoop *L = BB.loop("GMTTST_do120", "i_g", BB.c(1), N, 1);
     const sym::Expr *I = BB.sv(BB.Sym.symbol("i_g", 1));
+    // The read offset is built before the write offset: argument evaluation
+    // order is unspecified, and node IDs (so plan bytes) follow creation
+    // order.
+    const sym::Expr *IM1 = BB.Sym.addConst(I, -1);
     L->append(BB.assign(X, BB.Sym.addConst(BB.Sym.add(BB.s("JG"), I), -1),
-                        {ArrayAccess{X, BB.Sym.addConst(I, -1)}}, 220));
+                        {ArrayAccess{X, IM1}}, 220));
     B->Loops.push_back({"GMTTST_do120", 21.1, "FI O(1)", L, false});
   }
 
@@ -165,9 +169,10 @@ std::unique_ptr<Benchmark> makeNasa7() {
     auto X = BB.dataArray("BT", BB.Sym.add(BB.s("JB"), BB.Sym.mulConst(N, 2)));
     DoLoop *L = BB.loop("BTRTST_do120", "i_b", BB.c(1), N, 1);
     const sym::Expr *I = BB.sv(BB.Sym.symbol("i_b", 1));
+    const sym::Expr *IM1 = BB.Sym.addConst(I, -1);
     L->append(BB.assign(
         X, BB.Sym.addConst(BB.Sym.add(BB.s("JB"), BB.Sym.mulConst(I, 2)), -2),
-        {ArrayAccess{X, BB.Sym.addConst(I, -1)}}, 150));
+        {ArrayAccess{X, IM1}}, 150));
     B->Loops.push_back({"BTRTST_do120", 9.4, "FI O(1)", L, false});
   }
 

@@ -75,8 +75,12 @@ RegionSummary SummaryBuilder::compose(RegionSummary First,
     AccessTriple R;
     R.WF = Ctx.union2(T1.WF,
                       Ctx.subtract(T2.WF, Ctx.union2(T1.RO, T1.RW)));
+    // The second operand is built first, into a local: argument evaluation
+    // order is unspecified, and node IDs (so plan bytes) follow creation
+    // order.
+    const USR *RO2Unwritten = Ctx.subtract(T2.RO, Ctx.union2(T1.WF, T1.RW));
     R.RO = Ctx.union2(Ctx.subtract(T1.RO, Ctx.union2(T2.WF, T2.RW)),
-                      Ctx.subtract(T2.RO, Ctx.union2(T1.WF, T1.RW)));
+                      RO2Unwritten);
     R.RW = Ctx.unionN({T1.RW, Ctx.subtract(T2.RW, T1.WF),
                        Ctx.intersect(T1.RO, T2.WF)});
     It->second = R;
@@ -180,12 +184,13 @@ RegionSummary SummaryBuilder::aggregateOver(const RegionSummary &Body,
         !T.WF->dependsOn(Var)
             ? Ctx.gate(P.le(Lo, Hi), T.WF)
             : Ctx.recur(Var, Lo, Hi, Ctx.subtract(T.WF, PriorReads));
-    const USR *ROAll = Ctx.subtract(
-        Ctx.recur(Var, Lo, Hi, T.RO),
-        Ctx.recur(Var, Lo, Hi, Ctx.union2(T.WF, T.RW)));
+    // Node-creating operands are built last-first, as in compose().
+    const USR *WrittenAll = Ctx.recur(Var, Lo, Hi, Ctx.union2(T.WF, T.RW));
+    const USR *ROAll =
+        Ctx.subtract(Ctx.recur(Var, Lo, Hi, T.RO), WrittenAll);
+    const USR *WFOrROAll = Ctx.union2(WFAll, ROAll);
     const USR *RWAll = Ctx.subtract(
-        Ctx.recur(Var, Lo, Hi, Ctx.union2(T.RO, T.RW)),
-        Ctx.union2(WFAll, ROAll));
+        Ctx.recur(Var, Lo, Hi, Ctx.union2(T.RO, T.RW)), WFOrROAll);
     Out.Arrays[KV.first] = AccessTriple{ROAll, WFAll, RWAll};
   }
   for (const auto &KV : Body.Reductions)

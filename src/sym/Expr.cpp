@@ -40,95 +40,23 @@ std::string Expr::toString(const Context &Ctx) const {
 }
 
 //===----------------------------------------------------------------------===//
-// Structural equality for interning
+// Symbol sets
 //===----------------------------------------------------------------------===//
 
-static bool nodesEqual(const Expr *A, const Expr *B) {
-  if (A->getKind() != B->getKind())
-    return false;
-  switch (A->getKind()) {
-  case ExprKind::IntConst:
-    return cast<IntConstExpr>(A)->getValue() ==
-           cast<IntConstExpr>(B)->getValue();
-  case ExprKind::SymRef:
-    return cast<SymRefExpr>(A)->getSymbol() == cast<SymRefExpr>(B)->getSymbol();
-  case ExprKind::ArrayRef: {
-    const auto *RA = cast<ArrayRefExpr>(A), *RB = cast<ArrayRefExpr>(B);
-    return RA->getArray() == RB->getArray() &&
-           RA->getIndex() == RB->getIndex();
-  }
-  case ExprKind::Min:
-  case ExprKind::Max: {
-    const auto *MA = cast<MinMaxExpr>(A), *MB = cast<MinMaxExpr>(B);
-    return MA->getLHS() == MB->getLHS() && MA->getRHS() == MB->getRHS();
-  }
-  case ExprKind::FloorDiv:
-  case ExprKind::Mod: {
-    const auto *DA = cast<DivModExpr>(A), *DB = cast<DivModExpr>(B);
-    return DA->getOperand() == DB->getOperand() &&
-           DA->getDivisor() == DB->getDivisor();
-  }
-  case ExprKind::Mul:
-    return cast<MulExpr>(A)->getFactors() == cast<MulExpr>(B)->getFactors();
-  case ExprKind::Add: {
-    const auto *AA = cast<AddExpr>(A), *AB = cast<AddExpr>(B);
-    if (AA->getConstant() != AB->getConstant() ||
-        AA->getTerms().size() != AB->getTerms().size())
-      return false;
-    for (size_t I = 0, E = AA->getTerms().size(); I != E; ++I)
-      if (AA->getTerms()[I].Prod != AB->getTerms()[I].Prod ||
-          AA->getTerms()[I].Coeff != AB->getTerms()[I].Coeff)
-        return false;
-    return true;
-  }
-  }
-  halo_unreachable("covered switch");
+std::vector<SymbolId> sym::unionSyms(const std::vector<SymbolId> &A,
+                                     const std::vector<SymbolId> &B) {
+  std::vector<SymbolId> Out;
+  Out.reserve(A.size() + B.size());
+  std::set_union(A.begin(), A.end(), B.begin(), B.end(),
+                 std::back_inserter(Out));
+  return Out;
 }
 
-static size_t hashNode(const Expr *E) {
-  size_t H = static_cast<size_t>(E->getKind()) * 0x9e3779b9u;
-  switch (E->getKind()) {
-  case ExprKind::IntConst:
-    hashCombine(H, static_cast<size_t>(cast<IntConstExpr>(E)->getValue()));
-    break;
-  case ExprKind::SymRef:
-    hashCombine(H, static_cast<size_t>(cast<SymRefExpr>(E)->getSymbol()));
-    break;
-  case ExprKind::ArrayRef: {
-    const auto *R = cast<ArrayRefExpr>(E);
-    hashCombine(H, static_cast<size_t>(R->getArray()));
-    hashCombine(H, R->getIndex());
-    break;
-  }
-  case ExprKind::Min:
-  case ExprKind::Max: {
-    const auto *M = cast<MinMaxExpr>(E);
-    hashCombine(H, M->getLHS());
-    hashCombine(H, M->getRHS());
-    break;
-  }
-  case ExprKind::FloorDiv:
-  case ExprKind::Mod: {
-    const auto *D = cast<DivModExpr>(E);
-    hashCombine(H, D->getOperand());
-    hashCombine(H, static_cast<size_t>(D->getDivisor()));
-    break;
-  }
-  case ExprKind::Mul:
-    for (const Expr *F : cast<MulExpr>(E)->getFactors())
-      hashCombine(H, F);
-    break;
-  case ExprKind::Add: {
-    const auto *A = cast<AddExpr>(E);
-    hashCombine(H, static_cast<size_t>(A->getConstant()));
-    for (const Monomial &M : A->getTerms()) {
-      hashCombine(H, M.Prod);
-      hashCombine(H, static_cast<size_t>(M.Coeff));
-    }
-    break;
-  }
-  }
-  return H;
+void sym::sortUniqueSyms(std::vector<SymbolId> &Syms) {
+  std::sort(Syms.begin(), Syms.end());
+  Syms.erase(std::unique(Syms.begin(), Syms.end()), Syms.end());
+  // The set lives as long as its node: drop the duplicates' capacity.
+  Syms.shrink_to_fit();
 }
 
 //===----------------------------------------------------------------------===//
@@ -184,26 +112,13 @@ void Context::setMonotoneArray(SymbolId Id, bool Monotone) {
 //===----------------------------------------------------------------------===//
 // Context: interning
 //===----------------------------------------------------------------------===//
+//
+// Probe-first hash-consing (src/sym/README.md, "Interning"): constructors
+// hash their key and pass the table a key comparison and a builder that
+// runs only on a miss.
 
-const Expr *Context::intern(std::unique_ptr<Expr> Node, size_t Hash) {
-  auto Range = InternTable.equal_range(Hash);
-  for (auto It = Range.first; It != Range.second; ++It)
-    if (nodesEqual(It->second, Node.get()))
-      return It->second;
-  Node->Id = static_cast<uint32_t>(Nodes.size());
-  const Expr *Raw = Node.get();
-  Nodes.push_back(std::move(Node));
-  InternTable.emplace(Hash, Raw);
-  return Raw;
-}
-
-std::vector<SymbolId> Context::unionSyms(const std::vector<SymbolId> &A,
-                                         const std::vector<SymbolId> &B) {
-  std::vector<SymbolId> Out;
-  Out.reserve(A.size() + B.size());
-  std::set_union(A.begin(), A.end(), B.begin(), B.end(),
-                 std::back_inserter(Out));
-  return Out;
+static size_t hashSeed(ExprKind K) {
+  return static_cast<size_t>(K) * 0x9e3779b9u;
 }
 
 //===----------------------------------------------------------------------===//
@@ -211,16 +126,30 @@ std::vector<SymbolId> Context::unionSyms(const std::vector<SymbolId> &A,
 //===----------------------------------------------------------------------===//
 
 const Expr *Context::intConst(int64_t V) {
-  std::unique_ptr<Expr> N(new IntConstExpr(0, V));
-  size_t H = hashNode(N.get());
-  return intern(std::move(N), H);
+  size_t H = hashSeed(ExprKind::IntConst);
+  hashCombine(H, static_cast<size_t>(V));
+  return Nodes.intern(
+      H,
+      [&](const Expr &E) {
+        const auto *C = dyn_cast<IntConstExpr>(&E);
+        return C && C->getValue() == V;
+      },
+      [&](uint32_t Id) {
+        return std::unique_ptr<Expr>(new IntConstExpr(Id, V));
+      });
 }
 
 const Expr *Context::symRef(SymbolId S) {
   assert(!symbolInfo(S).IsArray && "use arrayRef for array symbols");
-  std::unique_ptr<Expr> N(new SymRefExpr(0, S));
-  size_t H = hashNode(N.get());
-  return intern(std::move(N), H);
+  size_t H = hashSeed(ExprKind::SymRef);
+  hashCombine(H, static_cast<size_t>(S));
+  return Nodes.intern(
+      H,
+      [&](const Expr &E) {
+        const auto *R = dyn_cast<SymRefExpr>(&E);
+        return R && R->getSymbol() == S;
+      },
+      [&](uint32_t Id) { return std::unique_ptr<Expr>(new SymRefExpr(Id, S)); });
 }
 
 const Expr *Context::symRef(const std::string &Name) {
@@ -229,10 +158,19 @@ const Expr *Context::symRef(const std::string &Name) {
 
 const Expr *Context::arrayRef(SymbolId Arr, const Expr *Index) {
   assert(symbolInfo(Arr).IsArray && "arrayRef of a scalar symbol");
-  std::vector<SymbolId> Free = unionSyms({Arr}, Index->freeSymbols());
-  std::unique_ptr<Expr> N(new ArrayRefExpr(0, Arr, Index, std::move(Free)));
-  size_t H = hashNode(N.get());
-  return intern(std::move(N), H);
+  size_t H = hashSeed(ExprKind::ArrayRef);
+  hashCombine(H, static_cast<size_t>(Arr));
+  hashCombine(H, Index);
+  return Nodes.intern(
+      H,
+      [&](const Expr &E) {
+        const auto *R = dyn_cast<ArrayRefExpr>(&E);
+        return R && R->getArray() == Arr && R->getIndex() == Index;
+      },
+      [&](uint32_t Id) {
+        return std::unique_ptr<Expr>(new ArrayRefExpr(
+            Id, Arr, Index, unionSyms({Arr}, Index->freeSymbols())));
+      });
 }
 
 //===----------------------------------------------------------------------===//
@@ -255,37 +193,62 @@ LinearForm Context::toLinear(const Expr *E) const {
 }
 
 const Expr *Context::fromLinear(LinearForm LF) {
-  // Canonicalize: sort by product id, merge, drop zero coefficients.
-  std::sort(LF.Terms.begin(), LF.Terms.end(),
+  // Canonicalize in place: sort by product id, merge, drop zero
+  // coefficients.
+  std::vector<Monomial> &Terms = LF.Terms;
+  std::sort(Terms.begin(), Terms.end(),
             [](const Monomial &A, const Monomial &B) {
               return A.Prod->getId() < B.Prod->getId();
             });
-  std::vector<Monomial> Merged;
-  Merged.reserve(LF.Terms.size());
-  for (const Monomial &M : LF.Terms) {
+  size_t Kept = 0;
+  for (const Monomial &M : Terms) {
     if (M.Coeff == 0)
       continue;
-    if (!Merged.empty() && Merged.back().Prod == M.Prod)
-      Merged.back().Coeff += M.Coeff;
-    else
-      Merged.push_back(M);
+    if (Kept != 0 && Terms[Kept - 1].Prod == M.Prod) {
+      if ((Terms[Kept - 1].Coeff += M.Coeff) == 0)
+        --Kept;
+    } else {
+      Terms[Kept++] = M;
+    }
   }
-  Merged.erase(std::remove_if(Merged.begin(), Merged.end(),
-                              [](const Monomial &M) { return M.Coeff == 0; }),
-               Merged.end());
+  Terms.resize(Kept);
 
-  if (Merged.empty())
+  if (Terms.empty())
     return intConst(LF.Constant);
-  if (Merged.size() == 1 && Merged[0].Coeff == 1 && LF.Constant == 0)
-    return Merged[0].Prod;
+  if (Terms.size() == 1 && Terms[0].Coeff == 1 && LF.Constant == 0)
+    return Terms[0].Prod;
 
-  std::vector<SymbolId> Free;
-  for (const Monomial &M : Merged)
-    Free = unionSyms(Free, M.Prod->freeSymbols());
-  std::unique_ptr<Expr> N(
-      new AddExpr(0, std::move(Merged), LF.Constant, std::move(Free)));
-  size_t H = hashNode(N.get());
-  return intern(std::move(N), H);
+  const int64_t Constant = LF.Constant;
+  size_t H = hashSeed(ExprKind::Add);
+  hashCombine(H, static_cast<size_t>(Constant));
+  for (const Monomial &M : Terms) {
+    hashCombine(H, M.Prod);
+    hashCombine(H, static_cast<size_t>(M.Coeff));
+  }
+  return Nodes.intern(
+      H,
+      [&](const Expr &E) {
+        const auto *A = dyn_cast<AddExpr>(&E);
+        if (!A || A->getConstant() != Constant ||
+            A->getTerms().size() != Terms.size())
+          return false;
+        for (size_t I = 0, N = Terms.size(); I != N; ++I)
+          if (A->getTerms()[I].Prod != Terms[I].Prod ||
+              A->getTerms()[I].Coeff != Terms[I].Coeff)
+            return false;
+        return true;
+      },
+      [&](uint32_t Id) {
+        std::vector<SymbolId> Free;
+        for (const Monomial &M : Terms)
+          appendSyms(Free, M.Prod->freeSymbols());
+        sortUniqueSyms(Free);
+        // An exact-size copy: the merged terms may sit in a much larger
+        // buffer, and the node keeps them for the context's lifetime.
+        return std::unique_ptr<Expr>(new AddExpr(
+            Id, std::vector<Monomial>(Terms.begin(), Terms.end()), Constant,
+            std::move(Free)));
+      });
 }
 
 const Expr *Context::makeProduct(std::vector<const Expr *> Factors) {
@@ -294,15 +257,26 @@ const Expr *Context::makeProduct(std::vector<const Expr *> Factors) {
     return Factors[0];
   std::sort(Factors.begin(), Factors.end(),
             [](const Expr *A, const Expr *B) { return A->getId() < B->getId(); });
-  std::vector<SymbolId> Free;
+  size_t H = hashSeed(ExprKind::Mul);
   for (const Expr *F : Factors) {
     assert(!isa<AddExpr>(F) && !isa<IntConstExpr>(F) && !isa<MulExpr>(F) &&
            "product factors must be atoms");
-    Free = unionSyms(Free, F->freeSymbols());
+    hashCombine(H, F);
   }
-  std::unique_ptr<Expr> N(new MulExpr(0, std::move(Factors), std::move(Free)));
-  size_t H = hashNode(N.get());
-  return intern(std::move(N), H);
+  return Nodes.intern(
+      H,
+      [&](const Expr &E) {
+        const auto *M = dyn_cast<MulExpr>(&E);
+        return M && M->getFactors() == Factors;
+      },
+      [&](uint32_t Id) {
+        std::vector<SymbolId> Free;
+        for (const Expr *F : Factors)
+          appendSyms(Free, F->freeSymbols());
+        sortUniqueSyms(Free);
+        return std::unique_ptr<Expr>(
+            new MulExpr(Id, std::move(Factors), std::move(Free)));
+      });
 }
 
 const Expr *Context::add(const Expr *A, const Expr *B) {
@@ -386,14 +360,7 @@ const Expr *Context::min(const Expr *A, const Expr *B) {
   // Fold min(A, A + c): the difference decides.
   if (auto DC = constValue(sub(A, B)))
     return *DC <= 0 ? A : B;
-  if (B->getId() < A->getId())
-    std::swap(A, B);
-  std::vector<SymbolId> Free =
-      unionSyms(A->freeSymbols(), B->freeSymbols());
-  std::unique_ptr<Expr> N(
-      new MinMaxExpr(ExprKind::Min, 0, A, B, std::move(Free)));
-  size_t H = hashNode(N.get());
-  return intern(std::move(N), H);
+  return makeMinMax(ExprKind::Min, A, B);
 }
 
 const Expr *Context::max(const Expr *A, const Expr *B) {
@@ -404,14 +371,25 @@ const Expr *Context::max(const Expr *A, const Expr *B) {
     return intConst(std::max(*CA, *CB));
   if (auto DC = constValue(sub(A, B)))
     return *DC >= 0 ? A : B;
+  return makeMinMax(ExprKind::Max, A, B);
+}
+
+const Expr *Context::makeMinMax(ExprKind K, const Expr *A, const Expr *B) {
   if (B->getId() < A->getId())
     std::swap(A, B);
-  std::vector<SymbolId> Free =
-      unionSyms(A->freeSymbols(), B->freeSymbols());
-  std::unique_ptr<Expr> N(
-      new MinMaxExpr(ExprKind::Max, 0, A, B, std::move(Free)));
-  size_t H = hashNode(N.get());
-  return intern(std::move(N), H);
+  size_t H = hashSeed(K);
+  hashCombine(H, A);
+  hashCombine(H, B);
+  return Nodes.intern(
+      H,
+      [&](const Expr &E) {
+        const auto *M = dyn_cast<MinMaxExpr>(&E);
+        return M && M->getKind() == K && M->getLHS() == A && M->getRHS() == B;
+      },
+      [&](uint32_t Id) {
+        return std::unique_ptr<Expr>(new MinMaxExpr(
+            K, Id, A, B, unionSyms(A->freeSymbols(), B->freeSymbols())));
+      });
 }
 
 static int64_t floorDivInt(int64_t A, int64_t D) {
@@ -435,11 +413,7 @@ const Expr *Context::floorDiv(const Expr *A, int64_t D) {
       M.Coeff /= D;
     return fromLinear(std::move(LF));
   }
-  std::unique_ptr<Expr> N(new DivModExpr(ExprKind::FloorDiv, 0, A, D,
-                                         std::vector<SymbolId>(
-                                             A->freeSymbols())));
-  size_t H = hashNode(N.get());
-  return intern(std::move(N), H);
+  return makeDivMod(ExprKind::FloorDiv, A, D);
 }
 
 const Expr *Context::mod(const Expr *A, int64_t D) {
@@ -450,11 +424,24 @@ const Expr *Context::mod(const Expr *A, int64_t D) {
     return intConst(*CA - floorDivInt(*CA, D) * D);
   if (definitelyDivisibleBy(A, D))
     return intConst(0);
-  std::unique_ptr<Expr> N(new DivModExpr(ExprKind::Mod, 0, A, D,
-                                         std::vector<SymbolId>(
-                                             A->freeSymbols())));
-  size_t H = hashNode(N.get());
-  return intern(std::move(N), H);
+  return makeDivMod(ExprKind::Mod, A, D);
+}
+
+const Expr *Context::makeDivMod(ExprKind K, const Expr *A, int64_t D) {
+  size_t H = hashSeed(K);
+  hashCombine(H, A);
+  hashCombine(H, static_cast<size_t>(D));
+  return Nodes.intern(
+      H,
+      [&](const Expr &E) {
+        const auto *M = dyn_cast<DivModExpr>(&E);
+        return M && M->getKind() == K && M->getOperand() == A &&
+               M->getDivisor() == D;
+      },
+      [&](uint32_t Id) {
+        return std::unique_ptr<Expr>(new DivModExpr(
+            K, Id, A, D, std::vector<SymbolId>(A->freeSymbols())));
+      });
 }
 
 //===----------------------------------------------------------------------===//

@@ -35,6 +35,7 @@
 #define HALO_SYM_EXPR_H
 
 #include "support/Casting.h"
+#include "support/InternSet.h"
 
 #include <cstdint>
 #include <map>
@@ -253,7 +254,22 @@ struct LinearForm {
   int64_t Constant = 0;
 };
 
-/// Owns and interns all expressions and symbols.
+/// Sorted union of two sorted symbol sets.
+std::vector<SymbolId> unionSyms(const std::vector<SymbolId> &A,
+                                const std::vector<SymbolId> &B);
+/// Appends \p Syms to \p Out; sortUniqueSyms turns the concatenation of
+/// several sorted sets into their union.
+inline void appendSyms(std::vector<SymbolId> &Out,
+                       const std::vector<SymbolId> &Syms) {
+  Out.insert(Out.end(), Syms.begin(), Syms.end());
+}
+/// Sorts and deduplicates \p Syms in place: one sort, where a chain of
+/// pairwise unions would copy every prefix again.
+void sortUniqueSyms(std::vector<SymbolId> &Syms);
+
+/// Owns and interns all expressions and symbols. Every constructor hashes
+/// its key and probes the intern table before it builds anything, so a
+/// repeat construction allocates nothing and returns the existing node.
 class Context {
 public:
   Context();
@@ -333,13 +349,11 @@ public:
   size_t numExprs() const { return Nodes.size(); }
 
 private:
-  const Expr *intern(std::unique_ptr<Expr> Node, size_t Hash);
   const Expr *makeProduct(std::vector<const Expr *> Factors);
-  static std::vector<SymbolId> unionSyms(const std::vector<SymbolId> &A,
-                                         const std::vector<SymbolId> &B);
+  const Expr *makeMinMax(ExprKind K, const Expr *A, const Expr *B);
+  const Expr *makeDivMod(ExprKind K, const Expr *A, int64_t D);
 
-  std::vector<std::unique_ptr<Expr>> Nodes;
-  std::unordered_multimap<size_t, const Expr *> InternTable;
+  support::InternSet<Expr> Nodes;
   std::vector<Symbol> Symbols;
   std::unordered_map<std::string, SymbolId> SymbolByName;
   unsigned FreshCounter = 0;

@@ -46,131 +46,23 @@ std::string USR::toString(const sym::Context &Ctx) const {
 //===----------------------------------------------------------------------===//
 // Interning
 //===----------------------------------------------------------------------===//
+//
+// Probe-first hash-consing (src/sym/README.md, "Interning"): constructors
+// hash their key and pass the table a key comparison and a builder that
+// runs only on a miss.
 
-static bool usrsEqual(const USR *A, const USR *B) {
-  if (A->getKind() != B->getKind())
-    return false;
-  switch (A->getKind()) {
-  case USRKind::Empty:
-    return true;
-  case USRKind::Leaf:
-    return cast<LeafUSR>(A)->getLMADs() == cast<LeafUSR>(B)->getLMADs();
-  case USRKind::Union:
-    return cast<UnionUSR>(A)->getChildren() ==
-           cast<UnionUSR>(B)->getChildren();
-  case USRKind::Intersect:
-  case USRKind::Subtract: {
-    const auto *BA = cast<BinaryUSR>(A), *BB = cast<BinaryUSR>(B);
-    return BA->getLHS() == BB->getLHS() && BA->getRHS() == BB->getRHS();
-  }
-  case USRKind::Gate: {
-    const auto *GA = cast<GateUSR>(A), *GB = cast<GateUSR>(B);
-    return GA->getGate() == GB->getGate() && GA->getChild() == GB->getChild();
-  }
-  case USRKind::CallSite: {
-    const auto *CA = cast<CallSiteUSR>(A), *CB = cast<CallSiteUSR>(B);
-    return CA->getCallee() == CB->getCallee() &&
-           CA->getChild() == CB->getChild();
-  }
-  case USRKind::Recur: {
-    const auto *RA = cast<RecurUSR>(A), *RB = cast<RecurUSR>(B);
-    return RA->getVar() == RB->getVar() && RA->getLo() == RB->getLo() &&
-           RA->getHi() == RB->getHi() && RA->getBody() == RB->getBody();
-  }
-  }
-  halo_unreachable("covered switch");
-}
-
-static size_t hashUSR(const USR *U) {
-  size_t H = static_cast<size_t>(U->getKind()) * 0x9e3779b9u + 31;
-  switch (U->getKind()) {
-  case USRKind::Empty:
-    break;
-  case USRKind::Leaf:
-    for (const lmad::LMAD &L : cast<LeafUSR>(U)->getLMADs()) {
-      hashCombine(H, L.offset());
-      for (const lmad::Dim &D : L.dims()) {
-        hashCombine(H, D.Stride);
-        hashCombine(H, D.Span);
-      }
-    }
-    break;
-  case USRKind::Union:
-    for (const USR *C : cast<UnionUSR>(U)->getChildren())
-      hashCombine(H, C);
-    break;
-  case USRKind::Intersect:
-  case USRKind::Subtract: {
-    const auto *B = cast<BinaryUSR>(U);
-    hashCombine(H, B->getLHS());
-    hashCombine(H, B->getRHS());
-    break;
-  }
-  case USRKind::Gate: {
-    const auto *G = cast<GateUSR>(U);
-    hashCombine(H, G->getGate());
-    hashCombine(H, G->getChild());
-    break;
-  }
-  case USRKind::CallSite: {
-    const auto *C = cast<CallSiteUSR>(U);
-    hashCombine(H, std::hash<std::string>{}(C->getCallee()));
-    hashCombine(H, C->getChild());
-    break;
-  }
-  case USRKind::Recur: {
-    const auto *R = cast<RecurUSR>(U);
-    hashCombine(H, static_cast<size_t>(R->getVar()));
-    hashCombine(H, R->getLo());
-    hashCombine(H, R->getHi());
-    hashCombine(H, R->getBody());
-    break;
-  }
-  }
-  return H;
-}
-
-const USR *USRContext::intern(std::unique_ptr<USR> N, size_t Hash) {
-  auto Range = InternTable.equal_range(Hash);
-  for (auto It = Range.first; It != Range.second; ++It)
-    if (usrsEqual(It->second, N.get()))
-      return It->second;
-  N->Id = static_cast<uint32_t>(Nodes.size());
-  const USR *Raw = N.get();
-  Nodes.push_back(std::move(N));
-  InternTable.emplace(Hash, Raw);
-  return Raw;
+static size_t hashSeed(USRKind K) {
+  return static_cast<size_t>(K) * 0x9e3779b9u + 31;
 }
 
 USRContext::USRContext(sym::Context &SymCtx, pdag::PredContext &PredCtx)
     : SymCtx(SymCtx), PredCtx(PredCtx) {
-  std::unique_ptr<USR> E(new EmptyUSR());
-  size_t H = hashUSR(E.get());
-  EmptyNode = intern(std::move(E), H);
+  EmptyNode = Nodes.intern(
+      hashSeed(USRKind::Empty), [](const USR &U) { return U.isEmptySet(); },
+      [](uint32_t Id) { return std::unique_ptr<USR>(new EmptyUSR(Id)); });
 }
 
 USRContext::~USRContext() = default;
-
-static std::vector<SymbolId> unionSyms(std::vector<SymbolId> A,
-                                       const std::vector<SymbolId> &B) {
-  std::vector<SymbolId> Out;
-  Out.reserve(A.size() + B.size());
-  std::set_union(A.begin(), A.end(), B.begin(), B.end(),
-                 std::back_inserter(Out));
-  return Out;
-}
-
-static std::vector<SymbolId> lmadSyms(const lmad::LMADSet &Set) {
-  std::vector<SymbolId> Out;
-  for (const lmad::LMAD &L : Set) {
-    Out = unionSyms(std::move(Out), L.offset()->freeSymbols());
-    for (const lmad::Dim &D : L.dims()) {
-      Out = unionSyms(std::move(Out), D.Stride->freeSymbols());
-      Out = unionSyms(std::move(Out), D.Span->freeSymbols());
-    }
-  }
-  return Out;
-}
 
 //===----------------------------------------------------------------------===//
 // Constructors
@@ -184,10 +76,33 @@ const USR *USRContext::leaf(lmad::LMADSet L) {
   for (const lmad::LMAD &X : L)
     if (std::find(Out.begin(), Out.end(), X) == Out.end())
       Out.push_back(X);
-  std::vector<SymbolId> Free = lmadSyms(Out);
-  std::unique_ptr<USR> N(new LeafUSR(std::move(Out), std::move(Free)));
-  size_t H = hashUSR(N.get());
-  return intern(std::move(N), H);
+  size_t H = hashSeed(USRKind::Leaf);
+  for (const lmad::LMAD &X : Out) {
+    hashCombine(H, X.offset());
+    for (const lmad::Dim &D : X.dims()) {
+      hashCombine(H, D.Stride);
+      hashCombine(H, D.Span);
+    }
+  }
+  return Nodes.intern(
+      H,
+      [&](const USR &U) {
+        const auto *Leaf = dyn_cast<LeafUSR>(&U);
+        return Leaf && Leaf->getLMADs() == Out;
+      },
+      [&](uint32_t Id) {
+        std::vector<SymbolId> Free;
+        for (const lmad::LMAD &X : Out) {
+          sym::appendSyms(Free, X.offset()->freeSymbols());
+          for (const lmad::Dim &D : X.dims()) {
+            sym::appendSyms(Free, D.Stride->freeSymbols());
+            sym::appendSyms(Free, D.Span->freeSymbols());
+          }
+        }
+        sym::sortUniqueSyms(Free);
+        return std::unique_ptr<USR>(
+            new LeafUSR(Id, std::move(Out), std::move(Free)));
+      });
 }
 
 const USR *USRContext::interval(const Expr *Offset, const Expr *Len) {
@@ -221,9 +136,16 @@ const USR *USRContext::unionN(std::vector<const USR *> Cs) {
     }
   }
   // Merge same-gate children: g#A u g#B == g#(A u B). This is one half of
-  // the UMEG-preserving machinery and is unconditionally sound.
+  // the UMEG-preserving machinery and is unconditionally sound. The merged
+  // gates are rebuilt in gate-ID order, which, unlike address order, does
+  // not depend on the heap, so the nodes are created in the same order in
+  // every process.
   {
-    std::map<const pdag::Pred *, std::vector<const USR *>> ByGate;
+    auto ById = [](const pdag::Pred *A, const pdag::Pred *B) {
+      return A->getId() < B->getId();
+    };
+    std::map<const pdag::Pred *, std::vector<const USR *>, decltype(ById)>
+        ByGate(ById);
     std::vector<const USR *> Rest;
     for (const USR *C : Flat) {
       if (const auto *G = dyn_cast<GateUSR>(C))
@@ -252,12 +174,23 @@ const USR *USRContext::unionN(std::vector<const USR *> Cs) {
     return EmptyNode;
   if (Flat.size() == 1)
     return Flat[0];
-  std::vector<SymbolId> Free;
+  size_t H = hashSeed(USRKind::Union);
   for (const USR *C : Flat)
-    Free = unionSyms(std::move(Free), C->freeSymbols());
-  std::unique_ptr<USR> N(new UnionUSR(std::move(Flat), std::move(Free)));
-  size_t H = hashUSR(N.get());
-  return intern(std::move(N), H);
+    hashCombine(H, C);
+  return Nodes.intern(
+      H,
+      [&](const USR &U) {
+        const auto *Un = dyn_cast<UnionUSR>(&U);
+        return Un && Un->getChildren() == Flat;
+      },
+      [&](uint32_t Id) {
+        std::vector<SymbolId> Free;
+        for (const USR *C : Flat)
+          sym::appendSyms(Free, C->freeSymbols());
+        sym::sortUniqueSyms(Free);
+        return std::unique_ptr<USR>(
+            new UnionUSR(Id, std::move(Flat), std::move(Free)));
+      });
 }
 
 const USR *USRContext::intersect(const USR *A, const USR *B) {
@@ -273,12 +206,7 @@ const USR *USRContext::intersect(const USR *A, const USR *B) {
     return gate(G->getGate(), intersect(G->getChild(), B));
   if (const auto *G = dyn_cast<GateUSR>(B))
     return gate(G->getGate(), intersect(A, G->getChild()));
-  std::vector<SymbolId> Free =
-      unionSyms(std::vector<SymbolId>(A->freeSymbols()), B->freeSymbols());
-  std::unique_ptr<USR> N(
-      new BinaryUSR(USRKind::Intersect, A, B, std::move(Free)));
-  size_t H = hashUSR(N.get());
-  return intern(std::move(N), H);
+  return makeBinary(USRKind::Intersect, A, B);
 }
 
 const USR *USRContext::subtract(const USR *A, const USR *B) {
@@ -296,12 +224,24 @@ const USR *USRContext::subtract(const USR *A, const USR *B) {
   // LMAD domain before predicate extraction.
   if (const auto *S = dyn_cast<BinaryUSR>(A); S && !S->isIntersect())
     return subtract(S->getLHS(), union2(S->getRHS(), B));
-  std::vector<SymbolId> Free =
-      unionSyms(std::vector<SymbolId>(A->freeSymbols()), B->freeSymbols());
-  std::unique_ptr<USR> N(
-      new BinaryUSR(USRKind::Subtract, A, B, std::move(Free)));
-  size_t H = hashUSR(N.get());
-  return intern(std::move(N), H);
+  return makeBinary(USRKind::Subtract, A, B);
+}
+
+const USR *USRContext::makeBinary(USRKind K, const USR *A, const USR *B) {
+  size_t H = hashSeed(K);
+  hashCombine(H, A);
+  hashCombine(H, B);
+  return Nodes.intern(
+      H,
+      [&](const USR &U) {
+        const auto *Bin = dyn_cast<BinaryUSR>(&U);
+        return Bin && Bin->getKind() == K && Bin->getLHS() == A &&
+               Bin->getRHS() == B;
+      },
+      [&](uint32_t Id) {
+        return std::unique_ptr<USR>(new BinaryUSR(
+            K, Id, A, B, sym::unionSyms(A->freeSymbols(), B->freeSymbols())));
+      });
 }
 
 const USR *USRContext::gate(const pdag::Pred *G, const USR *S) {
@@ -312,20 +252,37 @@ const USR *USRContext::gate(const pdag::Pred *G, const USR *S) {
   // Nested gates conjoin.
   if (const auto *Inner = dyn_cast<GateUSR>(S))
     return gate(PredCtx.and2(G, Inner->getGate()), Inner->getChild());
-  std::vector<SymbolId> Free =
-      unionSyms(std::vector<SymbolId>(G->freeSymbols()), S->freeSymbols());
-  std::unique_ptr<USR> N(new GateUSR(G, S, std::move(Free)));
-  size_t H = hashUSR(N.get());
-  return intern(std::move(N), H);
+  size_t H = hashSeed(USRKind::Gate);
+  hashCombine(H, G);
+  hashCombine(H, S);
+  return Nodes.intern(
+      H,
+      [&](const USR &U) {
+        const auto *Gt = dyn_cast<GateUSR>(&U);
+        return Gt && Gt->getGate() == G && Gt->getChild() == S;
+      },
+      [&](uint32_t Id) {
+        return std::unique_ptr<USR>(new GateUSR(
+            Id, G, S, sym::unionSyms(G->freeSymbols(), S->freeSymbols())));
+      });
 }
 
 const USR *USRContext::callSite(const std::string &Callee, const USR *S) {
   if (S->isEmptySet())
     return EmptyNode;
-  std::unique_ptr<USR> N(new CallSiteUSR(
-      Callee, S, std::vector<SymbolId>(S->freeSymbols())));
-  size_t H = hashUSR(N.get());
-  return intern(std::move(N), H);
+  size_t H = hashSeed(USRKind::CallSite);
+  hashCombine(H, std::hash<std::string>{}(Callee));
+  hashCombine(H, S);
+  return Nodes.intern(
+      H,
+      [&](const USR &U) {
+        const auto *C = dyn_cast<CallSiteUSR>(&U);
+        return C && C->getChild() == S && C->getCallee() == Callee;
+      },
+      [&](uint32_t Id) {
+        return std::unique_ptr<USR>(new CallSiteUSR(
+            Id, Callee, S, std::vector<SymbolId>(S->freeSymbols())));
+      });
 }
 
 const USR *USRContext::recur(SymbolId Var, const Expr *Lo, const Expr *Hi,
@@ -378,13 +335,27 @@ const USR *USRContext::recur(SymbolId Var, const Expr *Lo, const Expr *Hi,
     }
   }
 
-  std::vector<SymbolId> Free(Body->freeSymbols());
-  Free.erase(std::remove(Free.begin(), Free.end(), Var), Free.end());
-  Free = unionSyms(std::move(Free), Lo->freeSymbols());
-  Free = unionSyms(std::move(Free), Hi->freeSymbols());
-  std::unique_ptr<USR> N(new RecurUSR(Var, Lo, Hi, Body, std::move(Free)));
-  size_t H = hashUSR(N.get());
-  return intern(std::move(N), H);
+  size_t H = hashSeed(USRKind::Recur);
+  hashCombine(H, static_cast<size_t>(Var));
+  hashCombine(H, Lo);
+  hashCombine(H, Hi);
+  hashCombine(H, Body);
+  return Nodes.intern(
+      H,
+      [&](const USR &U) {
+        const auto *R = dyn_cast<RecurUSR>(&U);
+        return R && R->getVar() == Var && R->getLo() == Lo &&
+               R->getHi() == Hi && R->getBody() == Body;
+      },
+      [&](uint32_t Id) {
+        std::vector<SymbolId> Free(Body->freeSymbols());
+        Free.erase(std::remove(Free.begin(), Free.end(), Var), Free.end());
+        sym::appendSyms(Free, Lo->freeSymbols());
+        sym::appendSyms(Free, Hi->freeSymbols());
+        sym::sortUniqueSyms(Free);
+        return std::unique_ptr<USR>(
+            new RecurUSR(Id, Var, Lo, Hi, Body, std::move(Free)));
+      });
 }
 
 //===----------------------------------------------------------------------===//
@@ -422,16 +393,21 @@ USRContext::substitute(const USR *S,
   }
   case USRKind::Intersect: {
     const auto *B = cast<BinaryUSR>(S);
-    return intersect(substitute(B->getLHS(), M), substitute(B->getRHS(), M));
+    // The last operand is substituted first, into a local: argument
+    // evaluation order is unspecified, and node IDs (so plan bytes) follow
+    // creation order.
+    const USR *RHS = substitute(B->getRHS(), M);
+    return intersect(substitute(B->getLHS(), M), RHS);
   }
   case USRKind::Subtract: {
     const auto *B = cast<BinaryUSR>(S);
-    return subtract(substitute(B->getLHS(), M), substitute(B->getRHS(), M));
+    const USR *RHS = substitute(B->getRHS(), M);
+    return subtract(substitute(B->getLHS(), M), RHS);
   }
   case USRKind::Gate: {
     const auto *G = cast<GateUSR>(S);
-    return gate(PredCtx.substitute(G->getGate(), M),
-                substitute(G->getChild(), M));
+    const USR *Child = substitute(G->getChild(), M);
+    return gate(PredCtx.substitute(G->getGate(), M), Child);
   }
   case USRKind::CallSite: {
     const auto *C = cast<CallSiteUSR>(S);

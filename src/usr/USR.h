@@ -37,13 +37,13 @@
 
 #include "lmad/LMAD.h"
 #include "pdag/Pred.h"
+#include "support/InternSet.h"
 
 #include <map>
 #include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace halo {
@@ -79,12 +79,12 @@ public:
   std::string toString(const sym::Context &Ctx) const;
 
 protected:
-  USR(USRKind K, std::vector<sym::SymbolId> Free)
-      : Kind(K), FreeSyms(std::move(Free)) {}
+  USR(USRKind K, uint32_t Id, std::vector<sym::SymbolId> Free)
+      : Kind(K), Id(Id), FreeSyms(std::move(Free)) {}
 
 private:
   USRKind Kind;
-  uint32_t Id = 0;
+  uint32_t Id;
   std::vector<sym::SymbolId> FreeSyms;
   friend class USRContext;
 };
@@ -95,7 +95,7 @@ public:
   static bool classof(const USR *U) { return U->getKind() == USRKind::Empty; }
 
 private:
-  EmptyUSR() : USR(USRKind::Empty, {}) {}
+  explicit EmptyUSR(uint32_t Id) : USR(USRKind::Empty, Id, {}) {}
   friend class USRContext;
 };
 
@@ -107,8 +107,8 @@ public:
   static bool classof(const USR *U) { return U->getKind() == USRKind::Leaf; }
 
 private:
-  LeafUSR(lmad::LMADSet L, std::vector<sym::SymbolId> Free)
-      : USR(USRKind::Leaf, std::move(Free)), LMADs(std::move(L)) {}
+  LeafUSR(uint32_t Id, lmad::LMADSet L, std::vector<sym::SymbolId> Free)
+      : USR(USRKind::Leaf, Id, std::move(Free)), LMADs(std::move(L)) {}
   lmad::LMADSet LMADs;
   friend class USRContext;
 };
@@ -121,8 +121,9 @@ public:
   static bool classof(const USR *U) { return U->getKind() == USRKind::Union; }
 
 private:
-  UnionUSR(std::vector<const USR *> C, std::vector<sym::SymbolId> Free)
-      : USR(USRKind::Union, std::move(Free)), Children(std::move(C)) {}
+  UnionUSR(uint32_t Id, std::vector<const USR *> C,
+           std::vector<sym::SymbolId> Free)
+      : USR(USRKind::Union, Id, std::move(Free)), Children(std::move(C)) {}
   std::vector<const USR *> Children;
   friend class USRContext;
 };
@@ -140,9 +141,9 @@ public:
   }
 
 private:
-  BinaryUSR(USRKind K, const USR *L, const USR *R,
+  BinaryUSR(USRKind K, uint32_t Id, const USR *L, const USR *R,
             std::vector<sym::SymbolId> Free)
-      : USR(K, std::move(Free)), LHS(L), RHS(R) {}
+      : USR(K, Id, std::move(Free)), LHS(L), RHS(R) {}
   const USR *LHS;
   const USR *RHS;
   friend class USRContext;
@@ -157,8 +158,9 @@ public:
   static bool classof(const USR *U) { return U->getKind() == USRKind::Gate; }
 
 private:
-  GateUSR(const pdag::Pred *G, const USR *C, std::vector<sym::SymbolId> Free)
-      : USR(USRKind::Gate, std::move(Free)), Gate(G), Child(C) {}
+  GateUSR(uint32_t Id, const pdag::Pred *G, const USR *C,
+          std::vector<sym::SymbolId> Free)
+      : USR(USRKind::Gate, Id, std::move(Free)), Gate(G), Child(C) {}
   const pdag::Pred *Gate;
   const USR *Child;
   friend class USRContext;
@@ -176,9 +178,9 @@ public:
   }
 
 private:
-  CallSiteUSR(std::string Callee, const USR *C,
+  CallSiteUSR(uint32_t Id, std::string Callee, const USR *C,
               std::vector<sym::SymbolId> Free)
-      : USR(USRKind::CallSite, std::move(Free)), Callee(std::move(Callee)),
+      : USR(USRKind::CallSite, Id, std::move(Free)), Callee(std::move(Callee)),
         Child(C) {}
   std::string Callee;
   const USR *Child;
@@ -198,9 +200,10 @@ public:
   static bool classof(const USR *U) { return U->getKind() == USRKind::Recur; }
 
 private:
-  RecurUSR(sym::SymbolId Var, const sym::Expr *Lo, const sym::Expr *Hi,
-           const USR *Body, std::vector<sym::SymbolId> Free)
-      : USR(USRKind::Recur, std::move(Free)), Var(Var), Lo(Lo), Hi(Hi),
+  RecurUSR(uint32_t Id, sym::SymbolId Var, const sym::Expr *Lo,
+           const sym::Expr *Hi, const USR *Body,
+           std::vector<sym::SymbolId> Free)
+      : USR(USRKind::Recur, Id, std::move(Free)), Var(Var), Lo(Lo), Hi(Hi),
         Body(Body) {}
   sym::SymbolId Var;
   const sym::Expr *Lo;
@@ -210,6 +213,8 @@ private:
 };
 
 /// Owns and interns USR nodes; provides the canonicalizing constructors.
+/// Each constructor probes the intern table with its key before it builds
+/// anything, so a repeat construction allocates nothing.
 class USRContext {
 public:
   USRContext(sym::Context &SymCtx, pdag::PredContext &PredCtx);
@@ -249,12 +254,11 @@ public:
   size_t numNodes() const { return Nodes.size(); }
 
 private:
-  const USR *intern(std::unique_ptr<USR> N, size_t Hash);
+  const USR *makeBinary(USRKind K, const USR *A, const USR *B);
 
   sym::Context &SymCtx;
   pdag::PredContext &PredCtx;
-  std::vector<std::unique_ptr<USR>> Nodes;
-  std::unordered_multimap<size_t, const USR *> InternTable;
+  support::InternSet<USR> Nodes;
   const USR *EmptyNode = nullptr;
 };
 

@@ -226,8 +226,10 @@ const Pred *Factorizer::shallowEmptyPred(const USR *S) {
   }
   case USRKind::Intersect: {
     const auto *B = cast<BinaryUSR>(S);
-    return P.or2(shallowEmptyPred(B->getLHS()),
-                 shallowEmptyPred(B->getRHS()));
+    // Operands are built last-first, as in src/factor/Factor.cpp, so the
+    // oracle creates nodes in the same order under every compiler.
+    const Pred *RHSEmpty = shallowEmptyPred(B->getRHS());
+    return P.or2(shallowEmptyPred(B->getLHS()), RHSEmpty);
   }
   case USRKind::Subtract:
     return shallowEmptyPred(cast<BinaryUSR>(S)->getLHS());
@@ -385,8 +387,8 @@ const Pred *Factorizer::factorImpl(const USR *S, int Depth) {
   case USRKind::Subtract: {
     ++Stats.SubtractRule;
     const auto *B = cast<BinaryUSR>(S);
-    Result = P.or2(factorImpl(B->getLHS(), Depth + 1),
-                   includedImpl(B->getLHS(), B->getRHS(), Depth + 1));
+    const Pred *LHSInRHS = includedImpl(B->getLHS(), B->getRHS(), Depth + 1);
+    Result = P.or2(factorImpl(B->getLHS(), Depth + 1), LHSInRHS);
     break;
   }
   case USRKind::Intersect: {
@@ -520,12 +522,12 @@ const Pred *Factorizer::tryMonotonicity(const RecurUSR *R, int Depth) {
   // iteration intervals (hi(i) < lo(i), the CIV-envelope encoding of an
   // iteration that writes nothing): for i < j,
   //   hi(i) < lo(i+1) <= lo(j).
-  const Pred *Inc = wrapLoop(
-      Var, R->getLo(), HiM1,
-      P.and2(P.gt(LoNext, IV.Hi), P.ge(LoNext, IV.Lo)));
-  const Pred *Dec = wrapLoop(
-      Var, R->getLo(), HiM1,
-      P.and2(P.gt(IV.Lo, HiNext), P.ge(IV.Lo, LoNext)));
+  const Pred *LoRises = P.ge(LoNext, IV.Lo);
+  const Pred *Inc = wrapLoop(Var, R->getLo(), HiM1,
+                             P.and2(P.gt(LoNext, IV.Hi), LoRises));
+  const Pred *LoFalls = P.ge(IV.Lo, LoNext);
+  const Pred *Dec = wrapLoop(Var, R->getLo(), HiM1,
+                             P.and2(P.gt(IV.Lo, HiNext), LoFalls));
   return P.or2(Inc, Dec);
 }
 
@@ -640,13 +642,13 @@ const Pred *Factorizer::disjointHomo(const USR *U, const USR *S, int Depth) {
   case USRKind::Subtract: {
     // Rule (2): S n (S1 - S2) empty <== S disjoint S1 or S subset S2.
     const auto *B = cast<BinaryUSR>(U);
-    return P.or2(disjointImpl(B->getLHS(), S, Depth + 1),
-                 includedImpl(S, B->getRHS(), Depth + 1));
+    const Pred *InRHS = includedImpl(S, B->getRHS(), Depth + 1);
+    return P.or2(disjointImpl(B->getLHS(), S, Depth + 1), InRHS);
   }
   case USRKind::Intersect: {
     const auto *B = cast<BinaryUSR>(U);
-    return P.or2(disjointImpl(B->getLHS(), S, Depth + 1),
-                 disjointImpl(B->getRHS(), S, Depth + 1));
+    const Pred *MissesRHS = disjointImpl(B->getRHS(), S, Depth + 1);
+    return P.or2(disjointImpl(B->getLHS(), S, Depth + 1), MissesRHS);
   }
   case USRKind::CallSite:
     return P.callSite(cast<CallSiteUSR>(U)->getCallee(),
@@ -745,14 +747,14 @@ const Pred *Factorizer::includedHomo(const USR *S, const USR *U, int Depth) {
   case USRKind::Subtract: {
     // Rule (4): S subset (S1 - S2) <== S subset S1 and S disjoint S2.
     const auto *B = cast<BinaryUSR>(U);
-    P1 = P.and2(includedImpl(S, B->getLHS(), Depth + 1),
-                disjointImpl(S, B->getRHS(), Depth + 1));
+    const Pred *MissesRHS = disjointImpl(S, B->getRHS(), Depth + 1);
+    P1 = P.and2(includedImpl(S, B->getLHS(), Depth + 1), MissesRHS);
     break;
   }
   case USRKind::Intersect: {
     const auto *B = cast<BinaryUSR>(U);
-    P1 = P.and2(includedImpl(S, B->getLHS(), Depth + 1),
-                includedImpl(S, B->getRHS(), Depth + 1));
+    const Pred *InRHS = includedImpl(S, B->getRHS(), Depth + 1);
+    P1 = P.and2(includedImpl(S, B->getLHS(), Depth + 1), InRHS);
     break;
   }
   case USRKind::Leaf: {
@@ -800,8 +802,8 @@ const Pred *Factorizer::includedHomo(const USR *S, const USR *U, int Depth) {
     break;
   case USRKind::Intersect: {
     const auto *B = cast<BinaryUSR>(S);
-    P2 = P.or2(includedImpl(B->getLHS(), U, Depth + 1),
-               includedImpl(B->getRHS(), U, Depth + 1));
+    const Pred *RHSIn = includedImpl(B->getRHS(), U, Depth + 1);
+    P2 = P.or2(includedImpl(B->getLHS(), U, Depth + 1), RHSIn);
     break;
   }
   case USRKind::CallSite:

@@ -21,6 +21,9 @@
 //  - the two-hash key discipline: a forged primary key (KeyA patched to
 //    the adopting loop's own value, chunk CRC re-sealed) must be caught by
 //    the independent verify hash and counted as a key collision;
+//  - creation-order golden: every suite program, prepared cold, creates
+//    the recorded number of sym/pdag/usr nodes and saves the recorded
+//    plan bytes (size and CRC);
 //  - foreign streams: a stream saved from one program decodes nothing in
 //    another program's session (no context grows), a mixed stream stages
 //    only the loading program's loops;
@@ -43,6 +46,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <sstream>
 #include <string>
@@ -268,6 +272,74 @@ TEST(PlanRoundTrip, SuiteLoopsAdoptWithoutReanalysis) {
     Loops += Load[BI]->Loops.size();
   }
   EXPECT_GE(Loops, 80u) << "the suite should cover all reconstructed loops";
+}
+
+/// One suite program's node counts and plan stream after a cold prepare of
+/// every loop in declaration order.
+struct SuiteGolden {
+  const char *Name;
+  size_t Exprs, Preds, Usrs;
+  size_t PlanBytes;
+  uint32_t PlanCrc;
+};
+
+/// Recorded before the intern tables moved to probe-first construction:
+/// the node counts pin the creation order of every sym/pdag/usr node (a
+/// node created earlier or later shifts every later ID), and the plan
+/// bytes pin what the IDs feed, the canonical child order of every DAG.
+constexpr SuiteGolden SuiteGoldens[] = {
+    {"flo52", 71, 62, 35, 6923, 0x9A179D91u},
+    {"bdna", 172, 131, 51, 14859, 0x1E20D8C2u},
+    {"arc2d", 741, 1191, 146, 34318, 0x4E74854Au},
+    {"dyfesm", 4655, 8239, 780, 123773, 0x0DEFF8E2u},
+    {"mdg", 28, 18, 18, 2676, 0x22C8E3F4u},
+    {"trfd", 5642, 17578, 1273, 351700, 0x4DEDBB49u},
+    {"track", 491, 763, 83, 24385, 0x36CFC753u},
+    {"spec77", 676, 1256, 135, 32844, 0x75F231FEu},
+    {"ocean", 275, 605, 84, 26617, 0xE4F38CE3u},
+    {"qcd", 409, 781, 137, 18625, 0xECF8664Eu},
+    {"matrix300", 217, 254, 47, 25053, 0x426E2977u},
+    {"swm256", 35, 21, 25, 3662, 0xA08269B7u},
+    {"ora", 18, 18, 14, 2123, 0xACEF48A3u},
+    {"nasa7", 755, 1239, 143, 37133, 0xAB1AED7Bu},
+    {"tomcatv", 43, 24, 32, 4628, 0x3ED587F0u},
+    {"mdljdp2", 35, 21, 25, 3655, 0xB76E8930u},
+    {"hydro2d", 35, 21, 25, 3651, 0x3A662929u},
+    {"wupwise", 26998, 61550, 5850, 1129243, 0xC4A51A96u},
+    {"apsi", 700, 1332, 135, 30456, 0xEF76F400u},
+    {"applu", 390, 751, 143, 17700, 0x425B3476u},
+    {"mgrid", 43, 24, 32, 4641, 0xB809B6C8u},
+    {"swim", 43, 24, 32, 4640, 0x2E93381Bu},
+    {"bwaves", 35, 21, 25, 3656, 0x72D68942u},
+    {"zeusmp", 37881, 103255, 8547, 1720078, 0xF68BFBDEu},
+    {"gromacs", 210, 131, 33, 8771, 0x62EF6D67u},
+    {"calculix", 103, 88, 24, 7002, 0xE3B7E9C6u},
+    {"gamess", 27, 18, 18, 2676, 0x66104F4Au},
+};
+
+// A fresh build of every suite program, prepared cold loop by loop in
+// declaration order, must create exactly the recorded number of nodes in
+// each context and save a byte-identical plan stream. A change that moves
+// interning, canonicalization or analysis order shows up here first.
+TEST(PlanGolden, SuiteCreationOrderAndPlanBytes) {
+  auto Suite = suite::buildAllBenchmarks();
+  ASSERT_EQ(Suite.size(), std::size(SuiteGoldens));
+  for (size_t BI = 0; BI < Suite.size(); ++BI) {
+    suite::Benchmark &B = *Suite[BI];
+    const SuiteGolden &G = SuiteGoldens[BI];
+    SCOPED_TRACE(B.Name);
+    ASSERT_EQ(B.Name, G.Name);
+    session::Session S(B.prog(), B.usr());
+    for (const suite::LoopSpec &LS : B.Loops)
+      S.prepare(*LS.Loop);
+    const ContextSizes Sz = sizesOf(B.usr());
+    EXPECT_EQ(Sz.Exprs, G.Exprs);
+    EXPECT_EQ(Sz.Preds, G.Preds);
+    EXPECT_EQ(Sz.Usrs, G.Usrs);
+    const std::string Bytes = saveBytes(S);
+    EXPECT_EQ(Bytes.size(), G.PlanBytes);
+    EXPECT_EQ(plan::crc32(Bytes.data(), Bytes.size()), G.PlanCrc);
+  }
 }
 
 // Fuzzed nests: save from one generated case, regenerate the recipe (fresh

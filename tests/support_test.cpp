@@ -9,6 +9,7 @@
 #include "support/Casting.h"
 #include "support/FaultInjection.h"
 #include "support/Hashing.h"
+#include "support/InternSet.h"
 #include "support/Rng.h"
 #include "support/Sync.h"
 #include "support/ThreadPool.h"
@@ -18,6 +19,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -26,6 +28,109 @@
 using namespace halo;
 
 namespace {
+
+//===----------------------------------------------------------------------===//
+// InternSet
+//===----------------------------------------------------------------------===//
+
+struct Item {
+  uint32_t Id;
+  int Key;
+};
+
+/// Interns \p Key under \p Hash, counting key comparisons and builds.
+struct ItemTable {
+  support::InternSet<Item> Set;
+  int Compares = 0;
+  int Builds = 0;
+
+  const Item *intern(size_t Hash, int Key) {
+    return Set.intern(
+        Hash,
+        [&](const Item &I) {
+          ++Compares;
+          return I.Key == Key;
+        },
+        [&](uint32_t Id) {
+          ++Builds;
+          return std::make_unique<Item>(Item{Id, Key});
+        });
+  }
+};
+
+size_t itemHash(int Key) {
+  size_t H = 0;
+  hashCombine(H, static_cast<size_t>(Key));
+  return H;
+}
+
+// The first intern probes a table with no slots: nothing to compare, so it
+// builds at once.
+TEST(InternSetTest, FirstInternOfEmptyTableBuildsWithoutComparing) {
+  ItemTable T;
+  EXPECT_EQ(T.Set.size(), 0u);
+  const Item *A = T.intern(itemHash(7), 7);
+  EXPECT_EQ(T.Compares, 0);
+  EXPECT_EQ(T.Builds, 1);
+  EXPECT_EQ(A->Id, 0u);
+  EXPECT_EQ(T.Set[0], A);
+}
+
+TEST(InternSetTest, HitNeverInserts) {
+  ItemTable T;
+  const Item *A = T.intern(itemHash(1), 1);
+  const Item *B = T.intern(itemHash(2), 2);
+  ASSERT_EQ(T.Builds, 2);
+  EXPECT_EQ(A->Id, 0u);
+  EXPECT_EQ(B->Id, 1u);
+  for (int Repeat = 0; Repeat < 3; ++Repeat) {
+    EXPECT_EQ(T.intern(itemHash(1), 1), A);
+    EXPECT_EQ(T.intern(itemHash(2), 2), B);
+  }
+  EXPECT_EQ(T.Builds, 2) << "a hit must not build a node";
+  EXPECT_EQ(T.Set.size(), 2u);
+}
+
+// Every key hashes alike, so every key shares one tag and one probe
+// sequence: only the key comparison tells them apart.
+TEST(InternSetTest, CollidingHashesKeepKeysDistinct) {
+  constexpr int N = 200;
+  ItemTable T;
+  std::vector<const Item *> Made;
+  for (int K = 0; K < N; ++K)
+    Made.push_back(T.intern(/*Hash=*/42, K));
+  EXPECT_EQ(T.Set.size(), static_cast<size_t>(N));
+  std::set<const Item *> Distinct(Made.begin(), Made.end());
+  EXPECT_EQ(Distinct.size(), static_cast<size_t>(N));
+  for (int K = 0; K < N; ++K) {
+    EXPECT_EQ(T.intern(42, K), Made[K]);
+    EXPECT_EQ(Made[K]->Key, K);
+    EXPECT_EQ(Made[K]->Id, static_cast<uint32_t>(K));
+  }
+  EXPECT_EQ(T.Builds, N);
+  const Item *Fresh = T.intern(42, N);
+  EXPECT_EQ(Distinct.count(Fresh), 0u);
+  EXPECT_EQ(T.Builds, N + 1);
+}
+
+// Growth re-files every slot from its tag; every node stays findable and
+// keeps the ID it was created with across many doublings.
+TEST(InternSetTest, GrowthKeepsEveryEntryFindable) {
+  constexpr int N = 5000; // 16 slots doubled nine times.
+  ItemTable T;
+  std::vector<const Item *> Made;
+  for (int K = 0; K < N; ++K) {
+    Made.push_back(T.intern(itemHash(K), K));
+    ASSERT_EQ(Made.back()->Id, static_cast<uint32_t>(K));
+    if ((K & (K + 1)) == 0) // Just after each power of two.
+      for (int J = 0; J <= K; ++J)
+        ASSERT_EQ(T.intern(itemHash(J), J), Made[J]) << "key " << J;
+  }
+  for (int K = 0; K < N; ++K)
+    EXPECT_EQ(T.intern(itemHash(K), K), Made[K]);
+  EXPECT_EQ(T.Builds, N) << "every re-intern above was a hit";
+  EXPECT_EQ(T.Set.size(), static_cast<size_t>(N));
+}
 
 //===----------------------------------------------------------------------===//
 // Casting

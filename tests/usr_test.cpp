@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 using namespace halo;
 using namespace halo::usr;
 
@@ -30,6 +33,82 @@ protected:
     return V.value_or(std::vector<int64_t>{});
   }
 };
+
+// Hash-consing is probe-first: building a node that already exists, of any
+// kind in any of the three contexts, returns the existing pointer and
+// creates no node anywhere (no intermediate expression or predicate
+// either), so node IDs and creation order depend only on what is new.
+TEST_F(UsrTest, RebuildingAnyNodeKindCreatesNothing) {
+  const sym::SymbolId I = Sym.symbol("i", 1);
+  const sym::SymbolId IB = Sym.symbol("IB", 0, /*IsArray=*/true);
+  const sym::Expr *Ii = Sym.symRef(I);
+  auto Exprs = [&] {
+    return std::vector<const sym::Expr *>{
+        c(7),
+        s("n"),
+        Sym.arrayRef(IB, Ii),
+        Sym.min(s("n"), s("m")),
+        Sym.max(s("n"), s("m")),
+        Sym.floorDiv(s("n"), 4),
+        Sym.mod(s("n"), 4),
+        Sym.mul(s("n"), s("m")),
+        Sym.add(Sym.mulConst(s("n"), 3), c(1)),
+    };
+  };
+  const pdag::Pred *Body = P.ge0(Sym.sub(Sym.arrayRef(IB, Ii), s("n")));
+  auto Preds = [&] {
+    return std::vector<const pdag::Pred *>{
+        P.ge0(s("n")),
+        P.eq(s("n"), s("m")),
+        P.ne(s("n"), s("m")),
+        P.divides(c(4), s("n")),
+        P.divides(s("k"), s("n"), /*Neg=*/true),
+        P.and2(P.ge0(s("n")), P.ge0(s("m"))),
+        P.or2(P.ge0(s("n")), P.ge0(s("m"))),
+        P.loopAll(I, c(1), s("N"), Body),
+        P.callSite("f", Body),
+    };
+  };
+  const USR *A = U.interval(s("a"), s("n"));
+  const USR *B = U.interval(s("b"), s("m"));
+  auto Usrs = [&] {
+    return std::vector<const USR *>{
+        U.empty(),
+        U.interval(s("a"), c(4)),
+        U.union2(U.gate(P.ge0(s("n")), A), U.gate(P.ge0(s("m")), B)),
+        U.intersect(A, B),
+        U.subtract(A, B),
+        U.gate(P.ge0(s("n")), A),
+        U.callSite("f", A),
+        U.recur(I, c(1), s("N"), U.interval(Sym.arrayRef(IB, Ii), c(4))),
+    };
+  };
+
+  const auto E1 = Exprs();
+  const auto P1 = Preds();
+  const auto U1 = Usrs();
+  std::set<sym::ExprKind> EKinds;
+  for (const sym::Expr *E : E1)
+    EKinds.insert(E->getKind());
+  EXPECT_EQ(EKinds.size(), 9u) << "every expression kind is covered";
+  std::set<pdag::PredKind> PKinds;
+  for (const pdag::Pred *Q : P1)
+    PKinds.insert(Q->getKind());
+  EXPECT_EQ(PKinds.size(), 6u) << "every non-constant predicate kind";
+  std::set<USRKind> UKinds;
+  for (const USR *X : U1)
+    UKinds.insert(X->getKind());
+  EXPECT_EQ(UKinds.size(), 8u) << "every USR kind is covered";
+
+  const size_t NumExprs = Sym.numExprs(), NumPreds = P.numPreds(),
+               NumUsrs = U.numNodes();
+  EXPECT_EQ(Exprs(), E1);
+  EXPECT_EQ(Preds(), P1);
+  EXPECT_EQ(Usrs(), U1);
+  EXPECT_EQ(Sym.numExprs(), NumExprs);
+  EXPECT_EQ(P.numPreds(), NumPreds);
+  EXPECT_EQ(U.numNodes(), NumUsrs);
+}
 
 TEST_F(UsrTest, EmptyFolding) {
   const USR *E = U.empty();
