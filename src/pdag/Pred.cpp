@@ -109,10 +109,10 @@ static int64_t floorDivInt(int64_t A, int64_t D) {
 /// Monotone-array fold: `A(x) - A(y) + c >= 0` holds whenever A is a
 /// declared non-decreasing index array (the CIV prefix arrays of Sec. 3.3),
 /// x - y folds to a non-negative constant and c >= 0.
-static bool monotoneArrayGE0(sym::Context &Ctx, const sym::LinearForm &LF) {
-  if (LF.Constant < 0 || LF.Terms.size() != 2)
+static bool monotoneArrayGE0(sym::Context &Ctx, const sym::LinearView &LF) {
+  if (LF.constant() < 0 || LF.size() != 2)
     return false;
-  const sym::Monomial &A = LF.Terms[0], &B = LF.Terms[1];
+  const sym::Monomial &A = LF[0], &B = LF[1];
   const sym::Monomial *Pos = A.Coeff == 1 ? &A : (B.Coeff == 1 ? &B : nullptr);
   const sym::Monomial *Neg =
       A.Coeff == -1 ? &A : (B.Coeff == -1 ? &B : nullptr);
@@ -131,18 +131,18 @@ static bool monotoneArrayGE0(sym::Context &Ctx, const sym::LinearForm &LF) {
 const Pred *PredContext::ge0(const Expr *E) {
   if (auto C = SymCtx.constValue(E))
     return boolConst(*C >= 0);
-  if (monotoneArrayGE0(SymCtx, SymCtx.toLinear(E)))
+  const sym::LinearView LF = SymCtx.linearView(E);
+  if (monotoneArrayGE0(SymCtx, LF))
     return getTrue();
   // Integer tightening: g*f + c >= 0  <=>  f + floor(c/g) >= 0.
-  sym::LinearForm LF = SymCtx.toLinear(E);
   int64_t G = 0;
-  for (const sym::Monomial &M : LF.Terms)
+  for (const sym::Monomial &M : LF)
     G = std::gcd(G, M.Coeff);
   if (G > 1) {
     sym::LinearForm Out;
-    for (const sym::Monomial &M : LF.Terms)
+    for (const sym::Monomial &M : LF)
       Out.Terms.push_back(sym::Monomial{M.Prod, M.Coeff / G});
-    Out.Constant = floorDivInt(LF.Constant, G);
+    Out.Constant = floorDivInt(LF.constant(), G);
     E = SymCtx.fromLinear(std::move(Out));
     if (auto C = SymCtx.constValue(E))
       return boolConst(*C >= 0);
@@ -343,15 +343,13 @@ const Pred *PredContext::makeNary(PredKind K, std::vector<const Pred *> Cs) {
         return P.getKind() == K && cast<NaryPred>(&P)->getChildren() == Flat;
       },
       [&](uint32_t Id) {
-        std::vector<SymbolId> Free;
         int Depth = 0;
         for (const Pred *C : Flat) {
-          sym::appendSyms(Free, C->freeSymbols());
+          FreeSyms.add(C->freeSymbols());
           Depth = std::max(Depth, C->loopDepth());
         }
-        sym::sortUniqueSyms(Free);
         return std::unique_ptr<Pred>(
-            new NaryPred(K, Id, std::move(Flat), std::move(Free), Depth));
+            new NaryPred(K, Id, std::move(Flat), FreeSyms.take(), Depth));
       });
 }
 
@@ -406,13 +404,11 @@ const Pred *PredContext::loopAll(SymbolId Var, const Expr *Lo, const Expr *Hi,
                L->getHi() == Hi && L->getBody() == Body;
       },
       [&](uint32_t Id) {
-        std::vector<SymbolId> Free(Body->freeSymbols());
-        Free.erase(std::remove(Free.begin(), Free.end(), Var), Free.end());
-        sym::appendSyms(Free, Lo->freeSymbols());
-        sym::appendSyms(Free, Hi->freeSymbols());
-        sym::sortUniqueSyms(Free);
+        FreeSyms.addExcept(Body->freeSymbols(), Var);
+        FreeSyms.add(Lo->freeSymbols());
+        FreeSyms.add(Hi->freeSymbols());
         return std::unique_ptr<Pred>(new LoopAllPred(
-            Id, Var, Lo, Hi, Body, std::move(Free), Body->loopDepth() + 1));
+            Id, Var, Lo, Hi, Body, FreeSyms.take(), Body->loopDepth() + 1));
       });
 }
 

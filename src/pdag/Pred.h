@@ -285,6 +285,7 @@ private:
 
   sym::Context &SymCtx;
   support::InternSet<Pred> Nodes;
+  sym::SymSetBuilder FreeSyms;
   const Pred *TruePred = nullptr;
   const Pred *FalsePred = nullptr;
 };

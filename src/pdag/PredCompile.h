@@ -331,8 +331,8 @@ private:
   bool BodyHasVarLoad = false;
 
   friend class PredCompiler;
-  /// Plan serialization encodes the compiled tables for the verify-only
-  /// bytecode records of the .hplan format (src/plan/).
+  /// Plan serialization encodes the compiled tables to digest them for
+  /// the bytecode records of the .hplan format (src/plan/).
   friend struct halo::plan::PlanCodec;
 };
 

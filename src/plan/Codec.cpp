@@ -5,14 +5,14 @@
 //
 // Save side: walk every prepared loop's plan, register the structures it
 // references (symbols, expressions, predicates, USRs) in deduplicated
-// postorder tables, and emit the plan records plus verify-only encodings
-// of the compiled bytecode.
+// postorder tables, and emit the plan records plus the length and digest
+// of each compiled node's canonical bytecode encoding.
 //
 // Load side: re-intern the tables into the live contexts, re-compile
 // through the session's real compile caches (populating them — that is
 // the warm start), encode the *fresh* compiles with the same encoder and
-// byte-compare against the file records. Bytecode from the file is never
-// decoded into an executable object; only fresh compiles ever run.
+// compare length and digest against the file records. The file carries no
+// bytecode; only fresh compiles ever run.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +21,6 @@
 #include "plan/Wire.h"
 
 #include <array>
-#include <functional>
 #include <ostream>
 #include <set>
 #include <unordered_map>
@@ -83,16 +82,16 @@ std::vector<const ir::IfStmt *> collectIfStmts(const ir::DoLoop &L) {
 }
 
 //===----------------------------------------------------------------------===//
-// Compiled-object encoders (verify-only records)
+// Compiled-object encoders (digested, never stored)
 //===----------------------------------------------------------------------===//
 
 /// Friend of CompiledPred / CompiledUSR: encodes the compiled tables into
-/// a deterministic byte string. Used symmetrically at save (encode the
-/// cached compile) and load (encode the fresh compile, byte-compare).
+/// a deterministic byte string, symbols and gate predicates as file-table
+/// indices (\p SM, \p PM map a live node to its index). Used symmetrically
+/// at save (digest the cached compile) and load (digest the fresh compile
+/// and compare).
 struct PlanCodec {
-  using SymMap = std::function<uint32_t(sym::SymbolId)>;
-  using PredMap = std::function<uint32_t(const pdag::Pred *)>;
-
+  template <class SymMap>
   static void encodePred(const pdag::CompiledPred &CP, const SymMap &SM,
                          ByteWriter &W) {
     W.u32(static_cast<uint32_t>(CP.PCode.size()));
@@ -130,6 +129,7 @@ struct PlanCodec {
     W.u8(CP.BodyHasVarLoad ? 1 : 0);
   }
 
+  template <class SymMap, class PredMap>
   static void encodeUSR(const usr::CompiledUSR &CU, const SymMap &SM,
                         const PredMap &PM, ByteWriter &W) {
     W.u32(static_cast<uint32_t>(CU.Code.size()));
@@ -193,7 +193,7 @@ struct PlanCodec {
   }
 
   /// The gate descriptors of a compiled USR (save side registers their
-  /// source predicates as verify records).
+  /// source predicates as PCOD records).
   static const std::vector<usr::CompiledUSRGate> &
   gates(const usr::CompiledUSR &CU) {
     return CU.Gates;
@@ -209,6 +209,7 @@ private:
       W.i64(I.Imm);
     }
   }
+  template <class SymMap>
   static void encodeSlots(const std::vector<sym::SymbolId> &Slots,
                           const SymMap &SM, ByteWriter &W) {
     W.u32(static_cast<uint32_t>(Slots.size()));
@@ -386,7 +387,7 @@ public:
   /// in. Matching relative creation order is what makes the ID-sorted
   /// canonical child order of n-ary nodes (and therefore the compiled
   /// bytecode) reproduce exactly in a deterministically rebuilt program,
-  /// which the load-side byte-compare relies on.
+  /// which the load-side digest check relies on.
   void finalize() {
     std::sort(Syms.begin(), Syms.end());
     SymIdx.clear();
@@ -625,6 +626,15 @@ void writeOrder(ByteWriter &W, const rt::CompiledCascade &CC,
   }
 }
 
+/// The code fields of a PCOD/UCOD record: the length and the digest of
+/// the encoding in \p Enc.
+void writeCode(ByteWriter &W, const ByteWriter &Enc) {
+  const Digest D = digest(Enc.data().data(), Enc.size());
+  W.u32(static_cast<uint32_t>(Enc.size()));
+  W.u64(D.A);
+  W.u64(D.B);
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -636,6 +646,8 @@ size_t save(std::ostream &Out, const ir::Program &Prog,
             const std::vector<SavedLoop> &Loops, CodegenKey CG) {
   const sym::Context &Sym = Prog.symCtx();
   SaveTables T(Sym);
+  StructHasher HashA(Sym, PrimarySeed), HashB(Sym, VerifySeed);
+  ByteWriter Enc; // One encoding buffer for every record.
 
   // Verify-record worklists (insertion-ordered, deduplicated).
   std::vector<std::pair<const pdag::Pred *, const pdag::CompiledPred *>>
@@ -671,7 +683,7 @@ size_t save(std::ostream &Out, const ir::Program &Prog,
   // (its bytes are discarded); finalize() then re-sorts the tables into
   // save-context node-ID order so a fresh load context re-creates the
   // nodes in their original relative creation order — the property the
-  // bytecode byte-compare on load depends on (n-ary canonical child order
+  // bytecode digest check on load depends on (n-ary canonical child order
   // sorts by context-local node IDs). Pass 2 re-encodes with the stable
   // indices: every lookup hits and no node is newly inserted, so the
   // sorted order stays valid.
@@ -795,7 +807,8 @@ size_t save(std::ostream &Out, const ir::Program &Prog,
       LoopPayloads.push_back(W.take());
     }
 
-    // Verify-only bytecode records. Built before the tables are emitted:
+    // Bytecode records: structural hashes, then the length and digest of
+    // the compiled node's encoding. Built before the tables are emitted:
     // slot symbols and gate predicates register here.
     auto SymMapFn = [&T](sym::SymbolId Id) { return T.sym(Id); };
     auto PredMapFn = [&T](const pdag::Pred *P) { return T.pred(P); };
@@ -804,13 +817,13 @@ size_t save(std::ostream &Out, const ir::Program &Prog,
     PCod.u32(static_cast<uint32_t>(PredRecs.size()));
     for (const auto &[P, CP] : PredRecs) {
       PCod.u32(T.pred(P));
-      PCod.u64(hashPred(P, Sym, PrimarySeed));
-      PCod.u64(hashPred(P, Sym, VerifySeed));
+      PCod.u64(HashA.pred(P));
+      PCod.u64(HashB.pred(P));
       PCod.u8(CP ? 1 : 0);
       if (CP) {
-        ByteWriter B;
-        PlanCodec::encodePred(*CP, SymMapFn, B);
-        PCod.bytes(B.data());
+        Enc.clear();
+        PlanCodec::encodePred(*CP, SymMapFn, Enc);
+        writeCode(PCod, Enc);
       }
     }
 
@@ -818,13 +831,13 @@ size_t save(std::ostream &Out, const ir::Program &Prog,
     UCod.u32(static_cast<uint32_t>(UsrRecs.size()));
     for (const auto &[S, CU] : UsrRecs) {
       UCod.u32(T.usr(S));
-      UCod.u64(hashUSR(S, Sym, PrimarySeed));
-      UCod.u64(hashUSR(S, Sym, VerifySeed));
+      UCod.u64(HashA.usr(S));
+      UCod.u64(HashB.usr(S));
       UCod.u8(CU ? 1 : 0);
       if (CU) {
-        ByteWriter B;
-        PlanCodec::encodeUSR(*CU, SymMapFn, PredMapFn, B);
-        UCod.bytes(B.data());
+        Enc.clear();
+        PlanCodec::encodeUSR(*CU, SymMapFn, PredMapFn, Enc);
+        writeCode(UCod, Enc);
       }
     }
 
@@ -892,6 +905,29 @@ OrderRec readOrder(ByteReader &R, uint32_t NumStages) {
     O.Stages.emplace_back(Idx, R.u8() != 0);
   }
   return O;
+}
+
+/// The code fields of a PCOD/UCOD record (writeCode).
+struct CodeRec {
+  uint32_t Len = 0;
+  Digest D;
+};
+
+CodeRec readCode(ByteReader &R) {
+  CodeRec C;
+  C.Len = R.u32();
+  C.D.A = R.u64();
+  C.D.B = R.u64();
+  return C;
+}
+
+/// Why the fresh encoding in \p Enc disagrees with \p C, or null.
+const char *codeMismatch(const CodeRec &C, const ByteWriter &Enc) {
+  if (Enc.size() != C.Len)
+    return "encoded length differs from fresh compile";
+  if (digest(Enc.data().data(), Enc.size()) != C.D)
+    return "bytecode digest differs from fresh compile";
+  return nullptr;
 }
 
 bool orderMatches(const OrderRec &O, const rt::CompiledCascade &CC,
@@ -1220,7 +1256,7 @@ LoadResult load(const std::vector<Chunk> &Chunks, const LabelSet &Wanted,
   const uint32_t NUsrs = static_cast<uint32_t>(T.Usrs.size());
 
   // Live-node -> file-index maps for re-encoding fresh compiles. First
-  // mapping wins; a redundant record diverges at byte-compare and the
+  // mapping wins; a redundant record diverges at the digest check and the
   // affected loop falls back (sound).
   std::unordered_map<sym::SymbolId, uint32_t> SymToFile;
   for (uint32_t I = 0; I < NSyms; ++I)
@@ -1238,8 +1274,10 @@ LoadResult load(const std::vector<Chunk> &Chunks, const LabelSet &Wanted,
   };
 
   // --- PCOD: compile fresh through the cache (the warm start), verify
-  // hashes and the byte-identical re-encoding. Divergent nodes taint
-  // every loop that references them.
+  // the structural hashes and the length and digest of the fresh
+  // encoding. Divergent nodes taint every loop that references them.
+  StructHasher HashA(Sym, PrimarySeed), HashB(Sym, VerifySeed);
+  ByteWriter Enc; // One encoding buffer for every record.
   std::unordered_set<const pdag::Pred *> BadPreds;
   {
     ByteReader R(Chunks[4].Payload.data(), Chunks[4].Payload.size(), "PCOD");
@@ -1249,22 +1287,20 @@ LoadResult load(const std::vector<Chunk> &Chunks, const LabelSet &Wanted,
       uint64_t HA = R.u64();
       uint64_t HB = R.u64();
       bool HasCode = R.u8() != 0;
-      std::vector<uint8_t> Blob;
+      CodeRec Code;
       if (HasCode)
-        Blob = R.bytes();
+        Code = readCode(R);
       const char *Cause = nullptr;
-      if (hashPred(P, Sym, PrimarySeed) != HA ||
-          hashPred(P, Sym, VerifySeed) != HB) {
+      if (HashA.pred(P) != HA || HashB.pred(P) != HB) {
         Cause = "structural hash mismatch";
       } else {
         const pdag::CompiledPred *CP = Preds.get(P);
         if ((CP != nullptr) != HasCode) {
           Cause = "compilability disagrees";
         } else if (CP) {
-          ByteWriter B;
-          PlanCodec::encodePred(*CP, SymMapFn, B);
-          if (B.data() != Blob)
-            Cause = "bytecode differs from fresh compile";
+          Enc.clear();
+          PlanCodec::encodePred(*CP, SymMapFn, Enc);
+          Cause = codeMismatch(Code, Enc);
         }
       }
       if (Cause) {
@@ -1287,22 +1323,20 @@ LoadResult load(const std::vector<Chunk> &Chunks, const LabelSet &Wanted,
       uint64_t HA = R.u64();
       uint64_t HB = R.u64();
       bool HasCode = R.u8() != 0;
-      std::vector<uint8_t> Blob;
+      CodeRec Code;
       if (HasCode)
-        Blob = R.bytes();
+        Code = readCode(R);
       const char *Cause = nullptr;
-      if (hashUSR(S, Sym, PrimarySeed) != HA ||
-          hashUSR(S, Sym, VerifySeed) != HB) {
+      if (HashA.usr(S) != HA || HashB.usr(S) != HB) {
         Cause = "structural hash mismatch";
       } else {
         const usr::CompiledUSR *CU = Usrs.get(S);
         if ((CU != nullptr) != HasCode) {
           Cause = "compilability disagrees";
         } else if (CU) {
-          ByteWriter B;
-          PlanCodec::encodeUSR(*CU, SymMapFn, PredMapFn, B);
-          if (B.data() != Blob)
-            Cause = "bytecode differs from fresh compile";
+          Enc.clear();
+          PlanCodec::encodeUSR(*CU, SymMapFn, PredMapFn, Enc);
+          Cause = codeMismatch(Code, Enc);
         }
       }
       if (Cause) {

@@ -16,6 +16,7 @@
 #include "plan/Wire.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -134,10 +135,35 @@ std::string inspect(std::istream &In) {
     case ChunkExprs:
     case ChunkPreds:
     case ChunkUsrs:
-    case ChunkPredCode:
-    case ChunkUsrCode:
       OS << "  (" << R.u32() << " records)";
       break;
+    case ChunkPredCode:
+    case ChunkUsrCode: {
+      // One line per record: node index, then the encoded length and
+      // digest the load-side check compares a fresh compile against.
+      const char *Node = C.Tag == ChunkPredCode ? "pred" : "usr";
+      const uint32_t N = R.count(21);
+      OS << "  (" << N << " records)";
+      for (uint32_t I = 0; I < N; ++I) {
+        const uint32_t Idx = R.u32();
+        R.u64(); // Structural hashes.
+        R.u64();
+        OS << "\n    " << Node << " " << Idx;
+        if (R.u8() == 0) {
+          OS << "  not compiled";
+          continue;
+        }
+        const uint32_t Len = R.u32();
+        const uint64_t A = R.u64(), B = R.u64();
+        char Hex[33];
+        std::snprintf(Hex, sizeof(Hex), "%016llx%016llx",
+                      static_cast<unsigned long long>(A),
+                      static_cast<unsigned long long>(B));
+        OS << "  len " << Len << "  digest " << Hex;
+      }
+      R.finish();
+      break;
+    }
     case ChunkLoop: {
       std::string Label = R.str();
       uint64_t KeyA = R.u64();

@@ -1,4 +1,4 @@
-//===- plan/Hash.cpp - CRC32 and durable structural plan keys -------------===//
+//===- plan/Hash.cpp - CRC32, bytecode digest and structural plan keys ----===//
 //
 // Part of HALO, a reproduction of "Logical Inference Techniques for Loop
 // Parallelization" (Oancea & Rauchwerger, PLDI 2012).
@@ -66,6 +66,66 @@ uint32_t crc32(const void *Data, size_t Len) {
 }
 
 //===----------------------------------------------------------------------===//
+// Bytecode digest
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+// xxh64's primes and serial step: each 8-byte word is scrambled by a
+// multiply-rotate-multiply before it enters the state, and the state is
+// rotated and multiplied after it, so every input bit reaches every state
+// bit within a few words. A final xorshift-multiply avalanche spreads the
+// last words too.
+constexpr uint64_t DigestP1 = 0x9E3779B185EBCA87ull;
+constexpr uint64_t DigestP2 = 0xC2B2AE3D27D4EB4Full;
+constexpr uint64_t DigestP3 = 0x165667B19E3779F9ull;
+constexpr uint64_t DigestP4 = 0x85EBCA77C2B2AE63ull;
+constexpr uint64_t DigestP5 = 0x27D4EB2F165667C5ull;
+
+inline uint64_t rotl64(uint64_t X, int R) { return (X << R) | (X >> (64 - R)); }
+
+inline uint64_t digestStep(uint64_t H, uint64_t W) {
+  W = rotl64(W * DigestP2, 31) * DigestP1;
+  return rotl64(H ^ W, 27) * DigestP1 + DigestP4;
+}
+
+inline uint64_t digestAvalanche(uint64_t H) {
+  H ^= H >> 33;
+  H *= DigestP2;
+  H ^= H >> 29;
+  H *= DigestP3;
+  H ^= H >> 32;
+  return H;
+}
+
+} // namespace
+
+Digest digest(const void *Data, size_t Len) {
+  // Both lanes read each little-endian word once; the byte length enters
+  // the starting state, so a zero-padded tail cannot alias a longer input.
+  const uint8_t *P = static_cast<const uint8_t *>(Data);
+  uint64_t A = PrimarySeed + DigestP5 + Len;
+  uint64_t B = VerifySeed + DigestP5 + Len;
+  auto Word = [](const uint8_t *Q, size_t N) {
+    uint64_t W = 0;
+    for (size_t I = 0; I < N; ++I)
+      W |= static_cast<uint64_t>(Q[I]) << (8 * I);
+    return W;
+  };
+  for (; Len >= 8; P += 8, Len -= 8) {
+    const uint64_t W = Word(P, 8);
+    A = digestStep(A, W);
+    B = digestStep(B, W);
+  }
+  if (Len != 0) {
+    const uint64_t W = Word(P, Len);
+    A = digestStep(A, W);
+    B = digestStep(B, W);
+  }
+  return {digestAvalanche(A), digestAvalanche(B)};
+}
+
+//===----------------------------------------------------------------------===//
 // Structural hashing
 //===----------------------------------------------------------------------===//
 
@@ -75,242 +135,228 @@ inline uint64_t mix(uint64_t H, uint64_t V) {
   return H ^ (V + 0x9E3779B97F4A7C15ull + (H << 6) + (H >> 2));
 }
 
-/// Hashes one structure family with per-node memoization (interned DAGs
-/// share subtrees heavily; without the memo a chain of shared nodes walks
-/// exponentially). Node hashes start from the seed, so the two key seeds
-/// produce fully independent functions.
-class StructHasher {
-public:
-  StructHasher(const sym::Context &Sym, uint64_t Seed)
-      : Sym(Sym), Seed(Seed) {}
+} // namespace
 
-  uint64_t str(uint64_t H, const std::string &S) const {
-    H = mix(H, S.size());
-    for (char C : S)
-      H = mix(H, static_cast<uint8_t>(C));
-    return H;
+uint64_t StructHasher::str(uint64_t H, const std::string &S) const {
+  H = mix(H, S.size());
+  for (char C : S)
+    H = mix(H, static_cast<uint8_t>(C));
+  return H;
+}
+
+// A DefLevel or monotonicity change invalidates any plan built against
+// the old attributes, so they hash with the name.
+uint64_t StructHasher::symbol(uint64_t H, sym::SymbolId Id) const {
+  const sym::Symbol &S = Sym.symbolInfo(Id);
+  H = str(H, S.Name);
+  H = mix(H, static_cast<uint64_t>(static_cast<int64_t>(S.DefLevel)));
+  H = mix(H, S.IsArray ? 1 : 0);
+  H = mix(H, S.MonotoneArray ? 1 : 0);
+  return H;
+}
+
+uint64_t StructHasher::expr(const sym::Expr *E) {
+  if (!E)
+    return mix(Seed, 0xE0ull);
+  auto It = ExprMemo.find(E);
+  if (It != ExprMemo.end())
+    return It->second;
+  uint64_t H = mix(Seed, 0xE1ull + static_cast<uint64_t>(E->getKind()));
+  switch (E->getKind()) {
+  case sym::ExprKind::IntConst:
+    H = mix(H, static_cast<uint64_t>(
+                   static_cast<const sym::IntConstExpr *>(E)->getValue()));
+    break;
+  case sym::ExprKind::SymRef:
+    H = symbol(H, static_cast<const sym::SymRefExpr *>(E)->getSymbol());
+    break;
+  case sym::ExprKind::ArrayRef: {
+    auto *A = static_cast<const sym::ArrayRefExpr *>(E);
+    H = symbol(H, A->getArray());
+    H = mix(H, expr(A->getIndex()));
+    break;
   }
-
-  /// Symbol identity on the wire: name + everything analysis reads off
-  /// the symbol table (a DefLevel or monotonicity change invalidates any
-  /// plan built against the old attributes).
-  uint64_t symbol(uint64_t H, sym::SymbolId Id) const {
-    const sym::Symbol &S = Sym.symbolInfo(Id);
-    H = str(H, S.Name);
-    H = mix(H, static_cast<uint64_t>(static_cast<int64_t>(S.DefLevel)));
-    H = mix(H, S.IsArray ? 1 : 0);
-    H = mix(H, S.MonotoneArray ? 1 : 0);
-    return H;
+  case sym::ExprKind::Min:
+  case sym::ExprKind::Max: {
+    // Operands are canonically sorted by node id, which is an artifact
+    // of interning order and differs across processes: hash the operand
+    // pair order-insensitively so structurally equal nodes in two
+    // contexts key identically.
+    auto *M = static_cast<const sym::MinMaxExpr *>(E);
+    uint64_t A = expr(M->getLHS()), B = expr(M->getRHS());
+    H = mix(H, std::min(A, B));
+    H = mix(H, std::max(A, B));
+    break;
   }
-
-  uint64_t expr(const sym::Expr *E) {
-    if (!E)
-      return mix(Seed, 0xE0ull);
-    auto It = ExprMemo.find(E);
-    if (It != ExprMemo.end())
-      return It->second;
-    uint64_t H = mix(Seed, 0xE1ull + static_cast<uint64_t>(E->getKind()));
-    switch (E->getKind()) {
-    case sym::ExprKind::IntConst:
-      H = mix(H, static_cast<uint64_t>(
-                     static_cast<const sym::IntConstExpr *>(E)->getValue()));
-      break;
-    case sym::ExprKind::SymRef:
-      H = symbol(H, static_cast<const sym::SymRefExpr *>(E)->getSymbol());
-      break;
-    case sym::ExprKind::ArrayRef: {
-      auto *A = static_cast<const sym::ArrayRefExpr *>(E);
-      H = symbol(H, A->getArray());
-      H = mix(H, expr(A->getIndex()));
-      break;
-    }
-    case sym::ExprKind::Min:
-    case sym::ExprKind::Max: {
-      // Operands are canonically sorted by node id, which is an artifact
-      // of interning order and differs across processes: hash the operand
-      // pair order-insensitively so structurally equal nodes in two
-      // contexts key identically.
-      auto *M = static_cast<const sym::MinMaxExpr *>(E);
-      uint64_t A = expr(M->getLHS()), B = expr(M->getRHS());
-      H = mix(H, std::min(A, B));
-      H = mix(H, std::max(A, B));
-      break;
-    }
-    case sym::ExprKind::FloorDiv:
-    case sym::ExprKind::Mod: {
-      auto *D = static_cast<const sym::DivModExpr *>(E);
-      H = mix(H, expr(D->getOperand()));
-      H = mix(H, static_cast<uint64_t>(D->getDivisor()));
-      break;
-    }
-    case sym::ExprKind::Mul: {
-      // Factors are id-sorted (interning-order artifact): fold the factor
-      // hash multiset in value order instead.
-      auto *M = static_cast<const sym::MulExpr *>(E);
-      H = mix(H, M->getFactors().size());
-      std::vector<uint64_t> Hs;
-      Hs.reserve(M->getFactors().size());
-      for (const sym::Expr *F : M->getFactors())
-        Hs.push_back(expr(F));
-      std::sort(Hs.begin(), Hs.end());
-      for (uint64_t V : Hs)
-        H = mix(H, V);
-      break;
-    }
-    case sym::ExprKind::Add: {
-      // Terms are id-sorted (interning-order artifact): same treatment.
-      auto *A = static_cast<const sym::AddExpr *>(E);
-      H = mix(H, A->getTerms().size());
-      std::vector<uint64_t> Hs;
-      Hs.reserve(A->getTerms().size());
-      for (const sym::Monomial &T : A->getTerms())
-        Hs.push_back(
-            mix(expr(T.Prod), static_cast<uint64_t>(T.Coeff)));
-      std::sort(Hs.begin(), Hs.end());
-      for (uint64_t V : Hs)
-        H = mix(H, V);
-      H = mix(H, static_cast<uint64_t>(A->getConstant()));
-      break;
-    }
-    }
-    ExprMemo.emplace(E, H);
-    return H;
+  case sym::ExprKind::FloorDiv:
+  case sym::ExprKind::Mod: {
+    auto *D = static_cast<const sym::DivModExpr *>(E);
+    H = mix(H, expr(D->getOperand()));
+    H = mix(H, static_cast<uint64_t>(D->getDivisor()));
+    break;
   }
-
-  uint64_t pred(const pdag::Pred *P) {
-    if (!P)
-      return mix(Seed, 0xB0ull);
-    auto It = PredMemo.find(P);
-    if (It != PredMemo.end())
-      return It->second;
-    uint64_t H = mix(Seed, 0xB1ull + static_cast<uint64_t>(P->getKind()));
-    switch (P->getKind()) {
-    case pdag::PredKind::True:
-    case pdag::PredKind::False:
-      break;
-    case pdag::PredKind::Cmp: {
-      auto *C = static_cast<const pdag::CmpPred *>(P);
-      H = mix(H, static_cast<uint64_t>(C->getRel()));
-      H = mix(H, expr(C->getExpr()));
-      break;
-    }
-    case pdag::PredKind::Divides: {
-      auto *D = static_cast<const pdag::DividesPred *>(P);
-      H = mix(H, expr(D->getDivisor()));
-      H = mix(H, expr(D->getValue()));
-      H = mix(H, D->isNegated() ? 1 : 0);
-      break;
-    }
-    case pdag::PredKind::And:
-    case pdag::PredKind::Or: {
-      // Children are id-sorted (interning-order artifact): fold the child
-      // hash set in value order for cross-process stability.
-      auto *N = static_cast<const pdag::NaryPred *>(P);
-      H = mix(H, N->getChildren().size());
-      std::vector<uint64_t> Hs;
-      Hs.reserve(N->getChildren().size());
-      for (const pdag::Pred *C : N->getChildren())
-        Hs.push_back(pred(C));
-      std::sort(Hs.begin(), Hs.end());
-      for (uint64_t V : Hs)
-        H = mix(H, V);
-      break;
-    }
-    case pdag::PredKind::LoopAll: {
-      auto *L = static_cast<const pdag::LoopAllPred *>(P);
-      H = symbol(H, L->getVar());
-      H = mix(H, expr(L->getLo()));
-      H = mix(H, expr(L->getHi()));
-      H = mix(H, pred(L->getBody()));
-      break;
-    }
-    case pdag::PredKind::CallSite: {
-      auto *C = static_cast<const pdag::CallSitePred *>(P);
-      H = str(H, C->getCallee());
-      H = mix(H, pred(C->getBody()));
-      break;
-    }
-    }
-    PredMemo.emplace(P, H);
-    return H;
+  case sym::ExprKind::Mul: {
+    // Factors are id-sorted (interning-order artifact): fold the factor
+    // hash multiset in value order instead.
+    auto *M = static_cast<const sym::MulExpr *>(E);
+    H = mix(H, M->getFactors().size());
+    std::vector<uint64_t> Hs;
+    Hs.reserve(M->getFactors().size());
+    for (const sym::Expr *F : M->getFactors())
+      Hs.push_back(expr(F));
+    std::sort(Hs.begin(), Hs.end());
+    for (uint64_t V : Hs)
+      H = mix(H, V);
+    break;
   }
+  case sym::ExprKind::Add: {
+    // Terms are id-sorted (interning-order artifact): same treatment.
+    auto *A = static_cast<const sym::AddExpr *>(E);
+    H = mix(H, A->getTerms().size());
+    std::vector<uint64_t> Hs;
+    Hs.reserve(A->getTerms().size());
+    for (const sym::Monomial &T : A->getTerms())
+      Hs.push_back(
+          mix(expr(T.Prod), static_cast<uint64_t>(T.Coeff)));
+    std::sort(Hs.begin(), Hs.end());
+    for (uint64_t V : Hs)
+      H = mix(H, V);
+    H = mix(H, static_cast<uint64_t>(A->getConstant()));
+    break;
+  }
+  }
+  ExprMemo.emplace(E, H);
+  return H;
+}
 
-  uint64_t usr(const usr::USR *S) {
-    if (!S)
-      return mix(Seed, 0xC0ull);
-    auto It = UsrMemo.find(S);
-    if (It != UsrMemo.end())
-      return It->second;
-    uint64_t H = mix(Seed, 0xC1ull + static_cast<uint64_t>(S->getKind()));
-    switch (S->getKind()) {
-    case usr::USRKind::Empty:
-      break;
-    case usr::USRKind::Leaf: {
-      auto *L = static_cast<const usr::LeafUSR *>(S);
-      H = mix(H, L->getLMADs().size());
-      for (const lmad::LMAD &M : L->getLMADs()) {
-        H = mix(H, expr(M.offset()));
-        H = mix(H, M.dims().size());
-        for (const lmad::Dim &D : M.dims()) {
-          H = mix(H, expr(D.Stride));
-          H = mix(H, expr(D.Span));
-        }
+uint64_t StructHasher::pred(const pdag::Pred *P) {
+  if (!P)
+    return mix(Seed, 0xB0ull);
+  auto It = PredMemo.find(P);
+  if (It != PredMemo.end())
+    return It->second;
+  uint64_t H = mix(Seed, 0xB1ull + static_cast<uint64_t>(P->getKind()));
+  switch (P->getKind()) {
+  case pdag::PredKind::True:
+  case pdag::PredKind::False:
+    break;
+  case pdag::PredKind::Cmp: {
+    auto *C = static_cast<const pdag::CmpPred *>(P);
+    H = mix(H, static_cast<uint64_t>(C->getRel()));
+    H = mix(H, expr(C->getExpr()));
+    break;
+  }
+  case pdag::PredKind::Divides: {
+    auto *D = static_cast<const pdag::DividesPred *>(P);
+    H = mix(H, expr(D->getDivisor()));
+    H = mix(H, expr(D->getValue()));
+    H = mix(H, D->isNegated() ? 1 : 0);
+    break;
+  }
+  case pdag::PredKind::And:
+  case pdag::PredKind::Or: {
+    // Children are id-sorted (interning-order artifact): fold the child
+    // hash set in value order for cross-process stability.
+    auto *N = static_cast<const pdag::NaryPred *>(P);
+    H = mix(H, N->getChildren().size());
+    std::vector<uint64_t> Hs;
+    Hs.reserve(N->getChildren().size());
+    for (const pdag::Pred *C : N->getChildren())
+      Hs.push_back(pred(C));
+    std::sort(Hs.begin(), Hs.end());
+    for (uint64_t V : Hs)
+      H = mix(H, V);
+    break;
+  }
+  case pdag::PredKind::LoopAll: {
+    auto *L = static_cast<const pdag::LoopAllPred *>(P);
+    H = symbol(H, L->getVar());
+    H = mix(H, expr(L->getLo()));
+    H = mix(H, expr(L->getHi()));
+    H = mix(H, pred(L->getBody()));
+    break;
+  }
+  case pdag::PredKind::CallSite: {
+    auto *C = static_cast<const pdag::CallSitePred *>(P);
+    H = str(H, C->getCallee());
+    H = mix(H, pred(C->getBody()));
+    break;
+  }
+  }
+  PredMemo.emplace(P, H);
+  return H;
+}
+
+uint64_t StructHasher::usr(const usr::USR *S) {
+  if (!S)
+    return mix(Seed, 0xC0ull);
+  auto It = UsrMemo.find(S);
+  if (It != UsrMemo.end())
+    return It->second;
+  uint64_t H = mix(Seed, 0xC1ull + static_cast<uint64_t>(S->getKind()));
+  switch (S->getKind()) {
+  case usr::USRKind::Empty:
+    break;
+  case usr::USRKind::Leaf: {
+    auto *L = static_cast<const usr::LeafUSR *>(S);
+    H = mix(H, L->getLMADs().size());
+    for (const lmad::LMAD &M : L->getLMADs()) {
+      H = mix(H, expr(M.offset()));
+      H = mix(H, M.dims().size());
+      for (const lmad::Dim &D : M.dims()) {
+        H = mix(H, expr(D.Stride));
+        H = mix(H, expr(D.Span));
       }
-      break;
     }
-    case usr::USRKind::Union: {
-      // Children are id-sorted (interning-order artifact): fold the child
-      // hash set in value order for cross-process stability.
-      auto *U = static_cast<const usr::UnionUSR *>(S);
-      H = mix(H, U->getChildren().size());
-      std::vector<uint64_t> Hs;
-      Hs.reserve(U->getChildren().size());
-      for (const usr::USR *C : U->getChildren())
-        Hs.push_back(usr(C));
-      std::sort(Hs.begin(), Hs.end());
-      for (uint64_t V : Hs)
-        H = mix(H, V);
-      break;
-    }
-    case usr::USRKind::Intersect:
-    case usr::USRKind::Subtract: {
-      auto *B = static_cast<const usr::BinaryUSR *>(S);
-      H = mix(H, usr(B->getLHS()));
-      H = mix(H, usr(B->getRHS()));
-      break;
-    }
-    case usr::USRKind::Gate: {
-      auto *G = static_cast<const usr::GateUSR *>(S);
-      H = mix(H, pred(G->getGate()));
-      H = mix(H, usr(G->getChild()));
-      break;
-    }
-    case usr::USRKind::CallSite: {
-      auto *C = static_cast<const usr::CallSiteUSR *>(S);
-      H = str(H, C->getCallee());
-      H = mix(H, usr(C->getChild()));
-      break;
-    }
-    case usr::USRKind::Recur: {
-      auto *R = static_cast<const usr::RecurUSR *>(S);
-      H = symbol(H, R->getVar());
-      H = mix(H, expr(R->getLo()));
-      H = mix(H, expr(R->getHi()));
-      H = mix(H, usr(R->getBody()));
-      break;
-    }
-    }
-    UsrMemo.emplace(S, H);
-    return H;
+    break;
   }
+  case usr::USRKind::Union: {
+    // Children are id-sorted (interning-order artifact): fold the child
+    // hash set in value order for cross-process stability.
+    auto *U = static_cast<const usr::UnionUSR *>(S);
+    H = mix(H, U->getChildren().size());
+    std::vector<uint64_t> Hs;
+    Hs.reserve(U->getChildren().size());
+    for (const usr::USR *C : U->getChildren())
+      Hs.push_back(usr(C));
+    std::sort(Hs.begin(), Hs.end());
+    for (uint64_t V : Hs)
+      H = mix(H, V);
+    break;
+  }
+  case usr::USRKind::Intersect:
+  case usr::USRKind::Subtract: {
+    auto *B = static_cast<const usr::BinaryUSR *>(S);
+    H = mix(H, usr(B->getLHS()));
+    H = mix(H, usr(B->getRHS()));
+    break;
+  }
+  case usr::USRKind::Gate: {
+    auto *G = static_cast<const usr::GateUSR *>(S);
+    H = mix(H, pred(G->getGate()));
+    H = mix(H, usr(G->getChild()));
+    break;
+  }
+  case usr::USRKind::CallSite: {
+    auto *C = static_cast<const usr::CallSiteUSR *>(S);
+    H = str(H, C->getCallee());
+    H = mix(H, usr(C->getChild()));
+    break;
+  }
+  case usr::USRKind::Recur: {
+    auto *R = static_cast<const usr::RecurUSR *>(S);
+    H = symbol(H, R->getVar());
+    H = mix(H, expr(R->getLo()));
+    H = mix(H, expr(R->getHi()));
+    H = mix(H, usr(R->getBody()));
+    break;
+  }
+  }
+  UsrMemo.emplace(S, H);
+  return H;
+}
 
-private:
-  const sym::Context &Sym;
-  uint64_t Seed;
-  std::unordered_map<const sym::Expr *, uint64_t> ExprMemo;
-  std::unordered_map<const pdag::Pred *, uint64_t> PredMemo;
-  std::unordered_map<const usr::USR *, uint64_t> UsrMemo;
-};
+namespace {
 
 /// Statement-tree walk for hashLoop: statement shapes plus every
 /// referenced array's declaration. Subroutine bodies are hashed inline at
@@ -456,23 +502,6 @@ private:
 };
 
 } // namespace
-
-uint64_t hashExpr(const sym::Expr *E, const sym::Context &Sym,
-                  uint64_t Seed) {
-  StructHasher H(Sym, Seed);
-  return H.expr(E);
-}
-
-uint64_t hashPred(const pdag::Pred *P, const sym::Context &Sym,
-                  uint64_t Seed) {
-  StructHasher H(Sym, Seed);
-  return H.pred(P);
-}
-
-uint64_t hashUSR(const usr::USR *S, const sym::Context &Sym, uint64_t Seed) {
-  StructHasher H(Sym, Seed);
-  return H.usr(S);
-}
 
 uint64_t hashLoop(const ir::Program &Prog, const ir::DoLoop &L,
                   uint64_t Seed) {

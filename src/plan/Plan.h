@@ -8,26 +8,27 @@
 /// \file
 /// The `.hplan` plan-cache format: everything `Session::prepare` produces
 /// for a loop — the `analysis::LoopPlan`, the factor statistics, the
-/// cost-ordered `rt::CompiledCascade` stage vectors, and verify-only
-/// records of the `pdag::CompiledPred` / `usr::CompiledUSR` bytecode —
-/// serialized to a length-prefixed chunked stream so the expensive
-/// analyze-once phase survives process restarts (warm-start).
+/// cost-ordered `rt::CompiledCascade` stage vectors, and a length plus a
+/// 128-bit digest of each `pdag::CompiledPred` / `usr::CompiledUSR`
+/// bytecode encoding — serialized to a length-prefixed chunked stream so
+/// the expensive analyze-once phase survives process restarts
+/// (warm-start).
 ///
 /// Trust model: a loaded plan is **never executed as read**. The stream
 /// carries the *sources* (symbol, expression, predicate and USR tables);
 /// loading re-interns them into the live contexts and re-compiles the
-/// bytecode through the session's real compile caches, then byte-compares
-/// the fresh encoding against the file record. Only the fresh compile ever
-/// runs. Adoption additionally requires the loading session to re-derive
-/// the plan key (structural loop hash ⊕ codegen-affecting options) from
-/// its own loop and options — the serialized key is compared against,
-/// never trusted.
+/// bytecode through the session's real compile caches, then compares the
+/// fresh encoding's length and digest against the file record. Only the
+/// fresh compile ever runs. Adoption additionally requires the loading
+/// session to re-derive the plan key (structural loop hash ⊕
+/// codegen-affecting options) from its own loop and options — the
+/// serialized key is compared against, never trusted.
 ///
 /// Error contract: stream-integrity anomalies (bad magic, version skew,
 /// CRC mismatch, truncation, trailing bytes, out-of-range indices) throw
 /// `support::ValidationError` with the `PlanBadMagic` / `PlanVersionSkew`
 /// / `PlanCorrupt` codes. Semantic per-loop problems (symbol attribute
-/// drift, bytecode verify failure, cascade-order drift, key mismatch at
+/// drift, bytecode digest mismatch, cascade-order drift, key mismatch at
 /// adoption) are *recorded* as `PlanKeyMismatch` / `PlanCorrupt` Diags and
 /// the affected loop falls back to full analysis — a stale or foreign
 /// cache degrades to a cold start, never to a wrong answer or a crash.
@@ -47,6 +48,7 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -64,7 +66,7 @@ inline constexpr char Magic[4] = {'H', 'P', 'L', 'N'};
 /// in-place migration; a version-skewed cache is rejected with
 /// `PlanVersionSkew` and the loader falls back to full analysis (the
 /// cache is cheap to regenerate, wrong adoption is not).
-inline constexpr uint32_t FormatVersion = 1;
+inline constexpr uint32_t FormatVersion = 2;
 
 /// Chunk tags (FourCC, little-endian on the wire). Chunks appear in this
 /// order: one each of SYMB/EXPR/PRED/USRT/PCOD/UCOD, then one LOOP chunk
@@ -80,6 +82,20 @@ inline constexpr uint32_t ChunkLoop = 0x504F4F4Cu;     // "LOOP"
 /// CRC32 (IEEE 802.3, poly 0xEDB88320, bit-reflected) over \p Len bytes.
 /// Exposed so tests can re-seal a deliberately patched chunk.
 uint32_t crc32(const void *Data, size_t Len);
+
+/// 128-bit digest of a compiled-bytecode encoding: two independent 64-bit
+/// hashes of the same bytes, seeded with PrimarySeed (A) and VerifySeed
+/// (B). Part of the format: PCOD/UCOD records store it in place of the
+/// encoding itself.
+struct Digest {
+  uint64_t A = 0;
+  uint64_t B = 0;
+  bool operator==(const Digest &O) const { return A == O.A && B == O.B; }
+  bool operator!=(const Digest &O) const { return !(*this == O); }
+};
+
+/// The digest of \p Len bytes (docs/PLAN_FORMAT.md, "Bytecode digest").
+Digest digest(const void *Data, size_t Len);
 
 //===----------------------------------------------------------------------===//
 // Plan keys (durable structural hashes)
@@ -103,12 +119,37 @@ inline constexpr uint64_t VerifySeed = 0x13198A2E03707344ull;
 /// format version.
 using CodegenKey = rt::EvalTier;
 
-/// Pointer-free structural hash of an expression DAG (symbols by name).
-uint64_t hashExpr(const sym::Expr *E, const sym::Context &Sym, uint64_t Seed);
-/// Pointer-free structural hash of a predicate DAG.
-uint64_t hashPred(const pdag::Pred *P, const sym::Context &Sym, uint64_t Seed);
-/// Pointer-free structural hash of a USR DAG.
-uint64_t hashUSR(const usr::USR *S, const sym::Context &Sym, uint64_t Seed);
+/// Pointer-free structural hashes of one context's expression, predicate
+/// and USR DAGs under one seed (symbols by name and attributes, children
+/// of n-ary nodes folded in hash order, so interning order never leaks
+/// in). Memoized per node: interned DAGs share subtrees heavily, and one
+/// hasher per seed serves a whole stream, so a subtree shared by many
+/// records is hashed once. The memo holds while the nodes live and the
+/// symbols' attributes do not change.
+class StructHasher {
+public:
+  StructHasher(const sym::Context &Sym, uint64_t Seed)
+      : Sym(Sym), Seed(Seed) {}
+
+  uint64_t expr(const sym::Expr *E);
+  uint64_t pred(const pdag::Pred *P);
+  uint64_t usr(const usr::USR *S);
+
+  /// Folds a string into \p H.
+  uint64_t str(uint64_t H, const std::string &S) const;
+  /// Folds a symbol's identity into \p H: its name and everything
+  /// analysis reads off the symbol table (DefLevel, array and
+  /// monotonicity flags).
+  uint64_t symbol(uint64_t H, sym::SymbolId Id) const;
+
+private:
+  const sym::Context &Sym;
+  uint64_t Seed;
+  std::unordered_map<const sym::Expr *, uint64_t> ExprMemo;
+  std::unordered_map<const pdag::Pred *, uint64_t> PredMemo;
+  std::unordered_map<const usr::USR *, uint64_t> UsrMemo;
+};
+
 /// Pointer-free structural hash of a loop nest: statement shapes, bound
 /// and subscript expressions, gate predicates, callee bodies, referenced
 /// symbols' attributes and referenced arrays' declarations.
@@ -195,11 +236,11 @@ size_t save(std::ostream &Out, const ir::Program &Prog,
 /// context untouched and returns `Staged == 0` with one PlanKeyMismatch
 /// Diag. Otherwise it re-interns every table into the live contexts
 /// behind \p UC, re-compiles through \p Preds / \p Usrs (populating them)
-/// and byte-verifies against the file's bytecode records; the wanted
-/// loops that verify are appended to \p Out, the others are counted in
-/// `Skipped` without being decoded. Per-loop failures are recorded in the
-/// result. Throws `support::ValidationError` on stream-integrity
-/// anomalies.
+/// and checks each fresh encoding's length and digest against the file's
+/// bytecode records; the wanted loops that verify are appended to \p Out,
+/// the others are counted in `Skipped` without being decoded. Per-loop
+/// failures are recorded in the result. Throws `support::ValidationError`
+/// on stream-integrity anomalies.
 LoadResult load(const std::vector<Chunk> &Chunks, const LabelSet &Wanted,
                 usr::USRContext &UC, rt::PredCompileCache &Preds,
                 rt::USRCompileCache &Usrs, std::vector<StagedLoop> &Out);
@@ -210,9 +251,10 @@ LoadResult load(const std::vector<Chunk> &Chunks, const LabelSet &Wanted,
 std::vector<const ir::IfStmt *> collectIfStmts(const ir::DoLoop &L);
 
 /// Context-free integrity pass: checks magic, version, chunk framing and
-/// CRCs and decodes table shapes, throwing the same typed errors as
-/// load(), and returns a human-readable per-chunk summary (halo_planc
-/// dump/verify).
+/// CRCs and decodes table shapes and PCOD/UCOD records, throwing the same
+/// typed errors as load(), and returns a human-readable summary: one line
+/// per chunk, plus one per PCOD/UCOD record with its node index, encoded
+/// length and digest (halo_planc dump/verify).
 std::string inspect(std::istream &In);
 
 } // namespace plan

@@ -39,31 +39,33 @@ namespace wire {
 class ByteWriter {
 public:
   void u8(uint8_t V) { Buf.push_back(V); }
-  void u32(uint32_t V) {
-    for (int I = 0; I < 4; ++I)
-      Buf.push_back(static_cast<uint8_t>(V >> (8 * I)));
-  }
-  void u64(uint64_t V) {
-    for (int I = 0; I < 8; ++I)
-      Buf.push_back(static_cast<uint8_t>(V >> (8 * I)));
-  }
+  void u32(uint32_t V) { put(V, 4); }
+  void u64(uint64_t V) { put(V, 8); }
   void i32(int32_t V) { u32(static_cast<uint32_t>(V)); }
   void i64(int64_t V) { u64(static_cast<uint64_t>(V)); }
   void str(const std::string &S) {
     u32(static_cast<uint32_t>(S.size()));
     Buf.insert(Buf.end(), S.begin(), S.end());
   }
-  void bytes(const std::vector<uint8_t> &B) {
-    u32(static_cast<uint32_t>(B.size()));
-    Buf.insert(Buf.end(), B.begin(), B.end());
-  }
 
   const std::vector<uint8_t> &data() const { return Buf; }
   size_t size() const { return Buf.size(); }
+  /// Empties the buffer and keeps its capacity (one writer can encode
+  /// many records).
+  void clear() { Buf.clear(); }
   /// Moves the buffer out (the writer is spent afterwards).
   std::vector<uint8_t> take() { return std::move(Buf); }
 
 private:
+  /// Appends the low \p N bytes of \p V, least significant first, with
+  /// one capacity check.
+  void put(uint64_t V, size_t N) {
+    uint8_t B[8];
+    for (size_t I = 0; I < N; ++I)
+      B[I] = static_cast<uint8_t>(V >> (8 * I));
+    Buf.insert(Buf.end(), B, B + N);
+  }
+
   std::vector<uint8_t> Buf;
 };
 
@@ -101,13 +103,6 @@ public:
     std::string S(reinterpret_cast<const char *>(Data + Pos), N);
     Pos += N;
     return S;
-  }
-  std::vector<uint8_t> bytes() {
-    uint32_t N = u32();
-    need(N);
-    std::vector<uint8_t> B(Data + Pos, Data + Pos + N);
-    Pos += N;
-    return B;
   }
 
   /// A count prefix that also bounds later allocation: a hostile count

@@ -52,13 +52,6 @@ std::vector<SymbolId> sym::unionSyms(const std::vector<SymbolId> &A,
   return Out;
 }
 
-void sym::sortUniqueSyms(std::vector<SymbolId> &Syms) {
-  std::sort(Syms.begin(), Syms.end());
-  Syms.erase(std::unique(Syms.begin(), Syms.end()), Syms.end());
-  // The set lives as long as its node: drop the duplicates' capacity.
-  Syms.shrink_to_fit();
-}
-
 //===----------------------------------------------------------------------===//
 // Context: symbols
 //===----------------------------------------------------------------------===//
@@ -192,6 +185,23 @@ LinearForm Context::toLinear(const Expr *E) const {
   return LF;
 }
 
+LinearView Context::linearView(const Expr *E) const {
+  LinearView V;
+  if (const auto *C = dyn_cast<IntConstExpr>(E)) {
+    V.Constant = C->getValue();
+    return V;
+  }
+  if (const auto *A = dyn_cast<AddExpr>(E)) {
+    V.Data = A->getTerms().data();
+    V.Size = A->getTerms().size();
+    V.Constant = A->getConstant();
+    return V;
+  }
+  V.Single = Monomial{E, 1};
+  V.Size = 1;
+  return V;
+}
+
 const Expr *Context::fromLinear(LinearForm LF) {
   // Canonicalize in place: sort by product id, merge, drop zero
   // coefficients.
@@ -211,43 +221,42 @@ const Expr *Context::fromLinear(LinearForm LF) {
       Terms[Kept++] = M;
     }
   }
-  Terms.resize(Kept);
+  return makeSum(Terms.data(), Kept, LF.Constant);
+}
 
-  if (Terms.empty())
-    return intConst(LF.Constant);
-  if (Terms.size() == 1 && Terms[0].Coeff == 1 && LF.Constant == 0)
+const Expr *Context::makeSum(const Monomial *Terms, size_t N,
+                             int64_t Constant) {
+  if (N == 0)
+    return intConst(Constant);
+  if (N == 1 && Terms[0].Coeff == 1 && Constant == 0)
     return Terms[0].Prod;
 
-  const int64_t Constant = LF.Constant;
   size_t H = hashSeed(ExprKind::Add);
   hashCombine(H, static_cast<size_t>(Constant));
-  for (const Monomial &M : Terms) {
-    hashCombine(H, M.Prod);
-    hashCombine(H, static_cast<size_t>(M.Coeff));
+  for (size_t I = 0; I != N; ++I) {
+    hashCombine(H, Terms[I].Prod);
+    hashCombine(H, static_cast<size_t>(Terms[I].Coeff));
   }
   return Nodes.intern(
       H,
       [&](const Expr &E) {
         const auto *A = dyn_cast<AddExpr>(&E);
-        if (!A || A->getConstant() != Constant ||
-            A->getTerms().size() != Terms.size())
+        if (!A || A->getConstant() != Constant || A->getTerms().size() != N)
           return false;
-        for (size_t I = 0, N = Terms.size(); I != N; ++I)
+        for (size_t I = 0; I != N; ++I)
           if (A->getTerms()[I].Prod != Terms[I].Prod ||
               A->getTerms()[I].Coeff != Terms[I].Coeff)
             return false;
         return true;
       },
       [&](uint32_t Id) {
-        std::vector<SymbolId> Free;
-        for (const Monomial &M : Terms)
-          appendSyms(Free, M.Prod->freeSymbols());
-        sortUniqueSyms(Free);
-        // An exact-size copy: the merged terms may sit in a much larger
-        // buffer, and the node keeps them for the context's lifetime.
-        return std::unique_ptr<Expr>(new AddExpr(
-            Id, std::vector<Monomial>(Terms.begin(), Terms.end()), Constant,
-            std::move(Free)));
+        for (size_t I = 0; I != N; ++I)
+          FreeSyms.add(Terms[I].Prod->freeSymbols());
+        // An exact-size copy: the terms may sit in a much larger buffer,
+        // and the node keeps them for the context's lifetime.
+        return std::unique_ptr<Expr>(
+            new AddExpr(Id, std::vector<Monomial>(Terms, Terms + N), Constant,
+                        FreeSyms.take()));
       });
 }
 
@@ -270,20 +279,36 @@ const Expr *Context::makeProduct(std::vector<const Expr *> Factors) {
         return M && M->getFactors() == Factors;
       },
       [&](uint32_t Id) {
-        std::vector<SymbolId> Free;
         for (const Expr *F : Factors)
-          appendSyms(Free, F->freeSymbols());
-        sortUniqueSyms(Free);
+          FreeSyms.add(F->freeSymbols());
         return std::unique_ptr<Expr>(
-            new MulExpr(Id, std::move(Factors), std::move(Free)));
+            new MulExpr(Id, std::move(Factors), FreeSyms.take()));
       });
 }
 
 const Expr *Context::add(const Expr *A, const Expr *B) {
-  LinearForm LA = toLinear(A), LB = toLinear(B);
-  LA.Constant += LB.Constant;
-  LA.Terms.insert(LA.Terms.end(), LB.Terms.begin(), LB.Terms.end());
-  return fromLinear(std::move(LA));
+  // Both term lists are already ID-sorted: merge them, summing the
+  // coefficients of a shared product and dropping the ones that cancel.
+  const LinearView LA = linearView(A), LB = linearView(B);
+  TermScratch.clear();
+  const Monomial *I = LA.begin(), *IE = LA.end();
+  const Monomial *J = LB.begin(), *JE = LB.end();
+  while (I != IE && J != JE) {
+    if (I->Prod->getId() < J->Prod->getId()) {
+      TermScratch.push_back(*I++);
+    } else if (J->Prod->getId() < I->Prod->getId()) {
+      TermScratch.push_back(*J++);
+    } else {
+      if (int64_t C = I->Coeff + J->Coeff; C != 0)
+        TermScratch.push_back(Monomial{I->Prod, C});
+      ++I;
+      ++J;
+    }
+  }
+  TermScratch.insert(TermScratch.end(), I, IE);
+  TermScratch.insert(TermScratch.end(), J, JE);
+  return makeSum(TermScratch.data(), TermScratch.size(),
+                 LA.constant() + LB.constant());
 }
 
 const Expr *Context::sub(const Expr *A, const Expr *B) {
@@ -297,19 +322,20 @@ const Expr *Context::mulConst(const Expr *A, int64_t C) {
     return intConst(0);
   if (C == 1)
     return A;
-  LinearForm LF = toLinear(A);
-  LF.Constant *= C;
-  for (Monomial &M : LF.Terms)
-    M.Coeff *= C;
-  return fromLinear(std::move(LF));
+  // Scaling keeps the terms ID-sorted.
+  const LinearView LF = linearView(A);
+  TermScratch.clear();
+  for (const Monomial &M : LF)
+    if (int64_t Coeff = M.Coeff * C; Coeff != 0)
+      TermScratch.push_back(Monomial{M.Prod, Coeff});
+  return makeSum(TermScratch.data(), TermScratch.size(), LF.constant() * C);
 }
 
 const Expr *Context::addConst(const Expr *A, int64_t C) {
   if (C == 0)
     return A;
-  LinearForm LF = toLinear(A);
-  LF.Constant += C;
-  return fromLinear(std::move(LF));
+  const LinearView LF = linearView(A);
+  return makeSum(LF.begin(), LF.size(), LF.constant() + C);
 }
 
 static void appendFactors(const Expr *Prod, std::vector<const Expr *> &Out) {
@@ -458,19 +484,18 @@ bool Context::definitelyDivisibleBy(const Expr *E, int64_t D) const {
   assert(D != 0 && "division by zero");
   if (D == 1 || D == -1)
     return true;
-  LinearForm LF = toLinear(E);
-  if (LF.Constant % D != 0)
+  const LinearView LF = linearView(E);
+  if (LF.constant() % D != 0)
     return false;
-  for (const Monomial &M : LF.Terms)
+  for (const Monomial &M : LF)
     if (M.Coeff % D != 0)
       return false;
   return true;
 }
 
 int64_t Context::coeffGcd(const Expr *E) const {
-  LinearForm LF = toLinear(E);
   int64_t G = 0;
-  for (const Monomial &M : LF.Terms)
+  for (const Monomial &M : linearView(E))
     G = std::gcd(G, M.Coeff);
   return G;
 }

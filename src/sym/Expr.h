@@ -37,6 +37,7 @@
 #include "support/Casting.h"
 #include "support/InternSet.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -254,18 +255,58 @@ struct LinearForm {
   int64_t Constant = 0;
 };
 
+/// Non-owning linear form of an interned expression (Context::linearView):
+/// an AddExpr's own ID-sorted terms, the single term `1*E` of any other
+/// non-constant atom or product, or no term for a constant. Valid while
+/// the viewed node lives.
+class LinearView {
+public:
+  const Monomial *begin() const { return Data ? Data : &Single; }
+  const Monomial *end() const { return begin() + Size; }
+  size_t size() const { return Size; }
+  const Monomial &operator[](size_t I) const { return begin()[I]; }
+  int64_t constant() const { return Constant; }
+
+private:
+  const Monomial *Data = nullptr; ///< Null: the terms are Single (or none).
+  size_t Size = 0;
+  Monomial Single;
+  int64_t Constant = 0;
+  friend class Context;
+};
+
 /// Sorted union of two sorted symbol sets.
 std::vector<SymbolId> unionSyms(const std::vector<SymbolId> &A,
                                 const std::vector<SymbolId> &B);
-/// Appends \p Syms to \p Out; sortUniqueSyms turns the concatenation of
-/// several sorted sets into their union.
-inline void appendSyms(std::vector<SymbolId> &Out,
-                       const std::vector<SymbolId> &Syms) {
-  Out.insert(Out.end(), Syms.begin(), Syms.end());
-}
-/// Sorts and deduplicates \p Syms in place: one sort, where a chain of
-/// pairwise unions would copy every prefix again.
-void sortUniqueSyms(std::vector<SymbolId> &Syms);
+
+/// Builds the free-symbol set of a new node from its operands' sets in one
+/// reused buffer: add() each set, then take() their sorted union as one
+/// exact-size vector, the node's only allocation for it. Each context keeps
+/// one for its node builders.
+class SymSetBuilder {
+public:
+  void add(const std::vector<SymbolId> &Syms) {
+    Buf.insert(Buf.end(), Syms.begin(), Syms.end());
+  }
+  /// add() without \p Skip (a bound variable).
+  void addExcept(const std::vector<SymbolId> &Syms, SymbolId Skip) {
+    for (SymbolId S : Syms)
+      if (S != Skip)
+        Buf.push_back(S);
+  }
+  /// The sorted, deduplicated union of every set added since the last
+  /// take(); leaves the builder empty.
+  std::vector<SymbolId> take() {
+    std::sort(Buf.begin(), Buf.end());
+    std::vector<SymbolId> Out(Buf.begin(),
+                              std::unique(Buf.begin(), Buf.end()));
+    Buf.clear();
+    return Out;
+  }
+
+private:
+  std::vector<SymbolId> Buf;
+};
 
 /// Owns and interns all expressions and symbols. Every constructor hashes
 /// its key and probes the intern table before it builds anything, so a
@@ -319,6 +360,8 @@ public:
   const Expr *fromLinear(LinearForm LF);
   /// Views \p E as a linear form (never fails).
   LinearForm toLinear(const Expr *E) const;
+  /// Views \p E as a linear form without copying its terms.
+  LinearView linearView(const Expr *E) const;
 
   //===-- Queries ---------------------------------------------------------==/
 
@@ -349,11 +392,19 @@ public:
   size_t numExprs() const { return Nodes.size(); }
 
 private:
+  /// Interns the sum of \p N canonical terms (ID-sorted, one per product,
+  /// nonzero coefficients) plus \p Constant; folds to a constant or to the
+  /// lone product where the canonical form is not an AddExpr.
+  const Expr *makeSum(const Monomial *Terms, size_t N, int64_t Constant);
   const Expr *makeProduct(std::vector<const Expr *> Factors);
   const Expr *makeMinMax(ExprKind K, const Expr *A, const Expr *B);
   const Expr *makeDivMod(ExprKind K, const Expr *A, int64_t D);
 
   support::InternSet<Expr> Nodes;
+  /// Merge buffer of add() and mulConst(): terms reach an AddExpr's own
+  /// vector only on an intern miss.
+  std::vector<Monomial> TermScratch;
+  SymSetBuilder FreeSyms;
   std::vector<Symbol> Symbols;
   std::unordered_map<std::string, SymbolId> SymbolByName;
   unsigned FreshCounter = 0;

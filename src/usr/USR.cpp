@@ -91,17 +91,15 @@ const USR *USRContext::leaf(lmad::LMADSet L) {
         return Leaf && Leaf->getLMADs() == Out;
       },
       [&](uint32_t Id) {
-        std::vector<SymbolId> Free;
         for (const lmad::LMAD &X : Out) {
-          sym::appendSyms(Free, X.offset()->freeSymbols());
+          FreeSyms.add(X.offset()->freeSymbols());
           for (const lmad::Dim &D : X.dims()) {
-            sym::appendSyms(Free, D.Stride->freeSymbols());
-            sym::appendSyms(Free, D.Span->freeSymbols());
+            FreeSyms.add(D.Stride->freeSymbols());
+            FreeSyms.add(D.Span->freeSymbols());
           }
         }
-        sym::sortUniqueSyms(Free);
         return std::unique_ptr<USR>(
-            new LeafUSR(Id, std::move(Out), std::move(Free)));
+            new LeafUSR(Id, std::move(Out), FreeSyms.take()));
       });
 }
 
@@ -184,12 +182,10 @@ const USR *USRContext::unionN(std::vector<const USR *> Cs) {
         return Un && Un->getChildren() == Flat;
       },
       [&](uint32_t Id) {
-        std::vector<SymbolId> Free;
         for (const USR *C : Flat)
-          sym::appendSyms(Free, C->freeSymbols());
-        sym::sortUniqueSyms(Free);
+          FreeSyms.add(C->freeSymbols());
         return std::unique_ptr<USR>(
-            new UnionUSR(Id, std::move(Flat), std::move(Free)));
+            new UnionUSR(Id, std::move(Flat), FreeSyms.take()));
       });
 }
 
@@ -348,13 +344,11 @@ const USR *USRContext::recur(SymbolId Var, const Expr *Lo, const Expr *Hi,
                R->getHi() == Hi && R->getBody() == Body;
       },
       [&](uint32_t Id) {
-        std::vector<SymbolId> Free(Body->freeSymbols());
-        Free.erase(std::remove(Free.begin(), Free.end(), Var), Free.end());
-        sym::appendSyms(Free, Lo->freeSymbols());
-        sym::appendSyms(Free, Hi->freeSymbols());
-        sym::sortUniqueSyms(Free);
+        FreeSyms.addExcept(Body->freeSymbols(), Var);
+        FreeSyms.add(Lo->freeSymbols());
+        FreeSyms.add(Hi->freeSymbols());
         return std::unique_ptr<USR>(
-            new RecurUSR(Id, Var, Lo, Hi, Body, std::move(Free)));
+            new RecurUSR(Id, Var, Lo, Hi, Body, FreeSyms.take()));
       });
 }
 

@@ -259,6 +259,7 @@ private:
   sym::Context &SymCtx;
   pdag::PredContext &PredCtx;
   support::InternSet<USR> Nodes;
+  sym::SymSetBuilder FreeSyms;
   const USR *EmptyNode = nullptr;
 };
 

@@ -316,8 +316,8 @@ private:
   int32_t RootRecur = -1;
 
   friend class USRCompiler;
-  /// Plan serialization encodes the compiled tables for the verify-only
-  /// bytecode records of the .hplan format (src/plan/).
+  /// Plan serialization encodes the compiled tables to digest them for
+  /// the bytecode records of the .hplan format (src/plan/).
   friend struct halo::plan::PlanCodec;
 };
 

@@ -21,6 +21,9 @@
 //  - the two-hash key discipline: a forged primary key (KeyA patched to
 //    the adopting loop's own value, chunk CRC re-sealed) must be caught by
 //    the independent verify hash and counted as a key collision;
+//  - the bytecode digest: a forged length or digest half in one PCOD or
+//    UCOD record (CRC re-sealed) rejects exactly the loops that use the
+//    node, and the digest function is pinned on fixed input;
 //  - creation-order golden: every suite program, prepared cold, creates
 //    the recorded number of sym/pdag/usr nodes and saves the recorded
 //    plan bytes (size and CRC);
@@ -43,6 +46,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -141,6 +145,48 @@ ChunkRef chunkByTag(const std::vector<ChunkRef> &Cs, uint32_t Tag) {
       return C;
   ADD_FAILURE() << "missing chunk";
   return Cs.front();
+}
+
+uint64_t rdU64(const std::string &B, size_t Off) {
+  return rdU32(B, Off) | static_cast<uint64_t>(rdU32(B, Off + 4)) << 32;
+}
+
+/// One PCOD/UCOD record: node index, structural hashes and, for a compiled
+/// node, the encoded length and digest. CodeOff is the stream offset of
+/// the length field (the digest's A and B halves follow it).
+struct CodeRecord {
+  uint32_t Index = 0;
+  uint64_t HashA = 0, HashB = 0;
+  bool HasCode = false;
+  size_t CodeOff = 0;
+  uint32_t Len = 0;
+  plan::Digest D;
+};
+
+std::vector<CodeRecord> codeRecordsOf(const std::string &B,
+                                      const ChunkRef &C) {
+  std::vector<CodeRecord> Out;
+  size_t Off = C.PayloadOff;
+  const uint32_t N = rdU32(B, Off);
+  Off += 4;
+  for (uint32_t I = 0; I < N; ++I) {
+    CodeRecord R;
+    R.Index = rdU32(B, Off);
+    R.HashA = rdU64(B, Off + 4);
+    R.HashB = rdU64(B, Off + 12);
+    R.HasCode = B[Off + 20] != 0;
+    Off += 21;
+    if (R.HasCode) {
+      R.CodeOff = Off;
+      R.Len = rdU32(B, Off);
+      R.D.A = rdU64(B, Off + 4);
+      R.D.B = rdU64(B, Off + 12);
+      Off += 20;
+    }
+    Out.push_back(R);
+  }
+  EXPECT_EQ(Off, C.PayloadOff + C.Len) << "record walk must end the chunk";
+  return Out;
 }
 
 /// Loads \p Bytes into a fresh session over a fresh generated case and
@@ -283,38 +329,41 @@ struct SuiteGolden {
   uint32_t PlanCrc;
 };
 
-/// Recorded before the intern tables moved to probe-first construction:
-/// the node counts pin the creation order of every sym/pdag/usr node (a
-/// node created earlier or later shifts every later ID), and the plan
-/// bytes pin what the IDs feed, the canonical child order of every DAG.
+/// The node counts were recorded before the intern tables moved to
+/// probe-first construction: they pin the creation order of every
+/// sym/pdag/usr node (a node created earlier or later shifts every later
+/// ID). The plan bytes pin what the IDs feed, the canonical child order of
+/// every DAG; they were re-recorded for format version 2, whose streams
+/// hold the same tables, the same records with digests in place of the
+/// bytecode, and plan keys under the new version.
 constexpr SuiteGolden SuiteGoldens[] = {
-    {"flo52", 71, 62, 35, 6923, 0x9A179D91u},
-    {"bdna", 172, 131, 51, 14859, 0x1E20D8C2u},
-    {"arc2d", 741, 1191, 146, 34318, 0x4E74854Au},
-    {"dyfesm", 4655, 8239, 780, 123773, 0x0DEFF8E2u},
-    {"mdg", 28, 18, 18, 2676, 0x22C8E3F4u},
-    {"trfd", 5642, 17578, 1273, 351700, 0x4DEDBB49u},
-    {"track", 491, 763, 83, 24385, 0x36CFC753u},
-    {"spec77", 676, 1256, 135, 32844, 0x75F231FEu},
-    {"ocean", 275, 605, 84, 26617, 0xE4F38CE3u},
-    {"qcd", 409, 781, 137, 18625, 0xECF8664Eu},
-    {"matrix300", 217, 254, 47, 25053, 0x426E2977u},
-    {"swm256", 35, 21, 25, 3662, 0xA08269B7u},
-    {"ora", 18, 18, 14, 2123, 0xACEF48A3u},
-    {"nasa7", 755, 1239, 143, 37133, 0xAB1AED7Bu},
-    {"tomcatv", 43, 24, 32, 4628, 0x3ED587F0u},
-    {"mdljdp2", 35, 21, 25, 3655, 0xB76E8930u},
-    {"hydro2d", 35, 21, 25, 3651, 0x3A662929u},
-    {"wupwise", 26998, 61550, 5850, 1129243, 0xC4A51A96u},
-    {"apsi", 700, 1332, 135, 30456, 0xEF76F400u},
-    {"applu", 390, 751, 143, 17700, 0x425B3476u},
-    {"mgrid", 43, 24, 32, 4641, 0xB809B6C8u},
-    {"swim", 43, 24, 32, 4640, 0x2E93381Bu},
-    {"bwaves", 35, 21, 25, 3656, 0x72D68942u},
-    {"zeusmp", 37881, 103255, 8547, 1720078, 0xF68BFBDEu},
-    {"gromacs", 210, 131, 33, 8771, 0x62EF6D67u},
-    {"calculix", 103, 88, 24, 7002, 0xE3B7E9C6u},
-    {"gamess", 27, 18, 18, 2676, 0x66104F4Au},
+    {"flo52", 71, 62, 35, 3248, 0xA5C90D35u},
+    {"bdna", 172, 131, 51, 4678, 0x983C90F5u},
+    {"arc2d", 741, 1191, 146, 7674, 0x4DE9A2FDu},
+    {"dyfesm", 4655, 8239, 780, 15695, 0xF241FDCCu},
+    {"mdg", 28, 18, 18, 1532, 0x68EBC895u},
+    {"trfd", 5642, 17578, 1273, 22253, 0x9EA2C7FDu},
+    {"track", 491, 763, 83, 6231, 0x05CD40E2u},
+    {"spec77", 676, 1256, 135, 7174, 0x62FEEA5Au},
+    {"ocean", 275, 605, 84, 5127, 0x59861BE1u},
+    {"qcd", 409, 781, 137, 5179, 0x7BD314C8u},
+    {"matrix300", 217, 254, 47, 4873, 0x060C2B1Du},
+    {"swm256", 35, 21, 25, 2117, 0x840D1340u},
+    {"ora", 18, 18, 14, 1077, 0xA894FB68u},
+    {"nasa7", 755, 1239, 143, 7859, 0x385AF10Eu},
+    {"tomcatv", 43, 24, 32, 2682, 0xF369BDB5u},
+    {"mdljdp2", 35, 21, 25, 2110, 0x2984C8A1u},
+    {"hydro2d", 35, 21, 25, 2106, 0x6EE0BA25u},
+    {"wupwise", 26998, 61550, 5850, 68106, 0x8D9D8980u},
+    {"apsi", 700, 1332, 135, 7676, 0x3047502Cu},
+    {"applu", 390, 751, 143, 5290, 0xF8ED9829u},
+    {"mgrid", 43, 24, 32, 2695, 0xF4C86BE7u},
+    {"swim", 43, 24, 32, 2694, 0x91A22D68u},
+    {"bwaves", 35, 21, 25, 2111, 0x037A86D5u},
+    {"zeusmp", 37881, 103255, 8547, 110156, 0x4475A159u},
+    {"gromacs", 210, 131, 33, 4085, 0x78D4FD8Fu},
+    {"calculix", 103, 88, 24, 2094, 0xE3D11F70u},
+    {"gamess", 27, 18, 18, 1532, 0x65F4DD76u},
 };
 
 // A fresh build of every suite program, prepared cold loop by loop in
@@ -533,17 +582,19 @@ TEST(PlanKeys, OptionsChangeFallsBackToAnalysis) {
 // The evaluation tier hashes as the (compiled predicates, compiled USRs,
 // block) bits it replaced — Block (1,1,1), Scalar (1,1,0), Interpreted
 // (0,0,1) — so .hplan caches written before the tier existed keep their
-// keys. Golden values of hashOptions under the default analyzer options.
+// keys. Golden values of hashOptions under the default analyzer options
+// and format version 2 (the version is hashed in: a format bump is a new
+// key space and re-records them).
 TEST(PlanKeys, TierHashesAsItsLegacyBits) {
   struct Golden {
     rt::EvalTier Tier;
     uint64_t Primary, Verify;
   };
   const Golden Gs[] = {
-      {rt::EvalTier::Block, 0xe9dc1cbf566b8c7aull, 0xb26b21b63af9b75cull},
-      {rt::EvalTier::Scalar, 0x993125188f6d2ad9ull, 0xde185e963495b8d2ull},
-      {rt::EvalTier::Interpreted, 0x8925f114f14f14d6ull,
-       0x2ca9229461683831ull},
+      {rt::EvalTier::Block, 0xcade0e3187aa7435ull, 0x9fb195aa361a6b3cull},
+      {rt::EvalTier::Scalar, 0x9e0fc2209d140b73ull, 0x7192e8317ae0e834ull},
+      {rt::EvalTier::Interpreted, 0x254c077826760dddull,
+       0x7d2af20339817252ull},
   };
   analysis::AnalyzerOptions AO;
   for (const Golden &G : Gs) {
@@ -604,6 +655,149 @@ TEST(PlanKeys, PrimaryKeyCollisionCaughtByVerifyHash) {
   ASSERT_FALSE(S.planDiags().empty());
   EXPECT_EQ(S.planDiags().front().Kind,
             support::Diag::Code::PlanKeyMismatch);
+}
+
+//===----------------------------------------------------------------------===//
+// Bytecode digest
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::string twoLoopPlanBytes(bool WithBlocks) {
+  TwoLoopProgram P(WithBlocks);
+  session::Session S(P.B.prog(), P.B.usr());
+  S.prepare(*P.Strided);
+  if (WithBlocks)
+    S.prepare(*P.Blocks);
+  return saveBytes(S);
+}
+
+/// The code field of a PCOD/UCOD record a test forges.
+enum class Forge { DigestA, DigestB, Length };
+
+/// Forges \p F in one \p Tag record that only the "blocks" loop uses,
+/// reseals the CRC and loads the stream: the record and the blocks loop
+/// must be rejected with PlanKeyMismatch, and the "strided" loop must
+/// still adopt.
+void expectForgedCodeRejectsOnlyItsLoop(uint32_t Tag, Forge F) {
+  const char *ChunkName = Tag == plan::ChunkPredCode ? "PCOD" : "UCOD";
+  SCOPED_TRACE(std::string(ChunkName) + " field " +
+               std::to_string(static_cast<int>(F)));
+  // Records present in a stream of the strided loop alone may be shared
+  // by both loops; any other record belongs to the blocks loop only. The
+  // first compiled one is a cascade stage or an exact-test USR of blocks
+  // (a PCOD record reached only as a USR gate would taint no loop).
+  const std::string Alone = twoLoopPlanBytes(/*WithBlocks=*/false);
+  std::vector<uint64_t> StridedHashes;
+  for (const CodeRecord &R :
+       codeRecordsOf(Alone, chunkByTag(chunksOf(Alone), Tag)))
+    StridedHashes.push_back(R.HashA);
+
+  std::string Bytes = twoLoopPlanBytes(/*WithBlocks=*/true);
+  const ChunkRef C = chunkByTag(chunksOf(Bytes), Tag);
+  const std::vector<CodeRecord> Recs = codeRecordsOf(Bytes, C);
+  size_t Victim = Recs.size();
+  for (size_t I = 0; I < Recs.size() && Victim == Recs.size(); ++I)
+    if (Recs[I].HasCode &&
+        std::find(StridedHashes.begin(), StridedHashes.end(),
+                  Recs[I].HashA) == StridedHashes.end())
+      Victim = I;
+  ASSERT_LT(Victim, Recs.size()) << "no compiled record of blocks alone";
+  const CodeRecord &R = Recs[Victim];
+  switch (F) {
+  case Forge::DigestA:
+    wrU64(Bytes, R.CodeOff + 4, R.D.A ^ 1);
+    break;
+  case Forge::DigestB:
+    wrU64(Bytes, R.CodeOff + 12, R.D.B ^ (uint64_t(1) << 63));
+    break;
+  case Forge::Length:
+    wrU32(Bytes, R.CodeOff, R.Len + 8);
+    break;
+  }
+  resealChunk(Bytes, C);
+
+  TwoLoopProgram P(/*WithBlocks=*/true);
+  session::Session S(P.B.prog(), P.B.usr());
+  plan::LoadResult LR = loadBytes(S, Bytes);
+  EXPECT_EQ(LR.Staged, 1u);
+  EXPECT_EQ(LR.Rejected, 1u);
+  const std::string RecordDiag =
+      std::string(ChunkName) + " record " + std::to_string(Victim) + ": ";
+  const std::string Cause = F == Forge::Length
+                                ? "encoded length differs from fresh compile"
+                                : "bytecode digest differs from fresh compile";
+  bool SawRecord = false, SawLoop = false;
+  for (const support::Diag &D : LR.Diags) {
+    EXPECT_EQ(D.Kind, support::Diag::Code::PlanKeyMismatch) << D.Message;
+    SawRecord |= D.Message == RecordDiag + Cause;
+    SawLoop |= D.Message.find("loop 'blocks'") != std::string::npos;
+    EXPECT_EQ(D.Message.find("loop 'strided'"), std::string::npos)
+        << D.Message;
+  }
+  EXPECT_TRUE(SawRecord) << "expected \"" << RecordDiag << Cause << "\"";
+  EXPECT_TRUE(SawLoop) << "the blocks loop uses the forged node";
+
+  S.prepare(*P.Strided);
+  EXPECT_EQ(S.numPlansWarmStarted(), 1u) << "strided must still adopt";
+  S.prepare(*P.Blocks);
+  EXPECT_EQ(S.numPlansWarmStarted(), 1u) << "blocks must re-analyze";
+}
+
+} // namespace
+
+TEST(PlanVerify, ForgedPredDigestARejectsItsLoop) {
+  expectForgedCodeRejectsOnlyItsLoop(plan::ChunkPredCode, Forge::DigestA);
+}
+TEST(PlanVerify, ForgedPredDigestBRejectsItsLoop) {
+  expectForgedCodeRejectsOnlyItsLoop(plan::ChunkPredCode, Forge::DigestB);
+}
+TEST(PlanVerify, ForgedPredLengthRejectsItsLoop) {
+  expectForgedCodeRejectsOnlyItsLoop(plan::ChunkPredCode, Forge::Length);
+}
+TEST(PlanVerify, ForgedUsrDigestARejectsItsLoop) {
+  expectForgedCodeRejectsOnlyItsLoop(plan::ChunkUsrCode, Forge::DigestA);
+}
+TEST(PlanVerify, ForgedUsrDigestBRejectsItsLoop) {
+  expectForgedCodeRejectsOnlyItsLoop(plan::ChunkUsrCode, Forge::DigestB);
+}
+TEST(PlanVerify, ForgedUsrLengthRejectsItsLoop) {
+  expectForgedCodeRejectsOnlyItsLoop(plan::ChunkUsrCode, Forge::Length);
+}
+
+// The digest is part of the format: its value on fixed input is pinned,
+// as the CRC's check value is.
+TEST(PlanDigest, CheckValue) {
+  const plan::Digest Check = plan::digest("123456789", 9);
+  EXPECT_EQ(Check.A, 0x900E99A38CFCD413ull);
+  EXPECT_EQ(Check.B, 0x138C36A2DF3CD4CFull);
+  const plan::Digest Empty = plan::digest("", 0);
+  EXPECT_EQ(Empty.A, 0x5E742A23FB3C2D61ull);
+  EXPECT_EQ(Empty.B, 0x3022BCBC42BB5E0Dull);
+}
+
+// Every single-bit flip of a 40-byte input (five whole words) and of a
+// 43-byte one (with a tail) changes both halves, and so does appending a
+// zero byte, which the zero-padded tail word alone would not see.
+TEST(PlanDigest, EveryBitAndTheLengthCount) {
+  std::mt19937_64 Rng(0xD16E57);
+  for (size_t Len : {40, 43}) {
+    std::vector<uint8_t> Buf(Len);
+    for (uint8_t &B : Buf)
+      B = static_cast<uint8_t>(Rng());
+    const plan::Digest Base = plan::digest(Buf.data(), Buf.size());
+    for (size_t Bit = 0; Bit < Len * 8; ++Bit) {
+      Buf[Bit / 8] ^= static_cast<uint8_t>(1u << (Bit % 8));
+      const plan::Digest D = plan::digest(Buf.data(), Buf.size());
+      Buf[Bit / 8] ^= static_cast<uint8_t>(1u << (Bit % 8));
+      ASSERT_NE(D.A, Base.A) << "length " << Len << ", bit " << Bit;
+      ASSERT_NE(D.B, Base.B) << "length " << Len << ", bit " << Bit;
+    }
+    Buf.push_back(0);
+    const plan::Digest Longer = plan::digest(Buf.data(), Buf.size());
+    EXPECT_NE(Longer.A, Base.A);
+    EXPECT_NE(Longer.B, Base.B);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -911,6 +1105,8 @@ TEST(PlanForeign, EngineDecodesCacheOnlyIntoItsOwner) {
 // Inspection
 //===----------------------------------------------------------------------===//
 
+// The summary names every chunk and loop, and lists each PCOD/UCOD record
+// with its node index, encoded length and digest as stored.
 TEST(PlanInspect, SummarizesChunksAndKeys) {
   std::string Bytes = fuzzPlanBytes(5);
   std::istringstream IS(Bytes, std::ios::binary);
@@ -918,4 +1114,25 @@ TEST(PlanInspect, SummarizesChunksAndKeys) {
   EXPECT_NE(Summary.find("SYMB"), std::string::npos);
   EXPECT_NE(Summary.find("PCOD"), std::string::npos);
   EXPECT_NE(Summary.find("loop 'fuzz'"), std::string::npos);
+  const std::vector<ChunkRef> Cs = chunksOf(Bytes);
+  size_t Lines = 0;
+  for (uint32_t Tag : {plan::ChunkPredCode, plan::ChunkUsrCode}) {
+    const char *Node = Tag == plan::ChunkPredCode ? "pred" : "usr";
+    for (const CodeRecord &R : codeRecordsOf(Bytes, chunkByTag(Cs, Tag))) {
+      std::string Line = std::string("\n    ") + Node + " " +
+                         std::to_string(R.Index) + "  ";
+      if (R.HasCode) {
+        char Hex[33];
+        std::snprintf(Hex, sizeof(Hex), "%016llx%016llx",
+                      static_cast<unsigned long long>(R.D.A),
+                      static_cast<unsigned long long>(R.D.B));
+        Line += "len " + std::to_string(R.Len) + "  digest " + Hex + "\n";
+      } else {
+        Line += "not compiled\n";
+      }
+      EXPECT_NE(Summary.find(Line), std::string::npos) << Line;
+      ++Lines;
+    }
+  }
+  EXPECT_GT(Lines, 0u) << "the fuzz nest should compile some nodes";
 }

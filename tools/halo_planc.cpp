@@ -11,7 +11,10 @@
 //
 //   halo_planc compile --suite --out DIR         # one .hplan per benchmark
 //   halo_planc compile --fuzz-seed 7 --out F     # one generated nest
-//   halo_planc dump FILE                         # per-chunk summary
+//   halo_planc dump FILE                         # per-chunk summary; node
+//                                                # index, encoded length and
+//                                                # digest of every PCOD/UCOD
+//                                                # record
 //   halo_planc verify FILE                       # integrity pass only
 //   halo_planc warmstart --suite --plans DIR     # load + prepare, assert
 //                                                # zero full re-analyses
