@@ -8,7 +8,6 @@
 #include "factor/Factor.h"
 
 #include "lmad/LMADCompare.h"
-#include "pdag/FourierMotzkin.h"
 #include "support/Error.h"
 #include "usr/USRTransform.h"
 
@@ -57,9 +56,19 @@ const Pred *Factorizer::wrapLoop(SymbolId Var, const Expr *Lo, const Expr *Hi,
   const Pred *Loop = P.loopAll(Var, Lo, Hi, Body);
   if (!Opts.FourierMotzkin)
     return Loop;
-  sym::RangeEnv Env;
-  Env.bind(Var, Lo, Hi);
-  const Pred *Reduced = pdag::reducePred(P, Body, Env);
+  auto It = RangeReducers.find({Var, Lo, Hi});
+  if (It == RangeReducers.end()) {
+    sym::RangeEnv Env;
+    Env.bind(Var, Lo, Hi);
+    It = RangeReducers
+             .emplace(std::piecewise_construct,
+                      std::forward_as_tuple(Var, Lo, Hi),
+                      std::forward_as_tuple(P, Env))
+             .first;
+  }
+  const Pred *Reduced = It->second.reducePred(Body);
+  if (Opts.FMLog)
+    Opts.FMLog->push_back(FMReduction{Var, Lo, Hi, Body, Reduced});
   if (Reduced->dependsOn(Var) || Reduced->isFalse())
     return Loop;
   ++Stats.FourierMotzkinUses;

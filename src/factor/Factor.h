@@ -33,15 +33,29 @@
 #define HALO_FACTOR_FACTOR_H
 
 #include "lmad/LMADCompare.h"
+#include "pdag/FourierMotzkin.h"
 #include "usr/USR.h"
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <optional>
+#include <tuple>
 #include <unordered_map>
+#include <vector>
 
 namespace halo {
 namespace factor {
+
+/// One Fourier-Motzkin reduction of a loop body made by the factorizer:
+/// \p Reduced is what reducing \p Body over `Var in [Lo, Hi]` returned.
+struct FMReduction {
+  sym::SymbolId Var;
+  const sym::Expr *Lo;
+  const sym::Expr *Hi;
+  const pdag::Pred *Body;
+  const pdag::Pred *Reduced;
+};
 
 /// Feature toggles — each maps to one of the design choices benchmarked by
 /// the ablation harness (`bench_ablations`, docs/BENCHMARKS.md).
@@ -60,6 +74,11 @@ struct FactorOptions {
   /// still covers the loop). Bounds analysis time on adversarial
   /// summaries with quadratically many distinct leaf pairs.
   uint64_t MaxSteps = 1 << 17;
+  /// Diagnostics, not a setting: when set, every Fourier-Motzkin reduction
+  /// of a loop body is appended here in order (the property tests compare
+  /// each with a one-shot pdag::reducePred). It changes nothing the
+  /// factorizer computes, so it is not part of the plan key.
+  std::vector<FMReduction> *FMLog = nullptr;
 };
 
 /// Per-rule firing counters (diagnostics and ablation reporting).
@@ -119,8 +138,9 @@ private:
   const pdag::Pred *tryMonotonicity(const usr::RecurUSR *R);
 
   /// Wraps a per-iteration predicate into a loop conjunction, first trying
-  /// Fourier-Motzkin elimination of the loop variable; the FM result is
-  /// OR-ed in so the cascade can pick the O(1) side.
+  /// Fourier-Motzkin elimination of the loop variable through the range's
+  /// reducer; the FM result is OR-ed in so the cascade can pick the O(1)
+  /// side.
   const pdag::Pred *wrapLoop(sym::SymbolId Var, const sym::Expr *Lo,
                              const sym::Expr *Hi, const pdag::Pred *Body);
 
@@ -170,6 +190,12 @@ private:
   /// Owns every set the two LMAD memos point to (a deque never moves them).
   std::deque<lmad::KeyedSet> LmadSets;
   lmad::PairMemo LmadPairs;
+  /// One Fourier-Motzkin reducer per loop range wrapLoop has reduced over,
+  /// keyed on (variable, lower bound, upper bound); its memos persist
+  /// across the range's calls.
+  std::map<std::tuple<sym::SymbolId, const sym::Expr *, const sym::Expr *>,
+           pdag::RangeReducer>
+      RangeReducers;
 };
 
 } // namespace factor

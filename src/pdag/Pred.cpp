@@ -262,19 +262,22 @@ const Pred *PredContext::ne(const Expr *A, const Expr *B) {
 // Connectives
 //===----------------------------------------------------------------------===//
 
-const Pred *PredContext::makeNary(PredKind K, std::vector<const Pred *> Cs) {
+const Pred *PredContext::makeNary(PredKind K, const Pred *const *Cs,
+                                  size_t N) {
   const bool IsAnd = K == PredKind::And;
   const Pred *Absorb = IsAnd ? getFalse() : getTrue();
   const Pred *Unit = IsAnd ? getTrue() : getFalse();
 
-  // Flatten same-kind children and fold constants, in place: a same-kind
-  // child's children are appended and visited in turn (being canonical,
-  // they are neither constants nor of kind K), and the kept children are
-  // compacted to the front. The order is irrelevant; the sort fixes it.
-  std::vector<const Pred *> Flat = std::move(Cs);
-  size_t NumFlat = 0;
-  for (size_t I = 0; I < Flat.size(); ++I) {
-    const Pred *C = Flat[I];
+  // Flatten same-kind children and fold constants into the scratch buffer.
+  // A same-kind child's children are canonical, so neither constants nor
+  // of kind K: they are appended as they are. The order is irrelevant; the
+  // sort fixes it. Nothing below builds an n-ary node before the intern
+  // probe (tryNot only negates leaves), so the one buffer is never in use
+  // twice.
+  std::vector<const Pred *> &Flat = NaryScratch;
+  Flat.clear();
+  for (size_t I = 0; I < N; ++I) {
+    const Pred *C = Cs[I];
     if (C == Absorb)
       return Absorb;
     if (C == Unit)
@@ -283,10 +286,9 @@ const Pred *PredContext::makeNary(PredKind K, std::vector<const Pred *> Cs) {
       const auto &Sub = cast<NaryPred>(C)->getChildren();
       Flat.insert(Flat.end(), Sub.begin(), Sub.end());
     } else {
-      Flat[NumFlat++] = C;
+      Flat.push_back(C);
     }
   }
-  Flat.resize(NumFlat);
   auto ById = [](const Pred *A, const Pred *B) {
     return A->getId() < B->getId();
   };
@@ -301,12 +303,20 @@ const Pred *PredContext::makeNary(PredKind K, std::vector<const Pred *> Cs) {
   // Complementary literals: X and not(X) fold to the absorbing element.
   // Only leaves are checked — negating interior nodes is linear in their
   // size and would make n-ary construction quadratic on large programs.
-  // Flat is sorted and deduplicated by ID, so membership is a binary search.
+  // Flat is sorted and deduplicated by ID, so membership is a binary
+  // search, behind a 64-bit mask of the IDs modulo 64 that rejects most
+  // non-members first.
   {
+    const size_t NumFlat = Flat.size();
+    uint64_t IdMask = 0;
+    for (const Pred *C : Flat)
+      IdMask |= uint64_t(1) << (C->getId() & 63);
     auto InFlat = [&](const Pred *Q) {
-      return std::binary_search(Flat.begin(), Flat.end(), Q, ById);
+      return (IdMask >> (Q->getId() & 63) & 1) &&
+             std::binary_search(Flat.begin(), Flat.begin() + NumFlat, Q, ById);
     };
-    for (const Pred *C : Flat) {
+    for (size_t I = 0; I < NumFlat; ++I) {
+      const Pred *C = Flat[I];
       if (C->getKind() != PredKind::Cmp && C->getKind() != PredKind::Divides)
         continue;
       const Pred *NC = tryNot(C);
@@ -323,12 +333,12 @@ const Pred *PredContext::makeNary(PredKind K, std::vector<const Pred *> Cs) {
       return std::any_of(Subs.begin(), Subs.end(), InFlat);
     };
     if (std::any_of(Flat.begin(), Flat.end(), Subsumed)) {
-      std::vector<const Pred *> Kept;
-      Kept.reserve(Flat.size());
-      for (const Pred *C : Flat)
-        if (!Subsumed(C))
-          Kept.push_back(C);
-      Flat = std::move(Kept);
+      // The kept children are appended behind the sorted ones, which the
+      // membership test keeps reading, and then moved to the front.
+      for (size_t I = 0; I < NumFlat; ++I)
+        if (!Subsumed(Flat[I]))
+          Flat.push_back(Flat[I]);
+      Flat.erase(Flat.begin(), Flat.begin() + NumFlat);
       if (Flat.size() == 1)
         return Flat[0];
     }
@@ -340,7 +350,10 @@ const Pred *PredContext::makeNary(PredKind K, std::vector<const Pred *> Cs) {
   return Nodes.intern(
       H,
       [&](const Pred &P) {
-        return P.getKind() == K && cast<NaryPred>(&P)->getChildren() == Flat;
+        if (P.getKind() != K)
+          return false;
+        const auto &Ch = cast<NaryPred>(&P)->getChildren();
+        return std::equal(Ch.begin(), Ch.end(), Flat.begin(), Flat.end());
       },
       [&](uint32_t Id) {
         int Depth = 0;
@@ -349,21 +362,24 @@ const Pred *PredContext::makeNary(PredKind K, std::vector<const Pred *> Cs) {
           Depth = std::max(Depth, C->loopDepth());
         }
         return std::unique_ptr<Pred>(
-            new NaryPred(K, Id, std::move(Flat), FreeSyms.take(), Depth));
+            new NaryPred(K, Id, std::vector<const Pred *>(Flat),
+                         FreeSyms.take(), Depth));
       });
 }
 
 const Pred *PredContext::and2(const Pred *A, const Pred *B) {
-  return makeNary(PredKind::And, {A, B});
+  const Pred *Cs[] = {A, B};
+  return makeNary(PredKind::And, Cs, 2);
 }
 const Pred *PredContext::or2(const Pred *A, const Pred *B) {
-  return makeNary(PredKind::Or, {A, B});
+  const Pred *Cs[] = {A, B};
+  return makeNary(PredKind::Or, Cs, 2);
 }
 const Pred *PredContext::andN(std::vector<const Pred *> Cs) {
-  return makeNary(PredKind::And, std::move(Cs));
+  return makeNary(PredKind::And, Cs.data(), Cs.size());
 }
 const Pred *PredContext::orN(std::vector<const Pred *> Cs) {
-  return makeNary(PredKind::Or, std::move(Cs));
+  return makeNary(PredKind::Or, Cs.data(), Cs.size());
 }
 
 const Pred *PredContext::loopAll(SymbolId Var, const Expr *Lo, const Expr *Hi,
@@ -488,6 +504,42 @@ const Pred *PredContext::tryNot(const Pred *P) {
     return nullptr; // No cheap complement.
   }
   halo_unreachable("covered switch");
+}
+
+//===----------------------------------------------------------------------===//
+// Simplify cache
+//===----------------------------------------------------------------------===//
+
+uint32_t &PredContext::simplifiedRef(const Pred *P) {
+  switch (P->getKind()) {
+  case PredKind::And:
+  case PredKind::Or:
+    return cast<NaryPred>(P)->SimplifiedRef;
+  case PredKind::LoopAll:
+    return cast<LoopAllPred>(P)->SimplifiedRef;
+  case PredKind::CallSite:
+    return cast<CallSitePred>(P)->SimplifiedRef;
+  default:
+    halo_unreachable("leaves have no simplify record");
+  }
+}
+
+const Pred *PredContext::simplified(const Pred *P) const {
+  switch (P->getKind()) {
+  case PredKind::True:
+  case PredKind::False:
+  case PredKind::Cmp:
+  case PredKind::Divides:
+    return P;
+  default: {
+    const uint32_t Ref = simplifiedRef(P);
+    return Ref ? Nodes[Ref - 1] : nullptr;
+  }
+  }
+}
+
+void PredContext::setSimplified(const Pred *P, const Pred *R) {
+  simplifiedRef(P) = R->getId() + 1;
 }
 
 //===----------------------------------------------------------------------===//

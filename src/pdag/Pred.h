@@ -156,6 +156,8 @@ private:
   NaryPred(PredKind K, uint32_t Id, std::vector<const Pred *> C,
            std::vector<sym::SymbolId> Free, int LoopDepth)
       : Pred(K, Id, std::move(Free), LoopDepth), Children(std::move(C)) {}
+  /// ID + 1 of the simplified form once pdag::simplify has computed it.
+  mutable uint32_t SimplifiedRef = 0;
   std::vector<const Pred *> Children;
   friend class PredContext;
 };
@@ -181,6 +183,8 @@ private:
       : Pred(PredKind::LoopAll, Id, std::move(Free), LoopDepth), Var(Var),
         Lo(Lo), Hi(Hi), Body(Body) {}
   sym::SymbolId Var;
+  /// ID + 1 of the simplified form once pdag::simplify has computed it.
+  mutable uint32_t SimplifiedRef = 0;
   const sym::Expr *Lo;
   const sym::Expr *Hi;
   const Pred *Body;
@@ -204,6 +208,8 @@ private:
                std::vector<sym::SymbolId> Free, int LoopDepth)
       : Pred(PredKind::CallSite, Id, std::move(Free), LoopDepth),
         Callee(std::move(Callee)), Body(Body) {}
+  /// ID + 1 of the simplified form once pdag::simplify has computed it.
+  mutable uint32_t SimplifiedRef = 0;
   std::string Callee;
   const Pred *Body;
   friend class PredContext;
@@ -274,18 +280,34 @@ public:
                          const std::map<sym::SymbolId, const sym::Expr *> &M);
 
   size_t numPreds() const { return Nodes.size(); }
+  /// The node with ID \p Id.
+  const Pred *node(uint32_t Id) const { return Nodes[Id]; }
+
+  /// The simplify cache (src/pdag/README.md, "Simplify cache"): the
+  /// result pdag::simplify's rewrite recorded for \p P, or null. A leaf
+  /// simplifies to itself and is answered without a record.
+  const Pred *simplified(const Pred *P) const;
+  /// Records \p R as the simplified form of the interior node \p P.
+  void setSimplified(const Pred *P, const Pred *R);
 
 private:
   const Pred *makeBool(PredKind K);
-  const Pred *makeNary(PredKind K, std::vector<const Pred *> Cs);
+  /// The canonical And/Or of the \p N children at \p Cs, built in
+  /// NaryScratch; the children vector is copied out only on an intern miss.
+  const Pred *makeNary(PredKind K, const Pred *const *Cs, size_t N);
   const Pred *makeCmp(const sym::Expr *E, CmpRel Rel);
   /// The uncached complement of a Cmp or Divides leaf (tryNot caches it
   /// on the leaf).
   const Pred *negateLeaf(const Pred *P);
+  /// The SimplifiedRef field of an interior (And, Or, LoopAll, CallSite)
+  /// node.
+  static uint32_t &simplifiedRef(const Pred *P);
 
   sym::Context &SymCtx;
   support::InternSet<Pred> Nodes;
   sym::SymSetBuilder FreeSyms;
+  /// makeNary's flattened, sorted children (reused across calls).
+  std::vector<const Pred *> NaryScratch;
   const Pred *TruePred = nullptr;
   const Pred *FalsePred = nullptr;
 };

@@ -19,14 +19,17 @@ using namespace halo::pdag;
 
 namespace {
 
+/// The rewrites of simplify. visit is a pure function of an interned node,
+/// and nodes live as long as their context, so its results are recorded in
+/// the context (PredContext::setSimplified) and shared by every simplify
+/// call on it.
 class Simplifier {
 public:
   explicit Simplifier(PredContext &Ctx) : Ctx(Ctx) {}
 
   const Pred *visit(const Pred *P) {
-    auto It = Memo.find(P);
-    if (It != Memo.end())
-      return It->second;
+    if (const Pred *Known = Ctx.simplified(P))
+      return Known;
     const Pred *R = rewrite(P);
     // Local fixpoint: rewriting can expose further opportunities.
     for (int I = 0; I < 4 && R != P; ++I) {
@@ -35,7 +38,7 @@ public:
         break;
       R = Next;
     }
-    Memo.emplace(P, R);
+    Ctx.setSimplified(P, R);
     return R;
   }
 
@@ -69,7 +72,8 @@ private:
     for (const Pred *C : N->getChildren())
       Cs.push_back(visit(C));
     const bool IsAnd = N->isAnd();
-    const Pred *Rebuilt = IsAnd ? Ctx.andN(Cs) : Ctx.orN(Cs);
+    const Pred *Rebuilt =
+        IsAnd ? Ctx.andN(std::move(Cs)) : Ctx.orN(std::move(Cs));
     const auto *RN = dyn_cast<NaryPred>(Rebuilt);
     if (!RN || RN->isAnd() != IsAnd)
       return Rebuilt;
@@ -145,7 +149,6 @@ private:
   }
 
   PredContext &Ctx;
-  std::unordered_map<const Pred *, const Pred *> Memo;
 };
 
 /// Implements strengthenToDepth: a recursive strengthening where leaves
@@ -258,10 +261,13 @@ private:
 } // namespace
 
 const Pred *pdag::simplify(PredContext &Ctx, const Pred *P) {
-  // Global fixpoint over a few rounds sharing one memo. visit is a pure
-  // function of an interned node, so a hit in a later round returns the
-  // pointer a recomputation would, and that recomputation would intern no
-  // new node: node IDs and child order stay as with a fresh memo per round.
+  // Global fixpoint over a few rounds. visit is a pure function of an
+  // interned node, so a hit on a result recorded in this call, an earlier
+  // call or an earlier round returns the pointer a recomputation would,
+  // and that recomputation would intern no new node: node IDs and child
+  // order stay as with a fresh memo per round. A predicate simplified once
+  // answers from its record: buildCascade's simplify of what makeCascade
+  // already simplified costs a few loads.
   Simplifier S(Ctx);
   const Pred *R = S.visit(P);
   for (int I = 0; I < 3; ++I) {

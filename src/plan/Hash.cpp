@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <array>
 #include <set>
-#include <unordered_map>
 
 namespace halo {
 namespace plan {
@@ -137,6 +136,14 @@ inline uint64_t mix(uint64_t H, uint64_t V) {
 
 } // namespace
 
+uint64_t StructHasher::foldSorted(uint64_t H, size_t Base) {
+  std::sort(Scratch.begin() + Base, Scratch.end());
+  for (size_t I = Base; I < Scratch.size(); ++I)
+    H = mix(H, Scratch[I]);
+  Scratch.resize(Base);
+  return H;
+}
+
 uint64_t StructHasher::str(uint64_t H, const std::string &S) const {
   H = mix(H, S.size());
   for (char C : S)
@@ -158,9 +165,8 @@ uint64_t StructHasher::symbol(uint64_t H, sym::SymbolId Id) const {
 uint64_t StructHasher::expr(const sym::Expr *E) {
   if (!E)
     return mix(Seed, 0xE0ull);
-  auto It = ExprMemo.find(E);
-  if (It != ExprMemo.end())
-    return It->second;
+  if (const uint64_t *Known = ExprMemo.find(E->getId()))
+    return *Known;
   uint64_t H = mix(Seed, 0xE1ull + static_cast<uint64_t>(E->getKind()));
   switch (E->getKind()) {
   case sym::ExprKind::IntConst:
@@ -200,41 +206,37 @@ uint64_t StructHasher::expr(const sym::Expr *E) {
     // hash multiset in value order instead.
     auto *M = static_cast<const sym::MulExpr *>(E);
     H = mix(H, M->getFactors().size());
-    std::vector<uint64_t> Hs;
-    Hs.reserve(M->getFactors().size());
-    for (const sym::Expr *F : M->getFactors())
-      Hs.push_back(expr(F));
-    std::sort(Hs.begin(), Hs.end());
-    for (uint64_t V : Hs)
-      H = mix(H, V);
+    const size_t Base = Scratch.size();
+    for (const sym::Expr *F : M->getFactors()) {
+      const uint64_t V = expr(F);
+      Scratch.push_back(V);
+    }
+    H = foldSorted(H, Base);
     break;
   }
   case sym::ExprKind::Add: {
     // Terms are id-sorted (interning-order artifact): same treatment.
     auto *A = static_cast<const sym::AddExpr *>(E);
     H = mix(H, A->getTerms().size());
-    std::vector<uint64_t> Hs;
-    Hs.reserve(A->getTerms().size());
-    for (const sym::Monomial &T : A->getTerms())
-      Hs.push_back(
-          mix(expr(T.Prod), static_cast<uint64_t>(T.Coeff)));
-    std::sort(Hs.begin(), Hs.end());
-    for (uint64_t V : Hs)
-      H = mix(H, V);
+    const size_t Base = Scratch.size();
+    for (const sym::Monomial &T : A->getTerms()) {
+      const uint64_t V = mix(expr(T.Prod), static_cast<uint64_t>(T.Coeff));
+      Scratch.push_back(V);
+    }
+    H = foldSorted(H, Base);
     H = mix(H, static_cast<uint64_t>(A->getConstant()));
     break;
   }
   }
-  ExprMemo.emplace(E, H);
+  ExprMemo.insert(E->getId(), H);
   return H;
 }
 
 uint64_t StructHasher::pred(const pdag::Pred *P) {
   if (!P)
     return mix(Seed, 0xB0ull);
-  auto It = PredMemo.find(P);
-  if (It != PredMemo.end())
-    return It->second;
+  if (const uint64_t *Known = PredMemo.find(P->getId()))
+    return *Known;
   uint64_t H = mix(Seed, 0xB1ull + static_cast<uint64_t>(P->getKind()));
   switch (P->getKind()) {
   case pdag::PredKind::True:
@@ -259,13 +261,12 @@ uint64_t StructHasher::pred(const pdag::Pred *P) {
     // hash set in value order for cross-process stability.
     auto *N = static_cast<const pdag::NaryPred *>(P);
     H = mix(H, N->getChildren().size());
-    std::vector<uint64_t> Hs;
-    Hs.reserve(N->getChildren().size());
-    for (const pdag::Pred *C : N->getChildren())
-      Hs.push_back(pred(C));
-    std::sort(Hs.begin(), Hs.end());
-    for (uint64_t V : Hs)
-      H = mix(H, V);
+    const size_t Base = Scratch.size();
+    for (const pdag::Pred *C : N->getChildren()) {
+      const uint64_t V = pred(C);
+      Scratch.push_back(V);
+    }
+    H = foldSorted(H, Base);
     break;
   }
   case pdag::PredKind::LoopAll: {
@@ -283,16 +284,15 @@ uint64_t StructHasher::pred(const pdag::Pred *P) {
     break;
   }
   }
-  PredMemo.emplace(P, H);
+  PredMemo.insert(P->getId(), H);
   return H;
 }
 
 uint64_t StructHasher::usr(const usr::USR *S) {
   if (!S)
     return mix(Seed, 0xC0ull);
-  auto It = UsrMemo.find(S);
-  if (It != UsrMemo.end())
-    return It->second;
+  if (const uint64_t *Known = UsrMemo.find(S->getId()))
+    return *Known;
   uint64_t H = mix(Seed, 0xC1ull + static_cast<uint64_t>(S->getKind()));
   switch (S->getKind()) {
   case usr::USRKind::Empty:
@@ -315,13 +315,12 @@ uint64_t StructHasher::usr(const usr::USR *S) {
     // hash set in value order for cross-process stability.
     auto *U = static_cast<const usr::UnionUSR *>(S);
     H = mix(H, U->getChildren().size());
-    std::vector<uint64_t> Hs;
-    Hs.reserve(U->getChildren().size());
-    for (const usr::USR *C : U->getChildren())
-      Hs.push_back(usr(C));
-    std::sort(Hs.begin(), Hs.end());
-    for (uint64_t V : Hs)
-      H = mix(H, V);
+    const size_t Base = Scratch.size();
+    for (const usr::USR *C : U->getChildren()) {
+      const uint64_t V = usr(C);
+      Scratch.push_back(V);
+    }
+    H = foldSorted(H, Base);
     break;
   }
   case usr::USRKind::Intersect:
@@ -352,7 +351,7 @@ uint64_t StructHasher::usr(const usr::USR *S) {
     break;
   }
   }
-  UsrMemo.emplace(S, H);
+  UsrMemo.insert(S->getId(), H);
   return H;
 }
 

@@ -283,29 +283,50 @@ std::vector<SymbolId> unionSyms(const std::vector<SymbolId> &A,
 /// reused buffer: add() each set, then take() their sorted union as one
 /// exact-size vector, the node's only allocation for it. Each context keeps
 /// one for its node builders.
+///
+/// A symbol enters the buffer once: an ID-indexed array stamps each symbol
+/// with the epoch of the take() it was added for, so take() sorts only the
+/// distinct symbols, never the concatenation. The stamps are 16-bit; when
+/// the epoch wraps, take() clears the array and starts over at epoch 1.
 class SymSetBuilder {
 public:
   void add(const std::vector<SymbolId> &Syms) {
-    Buf.insert(Buf.end(), Syms.begin(), Syms.end());
+    for (SymbolId S : Syms)
+      mark(S);
   }
   /// add() without \p Skip (a bound variable).
   void addExcept(const std::vector<SymbolId> &Syms, SymbolId Skip) {
     for (SymbolId S : Syms)
       if (S != Skip)
-        Buf.push_back(S);
+        mark(S);
   }
   /// The sorted, deduplicated union of every set added since the last
   /// take(); leaves the builder empty.
   std::vector<SymbolId> take() {
     std::sort(Buf.begin(), Buf.end());
-    std::vector<SymbolId> Out(Buf.begin(),
-                              std::unique(Buf.begin(), Buf.end()));
+    std::vector<SymbolId> Out(Buf.begin(), Buf.end());
     Buf.clear();
+    if (++Epoch == 0) {
+      std::fill(Stamp.begin(), Stamp.end(), 0);
+      Epoch = 1;
+    }
     return Out;
   }
 
 private:
+  void mark(SymbolId S) {
+    if (S >= Stamp.size())
+      Stamp.resize(std::max<size_t>(S + 1, 2 * Stamp.size()), 0);
+    if (Stamp[S] == Epoch)
+      return;
+    Stamp[S] = Epoch;
+    Buf.push_back(S);
+  }
+
   std::vector<SymbolId> Buf;
+  /// Epoch of the take() each symbol was last added for (0: never).
+  std::vector<uint16_t> Stamp;
+  uint16_t Epoch = 1;
 };
 
 /// Owns and interns all expressions and symbols. Every constructor hashes

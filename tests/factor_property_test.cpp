@@ -17,6 +17,8 @@
 #include "pdag/FourierMotzkin.h"
 #include "pdag/PredEval.h"
 #include "pdag/PredSimplify.h"
+#include "session/Session.h"
+#include "suite/Suite.h"
 #include "support/Error.h"
 #include "support/Rng.h"
 #include "usr/USREval.h"
@@ -27,6 +29,7 @@
 #include <cassert>
 #include <map>
 #include <set>
+#include <tuple>
 
 using namespace halo;
 using namespace halo::factor;
@@ -1113,5 +1116,42 @@ TEST_P(FactorMemoParity, MatchesReferenceOracle) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, FactorMemoParity,
                          ::testing::Range<uint64_t>(1, 33));
+
+// The factorizer keeps one Fourier-Motzkin reducer per loop range, with
+// memos that persist across that range's reductions. Each reduction the
+// suite's cold prepares make must be what a one-shot reducePred returns.
+// Repeated after the fact, in the same context, the one-shot reduction must
+// return the logged pointer and intern nothing: equal results mean the
+// one-shot walk finds every node it builds already interned.
+TEST(FactorRangeReducers, MatchOneShotOnEverySuiteReduction) {
+  auto Suite = suite::buildAllBenchmarks();
+  size_t Reductions = 0, Ranges = 0;
+  for (const auto &B : Suite) {
+    SCOPED_TRACE(B->Name);
+    std::vector<FMReduction> Log;
+    session::SessionOptions SO;
+    SO.Threads = 1;
+    SO.Analyzer.Factor.FMLog = &Log;
+    session::Session S(B->prog(), B->usr(), SO);
+    for (const suite::LoopSpec &LS : B->Loops)
+      S.prepare(*LS.Loop);
+    pdag::PredContext &P = B->usr().predCtx();
+    const size_t Before = P.numPreds();
+    std::set<std::tuple<sym::SymbolId, const sym::Expr *, const sym::Expr *>>
+        Seen;
+    for (const FMReduction &R : Log) {
+      sym::RangeEnv Env;
+      Env.bind(R.Var, R.Lo, R.Hi);
+      EXPECT_EQ(pdag::reducePred(P, R.Body, Env), R.Reduced)
+          << R.Body->toString(B->usr().symCtx());
+      Seen.insert({R.Var, R.Lo, R.Hi});
+    }
+    EXPECT_EQ(P.numPreds(), Before);
+    Reductions += Log.size();
+    Ranges += Seen.size();
+  }
+  // The memos only pay off when ranges repeat.
+  EXPECT_GT(Reductions, 2 * Ranges);
+}
 
 } // namespace

@@ -117,6 +117,35 @@ TEST_F(PdagPredTest, AbsorptionDropsRedundantDisjunct) {
   EXPECT_EQ(P.or2(A, P.and2(A, B)), A);
 }
 
+TEST_F(PdagPredTest, AbsorptionSurvivesIdCollisionsModulo64) {
+  // makeNary screens membership with a 64-bit mask of the IDs modulo 64.
+  // Leaves 64 IDs apart share a mask bit: the mask must neither hide a
+  // sibling (absorption fires) nor stand in for one (no false absorption).
+  std::vector<const Pred *> Leaves;
+  for (int K = 0; K < 200; ++K)
+    Leaves.push_back(P.le(Sym.addConst(s("x"), K), s("y")));
+  const Pred *A = Leaves[0];
+  const Pred *Twin = nullptr; // Same ID modulo 64 as A.
+  for (const Pred *L : Leaves)
+    if (L != A && L->getId() % 64 == A->getId() % 64) {
+      Twin = L;
+      break;
+    }
+  ASSERT_NE(Twin, nullptr);
+  const Pred *B = P.le(s("c"), s("d"));
+  // A and Twin and (A or B) == A and Twin.
+  EXPECT_EQ(P.andN({A, Twin, P.or2(A, B)}), P.and2(A, Twin));
+  // A or Twin or (Twin and B) == A or Twin.
+  EXPECT_EQ(P.orN({A, Twin, P.and2(Twin, B)}), P.or2(A, Twin));
+  // A and (Twin or B): Twin shares A's bit but is no sibling, so nothing
+  // is absorbed.
+  const Pred *Kept = P.and2(A, P.or2(Twin, B));
+  const auto *N = dyn_cast<NaryPred>(Kept);
+  ASSERT_NE(N, nullptr);
+  EXPECT_EQ(N->getChildren().size(), 2u);
+  EXPECT_TRUE(N->isAnd());
+}
+
 TEST_F(PdagPredTest, NegationRoundTrips) {
   const Pred *L = P.lt(s("a"), s("b"));
   const Pred *NL = P.tryNot(L);

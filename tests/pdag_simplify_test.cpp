@@ -634,6 +634,37 @@ TEST_P(MemoParityTest, ExtractionMatchesReferenceOracle) {
 INSTANTIATE_TEST_SUITE_P(SharedDags, MemoParityTest,
                          ::testing::Range<uint64_t>(1, 33));
 
+TEST_P(MemoParityTest, SimplifyCacheRepeatsInternNothing) {
+  // The simplify cache lives in the context: a second simplify or
+  // buildCascade of the same predicate answers from it, interns no node,
+  // and returns what a fresh context computes.
+  World Warm(GetParam()), Fresh(GetParam());
+  const Pred *Simple = simplify(Warm.P, Warm.In);
+  std::vector<CascadeStage> Stages = buildCascade(Warm.P, Warm.In);
+  const Pred *Strong = strengthenToDepth(Warm.P, Warm.In, 1);
+  const size_t Before = Warm.P.numPreds();
+  EXPECT_EQ(simplify(Warm.P, Warm.In), Simple);
+  EXPECT_EQ(simplify(Warm.P, Simple), Simple);
+  EXPECT_EQ(strengthenToDepth(Warm.P, Warm.In, 1), Strong);
+  std::vector<CascadeStage> Again = buildCascade(Warm.P, Warm.In);
+  ASSERT_EQ(Again.size(), Stages.size());
+  for (size_t I = 0; I < Again.size(); ++I)
+    EXPECT_EQ(Again[I].P, Stages[I].P);
+  EXPECT_EQ(Warm.P.numPreds(), Before);
+
+  // The same calls in a fresh context, each once.
+  const Pred *FreshSimple = simplify(Fresh.P, Fresh.In);
+  std::vector<CascadeStage> FreshStages = buildCascade(Fresh.P, Fresh.In);
+  const Pred *FreshStrong = strengthenToDepth(Fresh.P, Fresh.In, 1);
+  EXPECT_EQ(Fresh.P.numPreds(), Before);
+  EXPECT_EQ(FreshSimple->getId(), Simple->getId());
+  EXPECT_EQ(FreshSimple->toString(Fresh.Sym), Simple->toString(Warm.Sym));
+  EXPECT_EQ(FreshStrong->getId(), Strong->getId());
+  ASSERT_EQ(FreshStages.size(), Stages.size());
+  for (size_t I = 0; I < Stages.size(); ++I)
+    EXPECT_EQ(FreshStages[I].P->getId(), Stages[I].P->getId());
+}
+
 TEST_F(PdagSimplifyTest, SharingLadderExtractsInLinearTime) {
   // Level i refers to level i-1 twice: once under a LoopAll and once in an
   // And with a fresh leaf. The DAG grows by a few nodes per level, but has
@@ -790,6 +821,97 @@ TEST_F(FourierMotzkinTest, SoundnessSpotCheck) {
       EXPECT_TRUE(evalPred(Orig, B));
     }
   }
+}
+
+/// `aD*i^D + ... + a1*i + a0 >= 0`: every coefficient sign is opaque, so
+/// each elimination step splits into three distinct polynomials of one
+/// degree less (the coefficient, its complement and the value at the upper
+/// bound), about 3^D subproblems. Degree 10 overruns one call's budget.
+static const sym::Expr *opaquePolynomial(sym::Context &Sym, sym::SymbolId I,
+                                         int Degree) {
+  const sym::Expr *E = Sym.symRef("a0");
+  const sym::Expr *Pow = Sym.intConst(1);
+  for (int K = 1; K <= Degree; ++K) {
+    Pow = Sym.mul(Pow, Sym.symRef(I));
+    E = Sym.add(E, Sym.mul(Sym.symRef("a" + std::to_string(K)), Pow));
+  }
+  return E;
+}
+
+TEST_F(FourierMotzkinTest, RangeReducerMatchesOneShotAcrossCalls) {
+  // A reducer's memos persist across its calls; each call returns what a
+  // one-shot reducePred returns, and repeating a call interns nothing.
+  sym::SymbolId I = Sym.symbol("i", 1);
+  Env.bind(I, c(1), s("N"));
+  std::vector<const Pred *> Bodies;
+  for (int Degree = 1; Degree <= 3; ++Degree) {
+    const sym::Expr *E = opaquePolynomial(Sym, I, Degree);
+    Bodies.push_back(P.ge0(E));
+    Bodies.push_back(P.or2(P.ge0(E), P.le(s("b"), Sym.symRef(I))));
+    Bodies.push_back(P.and2(P.ge0(E), P.ge(s("N"), Sym.symRef(I))));
+  }
+  RangeReducer RR(P, Env);
+  for (const Pred *Body : Bodies) {
+    const Pred *Persistent = RR.reducePred(Body);
+    const size_t Before = P.numPreds();
+    EXPECT_EQ(reducePred(P, Body, Env), Persistent) << Body->toString(Sym);
+    EXPECT_EQ(RR.reducePred(Body), Persistent);
+    EXPECT_EQ(P.numPreds(), Before);
+    EXPECT_FALSE(Persistent->dependsOn(I));
+  }
+}
+
+TEST_F(FourierMotzkinTest, ExhaustedBudgetStaysSoundAcrossCalls) {
+  // The first call runs out of budget. Its result, and the result of every
+  // later call on the same reducer, must still imply the body for every
+  // iteration of the range.
+  sym::SymbolId I = Sym.symbol("i", 1);
+  Env.bind(I, c(1), s("N"));
+  const sym::Expr *Big = opaquePolynomial(Sym, I, 10);
+  std::vector<const Pred *> Bodies = {P.ge0(Big)};
+  // A one-shot reduction on a spent budget keeps the variable in its
+  // leaves and strengthens them to false.
+  ASSERT_TRUE(reducePred(P, Bodies[0], Env)->isFalse());
+  for (int Degree = 1; Degree <= 3; ++Degree) {
+    const sym::Expr *E = opaquePolynomial(Sym, I, Degree);
+    Bodies.push_back(P.ge0(E));
+    Bodies.push_back(P.and2(P.ge0(E), P.ge0(Big)));
+    Bodies.push_back(P.or2(P.ge0(E), P.ge0(Big)));
+  }
+  RangeReducer RR(P, Env);
+  std::vector<const Pred *> Reduced;
+  for (const Pred *Body : Bodies)
+    Reduced.push_back(RR.reducePred(Body));
+  // Memos of a call that ran out of budget are dropped, so the calls after
+  // the first still match a one-shot reduction.
+  for (size_t K = 1; K < Bodies.size(); ++K)
+    EXPECT_EQ(Reduced[K], reducePred(P, Bodies[K], Env))
+        << Bodies[K]->toString(Sym);
+
+  Rng Rand(26);
+  int Holding = 0;
+  for (int Trial = 0; Trial < 300; ++Trial) {
+    sym::Bindings B;
+    for (int K = 0; K <= 10; ++K)
+      B.setScalar(Sym.symbol("a" + std::to_string(K)),
+                  Rand.nextInRange(-2, 3));
+    const int64_t N = Rand.nextInRange(1, 4);
+    B.setScalar(Sym.symbol("N"), N);
+    for (size_t K = 0; K < Bodies.size(); ++K) {
+      auto V = tryEvalPred(Reduced[K], B);
+      ASSERT_TRUE(V.has_value());
+      if (!*V)
+        continue;
+      ++Holding;
+      for (int64_t IV = 1; IV <= N; ++IV) {
+        B.setScalar(I, IV);
+        EXPECT_TRUE(evalPred(Bodies[K], B))
+            << "reduction holds but body fails at i = " << IV << "\nbody: "
+            << Bodies[K]->toString(Sym);
+      }
+    }
+  }
+  EXPECT_GT(Holding, 0); // Not vacuous: some reductions held.
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 #include "support/Casting.h"
 #include "support/FaultInjection.h"
 #include "support/Hashing.h"
+#include "support/IdMap.h"
 #include "support/InternSet.h"
 #include "support/Rng.h"
 #include "support/Sync.h"
@@ -23,6 +24,7 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 using namespace halo;
@@ -130,6 +132,44 @@ TEST(InternSetTest, GrowthKeepsEveryEntryFindable) {
     EXPECT_EQ(T.intern(itemHash(K), K), Made[K]);
   EXPECT_EQ(T.Builds, N) << "every re-intern above was a hit";
   EXPECT_EQ(T.Set.size(), static_cast<size_t>(N));
+}
+
+//===----------------------------------------------------------------------===//
+// IdMap
+//===----------------------------------------------------------------------===//
+
+// Random keys against std::unordered_map, through many doublings and a
+// clear(); a repeated insert keeps the first value.
+TEST(IdMapTest, AgreesWithUnorderedMap) {
+  Rng R(3);
+  support::IdMap<uint32_t> M;
+  std::unordered_map<uint32_t, uint32_t> Ref;
+  for (int Round = 0; Round < 2; ++Round) {
+    for (int Op = 0; Op < 20000; ++Op) {
+      const auto Key = static_cast<uint32_t>(R.nextBelow(30000));
+      const auto Value = static_cast<uint32_t>(R.nextBelow(1u << 31));
+      M.insert(Key, Value);
+      Ref.emplace(Key, Value);
+      const uint32_t *Got = M.find(Key);
+      ASSERT_NE(Got, nullptr);
+      EXPECT_EQ(*Got, Ref.at(Key));
+    }
+    EXPECT_EQ(M.size(), Ref.size());
+    for (uint32_t Key = 0; Key < 30000; ++Key) {
+      auto It = Ref.find(Key);
+      const uint32_t *Got = M.find(Key);
+      if (It == Ref.end()) {
+        EXPECT_EQ(Got, nullptr) << "key " << Key;
+        continue;
+      }
+      ASSERT_NE(Got, nullptr) << "key " << Key;
+      EXPECT_EQ(*Got, It->second) << "key " << Key;
+    }
+    M.clear();
+    Ref.clear();
+    EXPECT_EQ(M.size(), 0u);
+    EXPECT_EQ(M.find(0), nullptr);
+  }
 }
 
 //===----------------------------------------------------------------------===//

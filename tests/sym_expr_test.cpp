@@ -5,9 +5,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/Rng.h"
 #include "sym/Expr.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace halo;
 using namespace halo::sym;
@@ -250,6 +253,38 @@ TEST_F(SymExprTest, FreshSymbolsAreUnique) {
   SymbolId B = Ctx.freshSymbol("k");
   EXPECT_NE(A, B);
   EXPECT_NE(Ctx.symbolInfo(A).Name, Ctx.symbolInfo(B).Name);
+}
+
+TEST(SymSetBuilderTest, EqualsSortUniqueAcrossEpochWrap) {
+  // More takes than the 16-bit epoch has values, so the stamps wrap (and
+  // are cleared) at least once; every union must still be exact.
+  Rng R(11);
+  SymSetBuilder B;
+  for (int Take = 0; Take < 70000; ++Take) {
+    std::vector<SymbolId> All;
+    const int Sets = static_cast<int>(R.nextInRange(0, 3));
+    const SymbolId Span = Take % 1000 == 0 ? 5000 : 64;
+    for (int K = 0; K < Sets; ++K) {
+      std::vector<SymbolId> Set;
+      const int Size = static_cast<int>(R.nextInRange(0, 6));
+      for (int J = 0; J < Size; ++J)
+        Set.push_back(static_cast<SymbolId>(R.nextBelow(Span)));
+      std::sort(Set.begin(), Set.end());
+      Set.erase(std::unique(Set.begin(), Set.end()), Set.end());
+      if (K == 1 && !Set.empty()) {
+        // addExcept drops the bound variable only.
+        const SymbolId Skip = Set.front();
+        B.addExcept(Set, Skip);
+        Set.erase(Set.begin());
+      } else {
+        B.add(Set);
+      }
+      All.insert(All.end(), Set.begin(), Set.end());
+    }
+    std::sort(All.begin(), All.end());
+    All.erase(std::unique(All.begin(), All.end()), All.end());
+    ASSERT_EQ(B.take(), All) << "take " << Take;
+  }
 }
 
 } // namespace
