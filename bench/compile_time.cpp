@@ -7,18 +7,24 @@
 // is sparse in the operators that cause it, and Fourier-Motzkin is only
 // exponential in the number of *eliminated* symbols (typically one).
 // These benchmarks measure factorization wall time over growing summary
-// shapes and the FM eliminator over a growing number of bound symbols.
+// shapes and the FM eliminator over a growing number of bound symbols,
+// plus the lowering of the suite's runtime tests to bytecode (the cost a
+// warm start pays again to verify its cached plans).
 //
 //===----------------------------------------------------------------------===//
 
 #include "factor/Factor.h"
 #include "fuzz/Generator.h"
 #include "pdag/FourierMotzkin.h"
+#include "rt/CompiledCascade.h"
 #include "session/Session.h"
+#include "suite/Suite.h"
 #include "summary/Independence.h"
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <set>
 #include <sstream>
 
 using namespace halo;
@@ -130,6 +136,59 @@ void BM_PrepareWarmStart(benchmark::State &State) {
   }
 }
 
+/// Lowers every distinct cascade stage and runtime-test USR of the 27
+/// suite programs into fresh compile caches: the predicate and USR
+/// compilers alone, which a warm start runs once per cached plan to check
+/// it against the stream's digest. Analysis (cold prepare of every loop)
+/// runs once, outside the timed region.
+void BM_LowerSuiteCascades(benchmark::State &State) {
+  struct Program {
+    std::unique_ptr<suite::Benchmark> B;
+    std::unique_ptr<session::Session> S;
+    std::vector<const pdag::Pred *> Stages;
+    std::vector<const usr::USR *> Usrs;
+  };
+  std::vector<Program> Progs;
+  for (auto &B : suite::buildAllBenchmarks()) {
+    Program P;
+    session::SessionOptions SO;
+    SO.Threads = 1;
+    P.S = std::make_unique<session::Session>(B->prog(), B->usr(), SO);
+    std::set<const pdag::Pred *> Stages;
+    std::set<const usr::USR *> Usrs;
+    for (const suite::LoopSpec &LS : B->Loops)
+      for (const analysis::ArrayPlan &A : P.S->prepare(*LS.Loop).Plan.Arrays) {
+        for (const analysis::TestCascade *C :
+             {&A.Flow, &A.Output, &A.Priv, &A.Slv, &A.RRed, &A.ExtRedFlow})
+          for (const pdag::CascadeStage &St : C->Stages)
+            Stages.insert(St.P);
+        for (const usr::USR *U :
+             {A.FlowUSR, A.OutputUSR, A.ExtRedUSR, A.BoundsUSR})
+          if (U)
+            Usrs.insert(U);
+      }
+    P.Stages.assign(Stages.begin(), Stages.end());
+    P.Usrs.assign(Usrs.begin(), Usrs.end());
+    P.B = std::move(B);
+    Progs.push_back(std::move(P));
+  }
+  size_t Objects = 0;
+  for (auto _ : State) {
+    Objects = 0;
+    for (const Program &P : Progs) {
+      const sym::Context &Sym = P.B->usr().symCtx();
+      rt::PredCompileCache Preds(Sym);
+      rt::USRCompileCache Usrs(Sym, Preds);
+      for (const pdag::Pred *St : P.Stages)
+        benchmark::DoNotOptimize(Preds.get(St));
+      for (const usr::USR *U : P.Usrs)
+        benchmark::DoNotOptimize(Usrs.get(U));
+      Objects += Preds.size() + Usrs.size();
+    }
+  }
+  State.counters["objects"] = static_cast<double>(Objects);
+}
+
 } // namespace
 
 BENCHMARK(BM_FactorGatedUnion)->RangeMultiplier(2)->Range(2, 64)->Complexity();
@@ -137,5 +196,6 @@ BENCHMARK(BM_FactorTriangularOInd);
 BENCHMARK(BM_FourierMotzkinSymbols)->DenseRange(1, 5)->Complexity();
 BENCHMARK(BM_PrepareColdFMHeavy)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PrepareWarmStart)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LowerSuiteCascades)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

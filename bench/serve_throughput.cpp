@@ -289,7 +289,8 @@ int main() {
   // (per-execution contexts, shared memo).
   // The 1-worker row is the no-regression check against the same-loop
   // single-session baseline; multi-worker xbase only exceeds ~1.0 on a
-  // multi-core runner (see docs/BENCHMARKS.md, "Single-core caveat").
+  // dedicated multi-core runner (see docs/BENCHMARKS.md, "Shared-core
+  // caveat").
   {
     std::vector<std::unique_ptr<rt::Memory>> SameM;
     std::vector<std::unique_ptr<sym::Bindings>> SameB;

@@ -9,7 +9,6 @@
 
 #include "support/Casting.h"
 
-#include <unordered_map>
 #include <unordered_set>
 
 namespace halo {
@@ -19,150 +18,38 @@ namespace {
 
 using support::Diag;
 
-/// Depth of an expression tree, computed iteratively (explicit stack) so a
-/// hostile deeply-nested expression cannot blow the C++ stack before the
-/// cap fires. Depths are memoized per node and saturate at Cap + 1.
-class ExprDepthMap {
-public:
-  explicit ExprDepthMap(unsigned Cap) : Cap(Cap) {}
+/// True when a node of nesting depth \p Depth is deeper than \p Cap. A
+/// depth saturated at sym::MaxNestDepth counts as deeper than any cap.
+bool deeperThan(unsigned Depth, unsigned Cap) {
+  return Depth > Cap || Depth >= sym::MaxNestDepth;
+}
 
-  unsigned depth(const sym::Expr *E) {
-    struct Frame {
-      const sym::Expr *E;
-      bool ChildrenPushed;
-    };
-    std::vector<Frame> Stack;
-    Stack.push_back({E, false});
-    while (!Stack.empty()) {
-      Frame F = Stack.back();
-      Stack.pop_back();
-      if (Memo.count(F.E))
-        continue;
-      if (!F.ChildrenPushed) {
-        Stack.push_back({F.E, true});
-        forEachChild(F.E, [&](const sym::Expr *C) {
-          if (!Memo.count(C))
-            Stack.push_back({C, false});
-        });
-        continue;
-      }
-      unsigned MaxChild = 0;
-      forEachChild(F.E, [&](const sym::Expr *C) {
-        auto It = Memo.find(C);
-        unsigned D = It == Memo.end() ? Cap + 1 : It->second;
-        if (D > MaxChild)
-          MaxChild = D;
-      });
-      unsigned D = MaxChild >= Cap ? Cap + 1 : MaxChild + 1;
-      Memo.emplace(F.E, D);
-    }
-    return Memo.at(E);
+/// Calls \p F on each child predicate of \p P.
+template <typename Fn> void forEachChild(const pdag::Pred *P, Fn F) {
+  switch (P->getKind()) {
+  case pdag::PredKind::True:
+  case pdag::PredKind::False:
+  case pdag::PredKind::Cmp:
+  case pdag::PredKind::Divides:
+    break;
+  case pdag::PredKind::And:
+  case pdag::PredKind::Or:
+    for (const pdag::Pred *C : cast<pdag::NaryPred>(P)->getChildren())
+      F(C);
+    break;
+  case pdag::PredKind::LoopAll:
+    F(cast<pdag::LoopAllPred>(P)->getBody());
+    break;
+  case pdag::PredKind::CallSite:
+    F(cast<pdag::CallSitePred>(P)->getBody());
+    break;
   }
-
-private:
-  template <typename Fn> static void forEachChild(const sym::Expr *E, Fn F) {
-    switch (E->getKind()) {
-    case sym::ExprKind::IntConst:
-    case sym::ExprKind::SymRef:
-      break;
-    case sym::ExprKind::ArrayRef:
-      F(cast<sym::ArrayRefExpr>(E)->getIndex());
-      break;
-    case sym::ExprKind::Min:
-    case sym::ExprKind::Max: {
-      const auto *M = cast<sym::MinMaxExpr>(E);
-      F(M->getLHS());
-      F(M->getRHS());
-      break;
-    }
-    case sym::ExprKind::FloorDiv:
-    case sym::ExprKind::Mod:
-      F(cast<sym::DivModExpr>(E)->getOperand());
-      break;
-    case sym::ExprKind::Mul:
-      for (const sym::Expr *C : cast<sym::MulExpr>(E)->getFactors())
-        F(C);
-      break;
-    case sym::ExprKind::Add:
-      for (const sym::Monomial &M : cast<sym::AddExpr>(E)->getTerms())
-        F(M.Prod);
-      break;
-    }
-  }
-
-  unsigned Cap;
-  std::unordered_map<const sym::Expr *, unsigned> Memo;
-};
-
-/// Iterative predicate-depth computation, mirroring ExprDepthMap.
-class PredDepthMap {
-public:
-  explicit PredDepthMap(unsigned Cap) : Cap(Cap) {}
-
-  unsigned depth(const pdag::Pred *P) {
-    struct Frame {
-      const pdag::Pred *P;
-      bool ChildrenPushed;
-    };
-    std::vector<Frame> Stack;
-    Stack.push_back({P, false});
-    while (!Stack.empty()) {
-      Frame F = Stack.back();
-      Stack.pop_back();
-      if (Memo.count(F.P))
-        continue;
-      if (!F.ChildrenPushed) {
-        Stack.push_back({F.P, true});
-        forEachChild(F.P, [&](const pdag::Pred *C) {
-          if (!Memo.count(C))
-            Stack.push_back({C, false});
-        });
-        continue;
-      }
-      unsigned MaxChild = 0;
-      forEachChild(F.P, [&](const pdag::Pred *C) {
-        auto It = Memo.find(C);
-        unsigned D = It == Memo.end() ? Cap + 1 : It->second;
-        if (D > MaxChild)
-          MaxChild = D;
-      });
-      unsigned D = MaxChild >= Cap ? Cap + 1 : MaxChild + 1;
-      Memo.emplace(F.P, D);
-    }
-    return Memo.at(P);
-  }
-
-  template <typename Fn> static void forEachChild(const pdag::Pred *P, Fn F) {
-    switch (P->getKind()) {
-    case pdag::PredKind::True:
-    case pdag::PredKind::False:
-    case pdag::PredKind::Cmp:
-    case pdag::PredKind::Divides:
-      break;
-    case pdag::PredKind::And:
-    case pdag::PredKind::Or:
-      for (const pdag::Pred *C : cast<pdag::NaryPred>(P)->getChildren())
-        F(C);
-      break;
-    case pdag::PredKind::LoopAll:
-      F(cast<pdag::LoopAllPred>(P)->getBody());
-      break;
-    case pdag::PredKind::CallSite:
-      F(cast<pdag::CallSitePred>(P)->getBody());
-      break;
-    }
-  }
-
-private:
-  unsigned Cap;
-  std::unordered_map<const pdag::Pred *, unsigned> Memo;
-};
+}
 
 class Validator {
 public:
   Validator(const Program &P, const ValidateLimits &Lim)
-      : Prog(P), Sym(P.symCtx()), Lim(Lim), ExprDepths(Lim.MaxExprDepth),
-        PredDepths(Lim.MaxPredDepth) {}
+      : Prog(P), Sym(P.symCtx()), Lim(Lim) {}
 
   std::vector<Diag> run(const DoLoop &L) {
     walkStmt(&L, 0);
@@ -183,7 +70,7 @@ private:
       report(Diag::Code::MalformedAccess, std::string("null ") + What);
       return false;
     }
-    if (ExprDepths.depth(E) > Lim.MaxExprDepth) {
+    if (deeperThan(E->nestDepth(), Lim.MaxExprDepth)) {
       if (DeepExprs.insert(E).second)
         report(Diag::Code::ExprTooDeep,
                std::string(What) + " nested deeper than " +
@@ -213,7 +100,7 @@ private:
       report(Diag::Code::MalformedAccess, "null IF condition");
       return;
     }
-    if (PredDepths.depth(P) > Lim.MaxPredDepth) {
+    if (deeperThan(P->nestDepth(), Lim.MaxPredDepth)) {
       if (DeepPreds.insert(P).second)
         report(Diag::Code::PredTooDeep,
                "IF condition nested deeper than " +
@@ -237,10 +124,7 @@ private:
         checkExpr(LA->getLo(), "loop-all lower bound");
         checkExpr(LA->getHi(), "loop-all upper bound");
       }
-      PredDepthMap::forEachChild(N,
-                                 [&](const pdag::Pred *Ch) {
-                                   Stack.push_back(Ch);
-                                 });
+      forEachChild(N, [&](const pdag::Pred *Ch) { Stack.push_back(Ch); });
     }
   }
 
@@ -389,8 +273,6 @@ private:
   const Program &Prog;
   const sym::Context &Sym;
   const ValidateLimits &Lim;
-  ExprDepthMap ExprDepths;
-  PredDepthMap PredDepths;
   std::vector<Diag> Diags;
   std::vector<sym::SymbolId> LoopVarStack;
   std::vector<const Subroutine *> CallStack;

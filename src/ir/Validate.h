@@ -40,7 +40,10 @@ namespace ir {
 /// Structural caps enforced by validation. Programs within these caps are
 /// safe for the recursive reference walkers; the lowering pipeline applies
 /// its own (smaller) caps and demotes to the interpreter tier when they
-/// are exceeded (see pdag/PredCompile.h, usr/USRCompile.h).
+/// are exceeded (see pdag/PredCompile.h, usr/USRCompile.h). The depths
+/// compared are the ones stored on the nodes (sym::Expr::nestDepth,
+/// pdag::Pred::nestDepth); they saturate at sym::MaxNestDepth, and a
+/// saturated depth exceeds every cap.
 struct ValidateLimits {
   /// Maximum expression nesting depth (IntConst/SymRef leaves count 1).
   unsigned MaxExprDepth = 1024;

@@ -50,24 +50,22 @@ int stackDelta(ExprInstr::Op Op) {
 
 } // namespace
 
+/// The slot of \p S in \p Slots, appending it on first use.
+static uint32_t slotOf(sym::SymbolId S, support::IdMap<uint32_t> &SlotFor,
+                       std::vector<sym::SymbolId> &Slots) {
+  auto [Slot, New] =
+      SlotFor.insert(S, static_cast<uint32_t>(Slots.size()));
+  if (New)
+    Slots.push_back(S);
+  return *Slot;
+}
+
 uint32_t ExprCodeBuilder::scalarSlot(sym::SymbolId S) {
-  auto It = ScalarSlotFor.find(S);
-  if (It != ScalarSlotFor.end())
-    return It->second;
-  uint32_t Slot = static_cast<uint32_t>(ScalarSlots.size());
-  ScalarSlots.push_back(S);
-  ScalarSlotFor.emplace(S, Slot);
-  return Slot;
+  return slotOf(S, ScalarSlotFor, ScalarSlots);
 }
 
 uint32_t ExprCodeBuilder::arraySlot(sym::SymbolId S) {
-  auto It = ArraySlotFor.find(S);
-  if (It != ArraySlotFor.end())
-    return It->second;
-  uint32_t Slot = static_cast<uint32_t>(ArraySlots.size());
-  ArraySlots.push_back(S);
-  ArraySlotFor.emplace(S, Slot);
-  return Slot;
+  return slotOf(S, ArraySlotFor, ArraySlots);
 }
 
 void ExprCodeBuilder::emit(ExprInstr::Op Op, uint32_t Slot, int64_t Imm) {
@@ -164,21 +162,24 @@ void ExprCodeBuilder::emitExpr(const sym::Expr *E) {
     // operands are side-effect free and any failing operand fails the
     // whole expression regardless of order.
     const auto *A = cast<sym::AddExpr>(E);
-    std::vector<const sym::Monomial *> Terms;
-    Terms.reserve(A->getTerms().size());
-    for (const sym::Monomial &M : A->getTerms())
-      Terms.push_back(&M);
+    const std::vector<sym::Monomial> &Terms = A->getTerms();
+    size_t Lead = 0;
     for (size_t I = 0; I < Terms.size(); ++I)
-      if (Terms[I]->Coeff == 1) {
-        std::swap(Terms[0], Terms[I]);
+      if (Terms[I].Coeff == 1) {
+        Lead = I;
         break;
       }
-    emitExpr(Terms.front()->Prod);
-    if (Terms.front()->Coeff != 1)
-      emit(ExprInstr::Op::MulConst, 0, Terms.front()->Coeff);
-    for (size_t I = 1; I < Terms.size(); ++I) {
-      emitExpr(Terms[I]->Prod);
-      emit(ExprInstr::Op::MulConstAdd, 0, Terms[I]->Coeff);
+    // Term K of the emission order: the lead and the first term trade
+    // places, the rest keep theirs.
+    auto TermAt = [&](size_t K) -> const sym::Monomial & {
+      return Terms[K == 0 ? Lead : K == Lead ? 0 : K];
+    };
+    emitExpr(TermAt(0).Prod);
+    if (TermAt(0).Coeff != 1)
+      emit(ExprInstr::Op::MulConst, 0, TermAt(0).Coeff);
+    for (size_t K = 1; K < Terms.size(); ++K) {
+      emitExpr(TermAt(K).Prod);
+      emit(ExprInstr::Op::MulConstAdd, 0, TermAt(K).Coeff);
     }
     if (A->getConstant() != 0)
       emit(ExprInstr::Op::AddConst, 0, A->getConstant());
@@ -191,13 +192,14 @@ void ExprCodeBuilder::emitExpr(const sym::Expr *E) {
 std::pair<uint32_t, uint32_t> ExprCodeBuilder::compile(const sym::Expr *E) {
   uint32_t Begin = static_cast<uint32_t>(Code.size());
   Depth = 0; // each range starts from an empty stack
-  // Resource guards: the depth pre-check runs *before* the recursive
-  // emitter (an in-recursion cap would overflow the C++ stack first on
-  // hostile nesting), and the code ceiling bounds total emitted bytecode.
+  // Resource guards: the depth check reads the depth stored on the node
+  // *before* the recursive emitter runs (an in-recursion cap would
+  // overflow the C++ stack first on hostile nesting), and the code ceiling
+  // bounds total emitted bytecode.
   // A tripped guard emits one balanced dummy constant so every caller's
   // range bookkeeping stays well-formed; the owning compiler checks
   // exceeded() and discards the whole object.
-  if (exprNestDepth(E, LoweringMaxNestDepth) > LoweringMaxNestDepth ||
+  if (E->nestDepth() > LoweringMaxNestDepth ||
       Code.size() >= LoweringMaxCodeLen) {
     Exceeded = true;
     emit(ExprInstr::Op::Const, 0, 0);
@@ -208,67 +210,6 @@ std::pair<uint32_t, uint32_t> ExprCodeBuilder::compile(const sym::Expr *E) {
     Exceeded = true;
   assert(Depth == 1 && "expression range must leave exactly one value");
   return {Begin, static_cast<uint32_t>(Code.size())};
-}
-
-unsigned pdag::exprNestDepth(const sym::Expr *E, unsigned Cap) {
-  using sym::ExprKind;
-  // Iterative post-order with per-node memo, saturating at Cap + 1.
-  std::unordered_map<const sym::Expr *, unsigned> Memo;
-  auto ForEachChild = [](const sym::Expr *N, auto F) {
-    switch (N->getKind()) {
-    case ExprKind::IntConst:
-    case ExprKind::SymRef:
-      break;
-    case ExprKind::ArrayRef:
-      F(cast<sym::ArrayRefExpr>(N)->getIndex());
-      break;
-    case ExprKind::Min:
-    case ExprKind::Max:
-      F(cast<sym::MinMaxExpr>(N)->getLHS());
-      F(cast<sym::MinMaxExpr>(N)->getRHS());
-      break;
-    case ExprKind::FloorDiv:
-    case ExprKind::Mod:
-      F(cast<sym::DivModExpr>(N)->getOperand());
-      break;
-    case ExprKind::Mul:
-      for (const sym::Expr *C : cast<sym::MulExpr>(N)->getFactors())
-        F(C);
-      break;
-    case ExprKind::Add:
-      for (const sym::Monomial &M : cast<sym::AddExpr>(N)->getTerms())
-        F(M.Prod);
-      break;
-    }
-  };
-  struct Frame {
-    const sym::Expr *E;
-    bool ChildrenPushed;
-  };
-  std::vector<Frame> Stack{{E, false}};
-  while (!Stack.empty()) {
-    Frame F = Stack.back();
-    Stack.pop_back();
-    if (Memo.count(F.E))
-      continue;
-    if (!F.ChildrenPushed) {
-      Stack.push_back({F.E, true});
-      ForEachChild(F.E, [&](const sym::Expr *C) {
-        if (!Memo.count(C))
-          Stack.push_back({C, false});
-      });
-      continue;
-    }
-    unsigned MaxChild = 0;
-    ForEachChild(F.E, [&](const sym::Expr *C) {
-      auto It = Memo.find(C);
-      unsigned D = It == Memo.end() ? Cap + 1 : It->second;
-      if (D > MaxChild)
-        MaxChild = D;
-    });
-    Memo.emplace(F.E, MaxChild >= Cap ? Cap + 1 : MaxChild + 1);
-  }
-  return Memo.at(E);
 }
 
 uint32_t pdag::exprCodeMaxDepth(const ExprInstr *Code, uint32_t Begin,

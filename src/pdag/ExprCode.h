@@ -34,12 +34,12 @@
 #ifndef HALO_PDAG_EXPRCODE_H
 #define HALO_PDAG_EXPRCODE_H
 
+#include "support/IdMap.h"
 #include "sym/Eval.h"
 #include "sym/Expr.h"
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -63,11 +63,6 @@ inline constexpr unsigned ExprBlockWidth = 16;
 inline constexpr unsigned LoweringMaxNestDepth = 200;
 /// Ceiling on emitted bytecode size (instructions) per compiled object.
 inline constexpr size_t LoweringMaxCodeLen = 1u << 20;
-
-/// Nesting depth of \p E (leaves count 1), computed iteratively with an
-/// explicit stack so hostile deeply-nested expressions cannot overflow the
-/// C++ stack, and saturated at \p Cap + 1.
-unsigned exprNestDepth(const sym::Expr *E, unsigned Cap);
 
 /// One expression-bytecode instruction (operates on an int64 value stack).
 /// Packed to 16 bytes: ArrayLoadOff is the only op that needs two slots,
@@ -149,8 +144,9 @@ private:
   std::vector<ExprInstr> &Code;
   std::vector<sym::SymbolId> &ScalarSlots;
   std::vector<sym::SymbolId> &ArraySlots;
-  std::unordered_map<sym::SymbolId, uint32_t> ScalarSlotFor;
-  std::unordered_map<sym::SymbolId, uint32_t> ArraySlotFor;
+  /// Symbol -> slot index in ScalarSlots / ArraySlots.
+  support::IdMap<uint32_t> ScalarSlotFor;
+  support::IdMap<uint32_t> ArraySlotFor;
   uint32_t Depth = 0;    ///< live stack depth of the range being compiled
   uint32_t MaxDepth = 0; ///< peak over all ranges compiled by this builder
   bool Exceeded = false; ///< a range tripped a lowering resource guard

@@ -62,7 +62,7 @@ namespace {
 /// protected).
 class BoolPred : public Pred {
 public:
-  BoolPred(PredKind K, uint32_t Id) : Pred(K, Id, {}, 0) {}
+  BoolPred(PredKind K, uint32_t Id) : Pred(K, Id, {}) {}
 };
 } // namespace
 
@@ -356,14 +356,15 @@ const Pred *PredContext::makeNary(PredKind K, const Pred *const *Cs,
         return std::equal(Ch.begin(), Ch.end(), Flat.begin(), Flat.end());
       },
       [&](uint32_t Id) {
-        int Depth = 0;
+        unsigned Loops = 0, Nest = 0;
         for (const Pred *C : Flat) {
           FreeSyms.add(C->freeSymbols());
-          Depth = std::max(Depth, C->loopDepth());
+          Loops = std::max(Loops, static_cast<unsigned>(C->loopDepth()));
+          Nest = std::max(Nest, C->nestDepth());
         }
         return std::unique_ptr<Pred>(
             new NaryPred(K, Id, std::vector<const Pred *>(Flat),
-                         FreeSyms.take(), Depth));
+                         FreeSyms.take(), Loops, Nest));
       });
 }
 
@@ -424,7 +425,7 @@ const Pred *PredContext::loopAll(SymbolId Var, const Expr *Lo, const Expr *Hi,
         FreeSyms.add(Lo->freeSymbols());
         FreeSyms.add(Hi->freeSymbols());
         return std::unique_ptr<Pred>(new LoopAllPred(
-            Id, Var, Lo, Hi, Body, FreeSyms.take(), Body->loopDepth() + 1));
+            Id, Var, Lo, Hi, Body, FreeSyms.take()));
       });
 }
 
@@ -444,8 +445,7 @@ const Pred *PredContext::callSite(const std::string &Callee,
       [&](uint32_t Id) {
         return std::unique_ptr<Pred>(
             new CallSitePred(Id, Callee, Body,
-                             std::vector<SymbolId>(Body->freeSymbols()),
-                             Body->loopDepth()));
+                             std::vector<SymbolId>(Body->freeSymbols())));
       });
 }
 

@@ -73,23 +73,38 @@ public:
 
   /// Maximum nesting depth of LoopAll nodes: 0 means an O(1) predicate,
   /// 1 means O(N), 2 means O(N^2), ... (the paper's complexity classes,
-  /// Sec. 3.5/3.6).
-  int loopDepth() const { return LoopDepthCache; }
+  /// Sec. 3.5/3.6). Saturated at sym::MaxNestDepth.
+  int loopDepth() const { return LoopDepth; }
+
+  /// Nesting depth of the predicate DAG: 1 for a leaf (True, False, Cmp,
+  /// Divides), else 1 + the deepest child (saturated at
+  /// sym::MaxNestDepth). Leaf expressions do not count; they carry their
+  /// own sym::Expr::nestDepth. Set at construction.
+  unsigned nestDepth() const { return NestDepth; }
 
   void print(std::ostream &OS, const sym::Context &Ctx) const;
   std::string toString(const sym::Context &Ctx) const;
 
 protected:
+  /// A leaf: loop depth 0, nesting depth 1.
+  Pred(PredKind K, uint32_t Id, std::vector<sym::SymbolId> Free)
+      : Pred(K, Id, std::move(Free), 0, 0) {}
+  /// An interior node over children whose deepest LoopAll nesting is
+  /// \p LoopDepth and whose deepest nesting depth is \p DeepestChild.
   Pred(PredKind K, uint32_t Id, std::vector<sym::SymbolId> Free,
-       int LoopDepth)
-      : Id(Id), LoopDepthCache(LoopDepth), FreeSyms(std::move(Free)),
-        Kind(K) {}
+       unsigned LoopDepth, unsigned DeepestChild)
+      : Id(Id), LoopDepth(static_cast<uint16_t>(
+                    std::min(LoopDepth, sym::MaxNestDepth))),
+        NestDepth(sym::nestDepthAbove(DeepestChild)),
+        FreeSyms(std::move(Free)), Kind(K) {}
 
 private:
   // Kind comes last so that the leaf subclasses pack their one-byte
-  // relation and their complement reference into the tail padding.
+  // relation and their complement reference into the tail padding; the
+  // two depths share the four bytes after Id.
   uint32_t Id;
-  int LoopDepthCache;
+  uint16_t LoopDepth;
+  uint16_t NestDepth;
   std::vector<sym::SymbolId> FreeSyms;
   PredKind Kind;
   friend class PredContext;
@@ -109,7 +124,7 @@ public:
 private:
   CmpPred(uint32_t Id, const sym::Expr *E, CmpRel Rel,
           std::vector<sym::SymbolId> Free)
-      : Pred(PredKind::Cmp, Id, std::move(Free), 0), Rel(Rel), E(E) {}
+      : Pred(PredKind::Cmp, Id, std::move(Free)), Rel(Rel), E(E) {}
   CmpRel Rel;
   /// ID + 1 of the complement once PredContext::tryNot has computed it.
   mutable uint32_t ComplementRef = 0;
@@ -132,7 +147,7 @@ public:
 private:
   DividesPred(uint32_t Id, const sym::Expr *D, const sym::Expr *V, bool Neg,
               std::vector<sym::SymbolId> Free)
-      : Pred(PredKind::Divides, Id, std::move(Free), 0), Neg(Neg), Divisor(D),
+      : Pred(PredKind::Divides, Id, std::move(Free)), Neg(Neg), Divisor(D),
         Value(V) {}
   bool Neg;
   /// ID + 1 of the complement once PredContext::tryNot has computed it.
@@ -154,8 +169,10 @@ public:
 
 private:
   NaryPred(PredKind K, uint32_t Id, std::vector<const Pred *> C,
-           std::vector<sym::SymbolId> Free, int LoopDepth)
-      : Pred(K, Id, std::move(Free), LoopDepth), Children(std::move(C)) {}
+           std::vector<sym::SymbolId> Free, unsigned LoopDepth,
+           unsigned DeepestChild)
+      : Pred(K, Id, std::move(Free), LoopDepth, DeepestChild),
+        Children(std::move(C)) {}
   /// ID + 1 of the simplified form once pdag::simplify has computed it.
   mutable uint32_t SimplifiedRef = 0;
   std::vector<const Pred *> Children;
@@ -179,9 +196,10 @@ public:
 private:
   LoopAllPred(uint32_t Id, sym::SymbolId Var, const sym::Expr *Lo,
               const sym::Expr *Hi, const Pred *Body,
-              std::vector<sym::SymbolId> Free, int LoopDepth)
-      : Pred(PredKind::LoopAll, Id, std::move(Free), LoopDepth), Var(Var),
-        Lo(Lo), Hi(Hi), Body(Body) {}
+              std::vector<sym::SymbolId> Free)
+      : Pred(PredKind::LoopAll, Id, std::move(Free), Body->loopDepth() + 1u,
+             Body->nestDepth()),
+        Var(Var), Lo(Lo), Hi(Hi), Body(Body) {}
   sym::SymbolId Var;
   /// ID + 1 of the simplified form once pdag::simplify has computed it.
   mutable uint32_t SimplifiedRef = 0;
@@ -205,8 +223,9 @@ public:
 
 private:
   CallSitePred(uint32_t Id, std::string Callee, const Pred *Body,
-               std::vector<sym::SymbolId> Free, int LoopDepth)
-      : Pred(PredKind::CallSite, Id, std::move(Free), LoopDepth),
+               std::vector<sym::SymbolId> Free)
+      : Pred(PredKind::CallSite, Id, std::move(Free), Body->loopDepth(),
+             Body->nestDepth()),
         Callee(std::move(Callee)), Body(Body) {}
   /// ID + 1 of the simplified form once pdag::simplify has computed it.
   mutable uint32_t SimplifiedRef = 0;

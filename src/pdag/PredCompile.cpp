@@ -8,14 +8,12 @@
 #include "pdag/PredCompile.h"
 
 #include "support/Error.h"
+#include "support/IdMap.h"
 
 #include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstring>
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
 
 using namespace halo;
 using namespace halo::pdag;
@@ -83,8 +81,11 @@ private:
   /// bound variable (the conservative invariance context for code shared
   /// across call sites).
   void countRefs(const Pred *P) {
-    if (++RefCount[P] > 1)
+    auto [Count, New] = RefCount.insert(P->getId(), 1);
+    if (!New) {
+      ++*Count;
       return; // Children already counted on the first visit.
+    }
     switch (P->getKind()) {
     case PredKind::And:
     case PredKind::Or:
@@ -114,8 +115,8 @@ private:
     case PredKind::Or:
     case PredKind::LoopAll:
     case PredKind::CallSite: {
-      auto It = RefCount.find(P);
-      return It != RefCount.end() && It->second > 1;
+      const uint32_t *Count = RefCount.find(P->getId());
+      return Count && *Count > 1;
     }
     default:
       return false; // Leaves are at most a couple of instructions.
@@ -139,9 +140,11 @@ private:
   /// their (single) subroutine body, everything else compiles inline.
   void emitNodeRef(const Pred *P, bool AtRoot) {
     if (!AtRoot && isSharedSub(P)) {
-      if (Scheduled.insert(P).second)
-        PendingSubs.push_back(P);
-      CallSites.emplace_back(emitP(PredInstr::Op::CallSub), P);
+      auto [Sub, New] = SubIndex.insert(
+          P->getId(), static_cast<uint32_t>(Subs.size()));
+      if (New)
+        Subs.push_back(P);
+      CallSites.emplace_back(emitP(PredInstr::Op::CallSub), *Sub);
       return;
     }
     compilePred(P, AtRoot);
@@ -159,41 +162,38 @@ private:
       emitNodeRef(P, /*AtRoot=*/false);
       return;
     }
-    uint32_t Slot;
-    auto It = MemoSlotFor.find(P);
-    if (It != MemoSlotFor.end()) {
-      Slot = It->second;
-    } else {
-      Slot = Out.NumMemoSlots++;
-      MemoSlotFor.emplace(P, Slot);
-    }
+    auto [Known, New] = MemoSlotFor.insert(P->getId(), Out.NumMemoSlots);
+    const uint32_t Slot = *Known;
+    if (New)
+      ++Out.NumMemoSlots;
     uint32_t Check = emitP(PredInstr::Op::MemoCheck, Slot);
     emitNodeRef(P, /*AtRoot=*/false);
     emitP(PredInstr::Op::MemoStore, Slot);
     Out.PCode[Check].B = here();
   }
 
+  /// Compiles the scheduled subroutine bodies in scheduling order (a body
+  /// may schedule more) and patches every CallSub with its entry ip.
   void emitSubroutines() {
-    if (PendingSubs.empty())
+    if (Subs.empty())
       return;
     // Padding so no subroutine entry aliases MainCodeEnd (the run loop's
     // end-of-code sentinel); never executed.
     emitP(PredInstr::Op::Ret);
     InSubBody = true;
     EnclosingVars.clear();
-    while (!PendingSubs.empty()) {
-      const Pred *P = PendingSubs.front();
-      PendingSubs.pop_front();
+    std::vector<uint32_t> Entries;
+    for (size_t I = 0; I < Subs.size(); ++I) {
       uint32_t Entry = here();
-      SubEntry[P] = Entry;
-      compilePred(P, /*AtRoot=*/false);
+      Entries.push_back(Entry);
+      compilePred(Subs[I], /*AtRoot=*/false);
       emitP(PredInstr::Op::Ret);
-      SubRange[Entry] = here();
+      SubEnd.insert(Entry, here());
     }
     InSubBody = false;
-    for (const auto &[Ip, P] : CallSites)
-      Out.PCode[Ip].A = SubEntry.at(P);
-    Out.NumSubs = static_cast<uint32_t>(SubEntry.size());
+    for (const auto &[Ip, Sub] : CallSites)
+      Out.PCode[Ip].A = Entries[Sub];
+    Out.NumSubs = static_cast<uint32_t>(Subs.size());
   }
 
   /// Exact peak tri-state stack depth of evaluating \p P (which leaves
@@ -202,9 +202,8 @@ private:
   /// bytecode instruction for instruction, so frames can be sized from it
   /// instead of code length.
   uint32_t predDepth(const Pred *P) {
-    auto It = DepthMemo.find(P);
-    if (It != DepthMemo.end())
-      return It->second;
+    if (const uint32_t *Memo = DepthMemo.find(P->getId()))
+      return *Memo;
     uint32_t D = 1;
     switch (P->getKind()) {
     case PredKind::And:
@@ -224,32 +223,7 @@ private:
     default:
       break; // Leaves push exactly one value.
     }
-    DepthMemo.emplace(P, D);
-    return D;
-  }
-
-  /// Exact LoopAll nesting depth (LoopStack bound).
-  uint32_t loopNest(const Pred *P) {
-    auto It = NestMemo.find(P);
-    if (It != NestMemo.end())
-      return It->second;
-    uint32_t D = 0;
-    switch (P->getKind()) {
-    case PredKind::And:
-    case PredKind::Or:
-      for (const Pred *C : cast<NaryPred>(P)->getChildren())
-        D = std::max(D, loopNest(C));
-      break;
-    case PredKind::LoopAll:
-      D = 1 + loopNest(cast<LoopAllPred>(P)->getBody());
-      break;
-    case PredKind::CallSite:
-      D = loopNest(cast<CallSitePred>(P)->getBody());
-      break;
-    default:
-      break;
-    }
-    NestMemo.emplace(P, D);
+    DepthMemo.insert(P->getId(), D);
     return D;
   }
 
@@ -269,16 +243,14 @@ private:
         Ip = I.B - 1; // Skip the memoized region (jumped over per lane).
         break;
       case PredInstr::Op::CallSub: {
-        auto Memo = SubBlockable.find(I.A);
         bool Ok;
-        if (Memo != SubBlockable.end()) {
-          Ok = Memo->second;
+        if (const bool *Memo = SubBlockable.find(I.A)) {
+          Ok = *Memo;
         } else {
-          // Seed optimistically: the DAG is acyclic, so recursion through
-          // the same entry cannot occur; the seed only guards reentry.
-          SubBlockable[I.A] = true;
-          Ok = rangeBlockable(I.A, SubRange.at(I.A));
-          SubBlockable[I.A] = Ok;
+          // The DAG is acyclic, so the scan never re-enters this entry
+          // before it records the answer.
+          Ok = rangeBlockable(I.A, *SubEnd.find(I.A));
+          SubBlockable.insert(I.A, Ok);
         }
         if (!Ok)
           return false;
@@ -330,7 +302,7 @@ private:
         Ip = I.B - 1; // Memoized regions are loop-invariant by definition.
         break;
       case PredInstr::Op::CallSub:
-        if (rangeHasVarLoad(I.A, SubRange.at(I.A), VarSlot))
+        if (rangeHasVarLoad(I.A, *SubEnd.find(I.A), VarSlot))
           return true;
         break;
       default:
@@ -345,7 +317,7 @@ private:
   void finalize(const Pred *Root) {
     Out.XMaxDepth = XB.maxStackDepth();
     Out.PMaxDepth = predDepth(Root);
-    Out.MaxLoopNest = loopNest(Root);
+    Out.MaxLoopNest = static_cast<uint32_t>(Root->loopDepth());
     Out.MainBlockOk = rangeBlockable(0, Out.MainCodeEnd);
     if (Out.RootLoop >= 0) {
       const CompiledLoop &L = Out.Loops[static_cast<size_t>(Out.RootLoop)];
@@ -424,14 +396,17 @@ private:
       const auto *N = cast<NaryPred>(P);
       const bool IsAnd = N->isAnd();
       emitP(PredInstr::Op::PushBool, 0, 0, 0, 0, IsAnd ? TriTrue : TriFalse);
-      std::vector<uint32_t> Steps;
+      // The steps' jump targets are patched once the node's code ends;
+      // nested nodes push theirs above this node's on the shared stack.
+      const size_t StepsBase = PendingSteps.size();
       for (const Pred *C : N->getChildren()) {
         compileChild(C);
-        Steps.push_back(
+        PendingSteps.push_back(
             emitP(IsAnd ? PredInstr::Op::AndStep : PredInstr::Op::OrStep));
       }
-      for (uint32_t S : Steps)
-        Out.PCode[S].A = here();
+      for (size_t I = StepsBase; I < PendingSteps.size(); ++I)
+        Out.PCode[PendingSteps[I]].A = here();
+      PendingSteps.resize(StepsBase);
       return;
     }
     case PredKind::LoopAll: {
@@ -470,117 +445,44 @@ private:
   std::vector<sym::SymbolId> EnclosingVars;
   std::vector<sym::SymbolId> AllLoopVars;
   bool InSubBody = false;
-  std::unordered_map<const Pred *, uint32_t> MemoSlotFor;
-  std::unordered_map<const Pred *, uint32_t> RefCount;
-  std::unordered_set<const Pred *> Scheduled;
-  std::deque<const Pred *> PendingSubs;
-  std::vector<std::pair<uint32_t, const Pred *>> CallSites;
-  std::unordered_map<const Pred *, uint32_t> SubEntry;
+  /// AndStep/OrStep ips of the And/Or nodes being compiled, awaiting
+  /// their jump targets.
+  std::vector<uint32_t> PendingSteps;
+  // The memos below are keyed on node IDs (or ips), never on pointers.
+  /// Node -> number of references from parents (plus one for the root).
+  support::IdMap<uint32_t> RefCount;
+  /// Node -> its invariant-sub-predicate memo slot.
+  support::IdMap<uint32_t> MemoSlotFor;
+  /// Shared node -> its index in Subs.
+  support::IdMap<uint32_t> SubIndex;
+  /// Shared sub-predicates in scheduling order (their bodies follow the
+  /// main code in this order).
+  std::vector<const Pred *> Subs;
+  /// (CallSub ip, index in Subs) for the entry-ip patch.
+  std::vector<std::pair<uint32_t, uint32_t>> CallSites;
   /// Subroutine entry ip -> end ip (one past its Ret); finalize() walks
   /// these for the block-compatibility scans.
-  std::unordered_map<uint32_t, uint32_t> SubRange;
-  std::unordered_map<uint32_t, bool> SubBlockable;
-  std::unordered_map<const Pred *, uint32_t> DepthMemo;
-  std::unordered_map<const Pred *, uint32_t> NestMemo;
+  support::IdMap<uint32_t> SubEnd;
+  /// Subroutine entry ip -> rangeBlockable of its body.
+  support::IdMap<bool> SubBlockable;
+  /// Node -> predDepth.
+  support::IdMap<uint32_t> DepthMemo;
 };
 
 } // namespace pdag
 } // namespace halo
-
-namespace {
-
-/// Iterative (explicit-stack) pre-check that the predicate DAG and every
-/// leaf expression fit the lowering caps. Runs *before* the recursive
-/// PredCompiler so a hostile deeply-nested predicate cannot overflow the
-/// C++ stack during compilation; a failed check demotes the predicate to
-/// the reference interpreter instead (CompiledPred::compile returns null).
-bool predLoweringFits(const Pred *Root, unsigned Cap) {
-  auto ForEachChild = [](const Pred *N, auto F) {
-    switch (N->getKind()) {
-    case PredKind::True:
-    case PredKind::False:
-    case PredKind::Cmp:
-    case PredKind::Divides:
-      break;
-    case PredKind::And:
-    case PredKind::Or:
-      for (const Pred *C : cast<NaryPred>(N)->getChildren())
-        F(C);
-      break;
-    case PredKind::LoopAll:
-      F(cast<LoopAllPred>(N)->getBody());
-      break;
-    case PredKind::CallSite:
-      F(cast<CallSitePred>(N)->getBody());
-      break;
-    }
-  };
-  // Pred-node nesting depth, memoized and saturated at Cap + 1.
-  std::unordered_map<const Pred *, unsigned> Memo;
-  struct Frame {
-    const Pred *P;
-    bool ChildrenPushed;
-  };
-  std::vector<Frame> Stack{{Root, false}};
-  while (!Stack.empty()) {
-    Frame F = Stack.back();
-    Stack.pop_back();
-    if (Memo.count(F.P))
-      continue;
-    if (!F.ChildrenPushed) {
-      Stack.push_back({F.P, true});
-      ForEachChild(F.P, [&](const Pred *C) {
-        if (!Memo.count(C))
-          Stack.push_back({C, false});
-      });
-      continue;
-    }
-    unsigned MaxChild = 0;
-    ForEachChild(F.P, [&](const Pred *C) {
-      auto It = Memo.find(C);
-      unsigned D = It == Memo.end() ? Cap + 1 : It->second;
-      if (D > MaxChild)
-        MaxChild = D;
-    });
-    Memo.emplace(F.P, MaxChild >= Cap ? Cap + 1 : MaxChild + 1);
-  }
-  if (Memo.at(Root) > Cap)
-    return false;
-  // Every leaf expression must fit the expression lowering cap too.
-  std::vector<const Pred *> Walk{Root};
-  std::unordered_set<const Pred *> Seen;
-  while (!Walk.empty()) {
-    const Pred *N = Walk.back();
-    Walk.pop_back();
-    if (!Seen.insert(N).second)
-      continue;
-    std::vector<const sym::Expr *> Leaves;
-    if (const auto *C = dyn_cast<CmpPred>(N)) {
-      Leaves.push_back(C->getExpr());
-    } else if (const auto *D = dyn_cast<DividesPred>(N)) {
-      Leaves.push_back(D->getDivisor());
-      Leaves.push_back(D->getValue());
-    } else if (const auto *LA = dyn_cast<LoopAllPred>(N)) {
-      Leaves.push_back(LA->getLo());
-      Leaves.push_back(LA->getHi());
-    }
-    for (const sym::Expr *E : Leaves)
-      if (exprNestDepth(E, LoweringMaxNestDepth) > LoweringMaxNestDepth)
-        return false;
-    ForEachChild(N, [&](const Pred *C) { Walk.push_back(C); });
-  }
-  return true;
-}
-
-} // namespace
 
 std::unique_ptr<CompiledPred> CompiledPred::compile(const Pred *P,
                                                     const sym::Context &Ctx) {
   // Resource guards (graceful demotion contract, docs/FUZZING.md): a
   // predicate too deep or too large to lower returns null here; callers
   // (PredCompileCache, USR gate lowering) fall back to tryEvalPred and
-  // the governor counts the demotion in ExecStats::GuardDemotions.
-  if (!predLoweringFits(P, LoweringMaxNestDepth))
+  // the governor counts the demotion in ExecStats::GuardDemotions. The
+  // depth check reads the depth stored on the root before the recursive
+  // PredCompiler runs, so hostile nesting cannot overflow the C++ stack;
+  // each leaf expression's depth is checked the same way by
+  // ExprCodeBuilder::compile (C.exceeded() below).
+  if (P->nestDepth() > LoweringMaxNestDepth)
     return nullptr;
   std::unique_ptr<CompiledPred> CP(new CompiledPred());
   CP->Source = P;

@@ -9,8 +9,10 @@
 /// A memo keyed on interned node IDs, for memos that see a sparse subset
 /// of a context's nodes: the Fourier-Motzkin eliminator maps an expression
 /// or predicate to the ID of the predicate it reduces to (8-byte slots),
-/// and the plan hasher maps the nodes a plan references to their
-/// structural hashes (16-byte slots). A slot holds the key + 1 (0 marks
+/// the plan hasher maps the nodes a plan references to their structural
+/// hashes (16-byte slots), and the predicate, USR and expression lowerers
+/// keep their reference counts, memo slots, subroutine entries and symbol
+/// slots here. A slot holds the key + 1 (0 marks
 /// an empty slot) and the value, so an entry costs no allocation of its
 /// own, and the table's size follows the entries, not the largest ID.
 /// Open addressing with linear probing from a Fibonacci-hashed home slot;
@@ -34,31 +36,37 @@ namespace support {
 
 template <typename V> class IdMap {
 public:
-  /// The value stored under \p Key, or null.
-  const V *find(uint32_t Key) const {
+  /// The value stored under \p Key, or null. The pointer stays valid
+  /// until the next insert.
+  V *find(uint32_t Key) {
     if (Slots.empty())
       return nullptr;
     for (size_t I = homeOf(Key);; I = (I + 1) & (Slots.size() - 1)) {
-      const Slot &S = Slots[I];
+      Slot &S = Slots[I];
       if (S.Ref == 0)
         return nullptr;
       if (S.Ref == Key + 1)
         return &S.Value;
     }
   }
+  const V *find(uint32_t Key) const {
+    return const_cast<IdMap *>(this)->find(Key);
+  }
 
   /// Stores \p Value under \p Key unless \p Key already has a value; the
-  /// first value stays, as with std::unordered_map::emplace.
-  void insert(uint32_t Key, V Value) {
+  /// first value stays, as with std::unordered_map::emplace. Returns the
+  /// stored value (valid until the next insert) and whether it was new.
+  std::pair<V *, bool> insert(uint32_t Key, V Value) {
     assert(Key != UINT32_MAX && "key out of range");
     if (2 * (Count + 1) > Slots.size())
       grow();
     size_t I = homeOf(Key);
     for (; Slots[I].Ref != 0; I = (I + 1) & (Slots.size() - 1))
       if (Slots[I].Ref == Key + 1)
-        return;
+        return {&Slots[I].Value, false};
     Slots[I] = Slot{Key + 1, Value};
     ++Count;
+    return {&Slots[I].Value, true};
   }
 
   size_t size() const { return Count; }

@@ -81,12 +81,29 @@ enum class ExprKind : uint8_t {
 
 class Context;
 
+/// Saturation value of the nesting depth every sym::Expr, pdag::Pred and
+/// usr::USR node stores: a node whose depth reads MaxNestDepth is at least
+/// that deep.
+inline constexpr unsigned MaxNestDepth = UINT16_MAX;
+
+/// The nesting depth of a node whose deepest child has depth
+/// \p DeepestChild (0 for a leaf): 1 + DeepestChild, saturated at
+/// MaxNestDepth.
+inline uint16_t nestDepthAbove(unsigned DeepestChild) {
+  return static_cast<uint16_t>(std::min(DeepestChild + 1, MaxNestDepth));
+}
+
 /// Immutable, interned expression node. Pointer equality == structural
 /// equality within one Context.
 class Expr {
 public:
   ExprKind getKind() const { return Kind; }
   uint32_t getId() const { return Id; }
+
+  /// Nesting depth: 1 for IntConst and SymRef, else 1 + the deepest
+  /// operand (saturated at MaxNestDepth). Set at construction, so lowering
+  /// and validation caps read it instead of walking the DAG.
+  unsigned nestDepth() const { return NestDepth; }
 
   /// Sorted set of symbols (scalars and arrays) this expression reads.
   const std::vector<SymbolId> &freeSymbols() const { return FreeSyms; }
@@ -104,11 +121,14 @@ public:
   virtual ~Expr() = default;
 
 protected:
-  Expr(ExprKind K, uint32_t Id, std::vector<SymbolId> FreeSyms)
-      : Kind(K), Id(Id), FreeSyms(std::move(FreeSyms)) {}
+  Expr(ExprKind K, uint32_t Id, std::vector<SymbolId> FreeSyms,
+       uint16_t NestDepth)
+      : Kind(K), NestDepth(NestDepth), Id(Id), FreeSyms(std::move(FreeSyms)) {
+  }
 
 private:
   ExprKind Kind;
+  uint16_t NestDepth; ///< Fills the padding after Kind.
   uint32_t Id;
   std::vector<SymbolId> FreeSyms;
 
@@ -126,7 +146,7 @@ public:
 
 private:
   IntConstExpr(uint32_t Id, int64_t V)
-      : Expr(ExprKind::IntConst, Id, {}), Value(V) {}
+      : Expr(ExprKind::IntConst, Id, {}, 1), Value(V) {}
   int64_t Value;
   friend class Context;
 };
@@ -142,7 +162,7 @@ public:
 
 private:
   SymRefExpr(uint32_t Id, SymbolId S)
-      : Expr(ExprKind::SymRef, Id, {S}), Sym(S) {}
+      : Expr(ExprKind::SymRef, Id, {S}, 1), Sym(S) {}
   SymbolId Sym;
   friend class Context;
 };
@@ -160,8 +180,9 @@ public:
 private:
   ArrayRefExpr(uint32_t Id, SymbolId Arr, const Expr *Index,
                std::vector<SymbolId> Free)
-      : Expr(ExprKind::ArrayRef, Id, std::move(Free)), Arr(Arr),
-        Index(Index) {}
+      : Expr(ExprKind::ArrayRef, Id, std::move(Free),
+             nestDepthAbove(Index->nestDepth())),
+        Arr(Arr), Index(Index) {}
   SymbolId Arr;
   const Expr *Index;
   friend class Context;
@@ -181,7 +202,9 @@ public:
 private:
   MinMaxExpr(ExprKind K, uint32_t Id, const Expr *L, const Expr *R,
              std::vector<SymbolId> Free)
-      : Expr(K, Id, std::move(Free)), LHS(L), RHS(R) {}
+      : Expr(K, Id, std::move(Free),
+             nestDepthAbove(std::max(L->nestDepth(), R->nestDepth()))),
+        LHS(L), RHS(R) {}
   const Expr *LHS;
   const Expr *RHS;
   friend class Context;
@@ -201,7 +224,8 @@ public:
 private:
   DivModExpr(ExprKind K, uint32_t Id, const Expr *Op, int64_t D,
              std::vector<SymbolId> Free)
-      : Expr(K, Id, std::move(Free)), Operand(Op), Divisor(D) {}
+      : Expr(K, Id, std::move(Free), nestDepthAbove(Op->nestDepth())),
+        Operand(Op), Divisor(D) {}
   const Expr *Operand;
   int64_t Divisor;
   friend class Context;
@@ -217,7 +241,14 @@ public:
 
 private:
   MulExpr(uint32_t Id, std::vector<const Expr *> F, std::vector<SymbolId> Free)
-      : Expr(ExprKind::Mul, Id, std::move(Free)), Factors(std::move(F)) {}
+      : Expr(ExprKind::Mul, Id, std::move(Free), depthOver(F)),
+        Factors(std::move(F)) {}
+  static uint16_t depthOver(const std::vector<const Expr *> &F) {
+    unsigned D = 0;
+    for (const Expr *E : F)
+      D = std::max(D, E->nestDepth());
+    return nestDepthAbove(D);
+  }
   std::vector<const Expr *> Factors;
   friend class Context;
 };
@@ -241,8 +272,14 @@ public:
 private:
   AddExpr(uint32_t Id, std::vector<Monomial> T, int64_t C,
           std::vector<SymbolId> Free)
-      : Expr(ExprKind::Add, Id, std::move(Free)), Terms(std::move(T)),
-        Constant(C) {}
+      : Expr(ExprKind::Add, Id, std::move(Free), depthOver(T)),
+        Terms(std::move(T)), Constant(C) {}
+  static uint16_t depthOver(const std::vector<Monomial> &T) {
+    unsigned D = 0;
+    for (const Monomial &M : T)
+      D = std::max(D, M.Prod->nestDepth());
+    return nestDepthAbove(D);
+  }
   std::vector<Monomial> Terms;
   int64_t Constant;
   friend class Context;
@@ -411,6 +448,8 @@ public:
 
   /// Number of interned expression nodes (diagnostics / benchmarks).
   size_t numExprs() const { return Nodes.size(); }
+  /// The node with ID \p Id.
+  const Expr *node(uint32_t Id) const { return Nodes[Id]; }
 
 private:
   /// Interns the sum of \p N canonical terms (ID-sorted, one per product,

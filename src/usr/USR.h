@@ -71,6 +71,12 @@ public:
   uint32_t getId() const { return Id; }
   bool isEmptySet() const { return Kind == USRKind::Empty; }
 
+  /// Nesting depth of the USR DAG: 1 for Empty and Leaf, else 1 + the
+  /// deepest child USR (saturated at sym::MaxNestDepth). Gate predicates
+  /// and LMAD expressions do not count; they carry their own depths. Set
+  /// at construction.
+  unsigned nestDepth() const { return NestDepth; }
+
   const std::vector<sym::SymbolId> &freeSymbols() const { return FreeSyms; }
   bool dependsOn(sym::SymbolId S) const;
   bool isInvariantAtDepth(int LoopDepth, const sym::Context &Ctx) const;
@@ -79,11 +85,15 @@ public:
   std::string toString(const sym::Context &Ctx) const;
 
 protected:
-  USR(USRKind K, uint32_t Id, std::vector<sym::SymbolId> Free)
-      : Kind(K), Id(Id), FreeSyms(std::move(Free)) {}
+  /// \p DeepestChild is the deepest child's nesting depth (0 for a leaf).
+  USR(USRKind K, uint32_t Id, std::vector<sym::SymbolId> Free,
+      unsigned DeepestChild)
+      : Kind(K), NestDepth(sym::nestDepthAbove(DeepestChild)), Id(Id),
+        FreeSyms(std::move(Free)) {}
 
 private:
   USRKind Kind;
+  uint16_t NestDepth; ///< Fills the padding after Kind.
   uint32_t Id;
   std::vector<sym::SymbolId> FreeSyms;
   friend class USRContext;
@@ -95,7 +105,7 @@ public:
   static bool classof(const USR *U) { return U->getKind() == USRKind::Empty; }
 
 private:
-  explicit EmptyUSR(uint32_t Id) : USR(USRKind::Empty, Id, {}) {}
+  explicit EmptyUSR(uint32_t Id) : USR(USRKind::Empty, Id, {}, 0) {}
   friend class USRContext;
 };
 
@@ -108,7 +118,7 @@ public:
 
 private:
   LeafUSR(uint32_t Id, lmad::LMADSet L, std::vector<sym::SymbolId> Free)
-      : USR(USRKind::Leaf, Id, std::move(Free)), LMADs(std::move(L)) {}
+      : USR(USRKind::Leaf, Id, std::move(Free), 0), LMADs(std::move(L)) {}
   lmad::LMADSet LMADs;
   friend class USRContext;
 };
@@ -123,7 +133,14 @@ public:
 private:
   UnionUSR(uint32_t Id, std::vector<const USR *> C,
            std::vector<sym::SymbolId> Free)
-      : USR(USRKind::Union, Id, std::move(Free)), Children(std::move(C)) {}
+      : USR(USRKind::Union, Id, std::move(Free), deepestOf(C)),
+        Children(std::move(C)) {}
+  static unsigned deepestOf(const std::vector<const USR *> &C) {
+    unsigned D = 0;
+    for (const USR *U : C)
+      D = std::max(D, U->nestDepth());
+    return D;
+  }
   std::vector<const USR *> Children;
   friend class USRContext;
 };
@@ -143,7 +160,8 @@ public:
 private:
   BinaryUSR(USRKind K, uint32_t Id, const USR *L, const USR *R,
             std::vector<sym::SymbolId> Free)
-      : USR(K, Id, std::move(Free)), LHS(L), RHS(R) {}
+      : USR(K, Id, std::move(Free), std::max(L->nestDepth(), R->nestDepth())),
+        LHS(L), RHS(R) {}
   const USR *LHS;
   const USR *RHS;
   friend class USRContext;
@@ -160,7 +178,8 @@ public:
 private:
   GateUSR(uint32_t Id, const pdag::Pred *G, const USR *C,
           std::vector<sym::SymbolId> Free)
-      : USR(USRKind::Gate, Id, std::move(Free)), Gate(G), Child(C) {}
+      : USR(USRKind::Gate, Id, std::move(Free), C->nestDepth()), Gate(G),
+        Child(C) {}
   const pdag::Pred *Gate;
   const USR *Child;
   friend class USRContext;
@@ -180,8 +199,8 @@ public:
 private:
   CallSiteUSR(uint32_t Id, std::string Callee, const USR *C,
               std::vector<sym::SymbolId> Free)
-      : USR(USRKind::CallSite, Id, std::move(Free)), Callee(std::move(Callee)),
-        Child(C) {}
+      : USR(USRKind::CallSite, Id, std::move(Free), C->nestDepth()),
+        Callee(std::move(Callee)), Child(C) {}
   std::string Callee;
   const USR *Child;
   friend class USRContext;
@@ -203,8 +222,8 @@ private:
   RecurUSR(uint32_t Id, sym::SymbolId Var, const sym::Expr *Lo,
            const sym::Expr *Hi, const USR *Body,
            std::vector<sym::SymbolId> Free)
-      : USR(USRKind::Recur, Id, std::move(Free)), Var(Var), Lo(Lo), Hi(Hi),
-        Body(Body) {}
+      : USR(USRKind::Recur, Id, std::move(Free), Body->nestDepth()), Var(Var),
+        Lo(Lo), Hi(Hi), Body(Body) {}
   sym::SymbolId Var;
   const sym::Expr *Lo;
   const sym::Expr *Hi;
@@ -252,6 +271,8 @@ public:
                         const std::map<sym::SymbolId, const sym::Expr *> &M);
 
   size_t numNodes() const { return Nodes.size(); }
+  /// The node with ID \p Id.
+  const USR *node(uint32_t Id) const { return Nodes[Id]; }
 
 private:
   const USR *makeBinary(USRKind K, const USR *A, const USR *B);

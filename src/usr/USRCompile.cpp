@@ -8,14 +8,12 @@
 #include "usr/USRCompile.h"
 
 #include "support/Error.h"
+#include "support/IdMap.h"
 
 #include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <deque>
-#include <map>
-#include <unordered_map>
-#include <unordered_set>
 
 using namespace halo;
 using namespace halo::usr;
@@ -298,7 +296,6 @@ public:
 
   void compileRoot(const USR *S) {
     countRefs(S);
-    collectRecurVars(S);
     compileNode(S, /*Deciding=*/true, /*AtRoot=*/true);
     Out.MainCodeEnd = here();
     emitSubBodies();
@@ -341,9 +338,16 @@ private:
     return static_cast<uint32_t>(Out.Code.size() - 1);
   }
 
+  /// DAG analysis: per-node reference counts (deciding which shared
+  /// compound nodes become subroutines) and every recurrence variable, in
+  /// first-visit order (the conservative invariance context for code
+  /// shared across call sites).
   void countRefs(const USR *S) {
-    if (++RefCount[S] > 1)
-      return;
+    auto [Count, New] = RefCount.insert(S->getId(), 1);
+    if (!New) {
+      ++*Count;
+      return; // Children already counted on the first visit.
+    }
     switch (S->getKind()) {
     case USRKind::Union:
       for (const USR *C : cast<UnionUSR>(S)->getChildren())
@@ -361,35 +365,8 @@ private:
       countRefs(cast<CallSiteUSR>(S)->getChild());
       return;
     case USRKind::Recur:
-      countRefs(cast<RecurUSR>(S)->getBody());
-      return;
-    default:
-      return;
-    }
-  }
-
-  void collectRecurVars(const USR *S) {
-    if (!VarVisited.insert(S).second)
-      return;
-    switch (S->getKind()) {
-    case USRKind::Union:
-      for (const USR *C : cast<UnionUSR>(S)->getChildren())
-        collectRecurVars(C);
-      return;
-    case USRKind::Intersect:
-    case USRKind::Subtract:
-      collectRecurVars(cast<BinaryUSR>(S)->getLHS());
-      collectRecurVars(cast<BinaryUSR>(S)->getRHS());
-      return;
-    case USRKind::Gate:
-      collectRecurVars(cast<GateUSR>(S)->getChild());
-      return;
-    case USRKind::CallSite:
-      collectRecurVars(cast<CallSiteUSR>(S)->getChild());
-      return;
-    case USRKind::Recur:
       AllRecurVars.push_back(cast<RecurUSR>(S)->getVar());
-      collectRecurVars(cast<RecurUSR>(S)->getBody());
+      countRefs(cast<RecurUSR>(S)->getBody());
       return;
     default:
       return;
@@ -404,8 +381,8 @@ private:
     case USRKind::Gate:
     case USRKind::CallSite:
     case USRKind::Recur: {
-      auto It = RefCount.find(S);
-      return It != RefCount.end() && It->second > 1;
+      const uint32_t *Count = RefCount.find(S->getId());
+      return Count && *Count > 1;
     }
     default:
       return false; // Leaves compile to one table-backed instruction.
@@ -417,28 +394,23 @@ private:
   /// interned DAG into a tree can blow code size up combinatorially).
   void emitNodeRef(const USR *S, bool Deciding, bool AtRoot) {
     if (!AtRoot && isSharedSub(S)) {
-      auto Key = std::make_pair(S, Deciding);
-      auto It = SubDescFor.find(Key);
-      uint32_t Desc;
-      if (It != SubDescFor.end()) {
-        Desc = It->second;
-      } else {
-        Desc = static_cast<uint32_t>(Out.Calls.size());
+      auto [Desc, New] = SubDescFor[Deciding].insert(
+          S->getId(), static_cast<uint32_t>(Out.Calls.size()));
+      if (New) {
         Out.Calls.emplace_back();
-        SubDescFor.emplace(Key, Desc);
-        PendingSubs.push_back(Key);
+        Subs.emplace_back(S, Deciding);
       }
-      emit(USRInstr::Op::Call, Desc, 0, Deciding);
+      emit(USRInstr::Op::Call, *Desc, 0, Deciding);
       return;
     }
     compileNode(S, Deciding, /*AtRoot=*/false);
   }
 
+  /// Compiles the scheduled sub-bodies in scheduling order (a body may
+  /// schedule more); the I-th scheduled body is call descriptor I.
   void emitSubBodies() {
-    while (!PendingSubs.empty()) {
-      auto [S, Deciding] = PendingSubs.front();
-      PendingSubs.pop_front();
-      uint32_t Desc = SubDescFor.at({S, Deciding});
+    for (size_t Desc = 0; Desc < Subs.size(); ++Desc) {
+      auto [S, Deciding] = Subs[Desc];
       uint32_t Begin = here();
       compileNode(S, Deciding, /*AtRoot=*/false);
       Out.Calls[Desc] = CompiledUSRCall{Begin, here()};
@@ -446,10 +418,9 @@ private:
   }
 
   uint32_t leafRange(const LeafUSR *L, uint32_t &End) {
-    auto It = LeafRangeFor.find(L);
-    if (It != LeafRangeFor.end()) {
-      End = It->second.second;
-      return It->second.first;
+    if (const auto *Range = LeafRangeFor.find(L->getId())) {
+      End = Range->second;
+      return Range->first;
     }
     uint32_t Begin = static_cast<uint32_t>(Out.Lmads.size());
     for (const lmad::LMAD &M : L->getLMADs()) {
@@ -466,22 +437,21 @@ private:
       Out.Lmads.push_back(CL);
     }
     End = static_cast<uint32_t>(Out.Lmads.size());
-    LeafRangeFor.emplace(L, std::make_pair(Begin, End));
+    LeafRangeFor.insert(L->getId(), std::make_pair(Begin, End));
     return Begin;
   }
 
   uint32_t gateDesc(const pdag::Pred *G) {
     CompiledUSRGate D;
-    auto It = PredFor.find(G);
-    if (It != PredFor.end()) {
-      D.Pred = It->second;
+    if (const pdag::CompiledPred *const *Known = PredFor.find(G->getId())) {
+      D.Pred = *Known;
     } else if (Preds) {
       D.Pred = Preds(G);
-      PredFor.emplace(G, D.Pred);
+      PredFor.insert(G->getId(), D.Pred);
     } else {
       Out.OwnedPreds.push_back(pdag::CompiledPred::compile(G, Ctx));
       D.Pred = Out.OwnedPreds.back().get();
-      PredFor.emplace(G, D.Pred);
+      PredFor.insert(G->getId(), D.Pred);
     }
     // A gate whose predicate tripped predicate-lowering guards (null from
     // either provider path) fails the whole USR compile: the object would
@@ -595,112 +565,22 @@ private:
   pdag::ExprCodeBuilder XB;
   CompiledUSR::PredProvider Preds;
   std::vector<sym::SymbolId> AllRecurVars;
-  std::unordered_set<const USR *> VarVisited;
-  std::unordered_map<const USR *, uint32_t> RefCount;
-  std::unordered_map<const LeafUSR *, std::pair<uint32_t, uint32_t>>
-      LeafRangeFor;
-  std::unordered_map<const pdag::Pred *, const pdag::CompiledPred *> PredFor;
-  std::map<std::pair<const USR *, bool>, uint32_t> SubDescFor;
-  std::deque<std::pair<const USR *, bool>> PendingSubs;
+  // The memos below are keyed on node IDs, never on pointers.
+  /// Node -> number of references from parents (plus one for the root).
+  support::IdMap<uint32_t> RefCount;
+  /// Leaf -> its [Begin, End) range in Out.Lmads.
+  support::IdMap<std::pair<uint32_t, uint32_t>> LeafRangeFor;
+  /// Gate predicate -> its compiled form (null: lowering failed).
+  support::IdMap<const pdag::CompiledPred *> PredFor;
+  /// Shared node -> its call descriptor, per polarity (index: Deciding).
+  support::IdMap<uint32_t> SubDescFor[2];
+  /// (node, Deciding) of every call descriptor, in descriptor order.
+  std::vector<std::pair<const USR *, bool>> Subs;
   bool Failed = false; ///< a gate predicate failed lowering (see failed())
 };
 
 } // namespace usr
 } // namespace halo
-
-namespace {
-
-/// Iterative (explicit-stack) pre-check that the USR tree and every leaf
-/// expression fit the lowering caps. Runs *before* the recursive
-/// USRCompiler so hostile nesting cannot overflow the C++ stack during
-/// compilation. Gate predicates are checked by CompiledPred::compile
-/// itself (a failed gate makes compile() below return null).
-bool usrLoweringFits(const usr::USR *Root, unsigned Cap) {
-  using usr::USRKind;
-  auto ForEachChild = [](const usr::USR *N, auto F) {
-    switch (N->getKind()) {
-    case USRKind::Empty:
-    case USRKind::Leaf:
-      break;
-    case USRKind::Union:
-      for (const usr::USR *C : cast<usr::UnionUSR>(N)->getChildren())
-        F(C);
-      break;
-    case USRKind::Intersect:
-    case USRKind::Subtract:
-      F(cast<usr::BinaryUSR>(N)->getLHS());
-      F(cast<usr::BinaryUSR>(N)->getRHS());
-      break;
-    case USRKind::Gate:
-      F(cast<usr::GateUSR>(N)->getChild());
-      break;
-    case USRKind::CallSite:
-      F(cast<usr::CallSiteUSR>(N)->getChild());
-      break;
-    case USRKind::Recur:
-      F(cast<usr::RecurUSR>(N)->getBody());
-      break;
-    }
-  };
-  std::unordered_map<const usr::USR *, unsigned> Memo;
-  struct Frame {
-    const usr::USR *S;
-    bool ChildrenPushed;
-  };
-  std::vector<Frame> Stack{{Root, false}};
-  while (!Stack.empty()) {
-    Frame F = Stack.back();
-    Stack.pop_back();
-    if (Memo.count(F.S))
-      continue;
-    if (!F.ChildrenPushed) {
-      Stack.push_back({F.S, true});
-      ForEachChild(F.S, [&](const usr::USR *C) {
-        if (!Memo.count(C))
-          Stack.push_back({C, false});
-      });
-      continue;
-    }
-    unsigned MaxChild = 0;
-    ForEachChild(F.S, [&](const usr::USR *C) {
-      auto It = Memo.find(C);
-      unsigned D = It == Memo.end() ? Cap + 1 : It->second;
-      if (D > MaxChild)
-        MaxChild = D;
-    });
-    Memo.emplace(F.S, MaxChild >= Cap ? Cap + 1 : MaxChild + 1);
-  }
-  if (Memo.at(Root) > Cap)
-    return false;
-  // Leaf expressions: LMAD components and recurrence bounds.
-  std::vector<const usr::USR *> Walk{Root};
-  std::unordered_set<const usr::USR *> Seen;
-  auto ExprFits = [Cap](const sym::Expr *E) {
-    return !E || pdag::exprNestDepth(E, Cap) <= Cap;
-  };
-  while (!Walk.empty()) {
-    const usr::USR *N = Walk.back();
-    Walk.pop_back();
-    if (!Seen.insert(N).second)
-      continue;
-    if (const auto *L = dyn_cast<usr::LeafUSR>(N)) {
-      for (const lmad::LMAD &M : L->getLMADs()) {
-        if (!ExprFits(M.offset()))
-          return false;
-        for (const lmad::Dim &D : M.dims())
-          if (!ExprFits(D.Stride) || !ExprFits(D.Span))
-            return false;
-      }
-    } else if (const auto *R = dyn_cast<usr::RecurUSR>(N)) {
-      if (!ExprFits(R->getLo()) || !ExprFits(R->getHi()))
-        return false;
-    }
-    ForEachChild(N, [&](const usr::USR *C) { Walk.push_back(C); });
-  }
-  return true;
-}
-
-} // namespace
 
 std::unique_ptr<CompiledUSR> CompiledUSR::compile(const USR *S,
                                                   const sym::Context &Ctx,
@@ -710,7 +590,11 @@ std::unique_ptr<CompiledUSR> CompiledUSR::compile(const USR *S,
   // failed predicate lowering — returns null; callers fall back to the
   // reference interpreter (evalUSREmpty) and the governor counts the
   // demotion in ExecStats::GuardDemotions / USREvalStats::GuardDemotions.
-  if (!usrLoweringFits(S, pdag::LoweringMaxNestDepth))
+  // The depth check reads the depth stored on the root before the
+  // recursive USRCompiler runs, so hostile nesting cannot overflow the C++
+  // stack; LMAD and bound expressions are checked the same way by
+  // ExprCodeBuilder::compile, gate predicates by CompiledPred::compile.
+  if (S->nestDepth() > pdag::LoweringMaxNestDepth)
     return nullptr;
   std::unique_ptr<CompiledUSR> CU(new CompiledUSR());
   CU->Source = S;

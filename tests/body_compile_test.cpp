@@ -435,7 +435,7 @@ TEST_F(BodyCompileTest, DeepSubscriptDemotesToInterpreter) {
   const sym::Expr *E = s(I);
   for (int K = 0; K < 150; ++K)
     E = Sym.min(Sym.addConst(E, 1), c(1 << 20));
-  ASSERT_EQ(pdag::exprNestDepth(E, 1000), 301u);
+  ASSERT_EQ(E->nestDepth(), 301u);
   DoLoop *L = Prog.make<DoLoop>("deep", I, c(1), c(8), 1);
   L->append(write(X, E, {{X, s(I)}}));
   EXPECT_FALSE(rt::CompiledBody::compile(*L, Sym)->lowered());

@@ -7,7 +7,15 @@
 
 #include "pdag/Pred.h"
 
+#include "pdag/PredCompile.h"
+#include "session/Session.h"
+#include "suite/Suite.h"
+#include "support/Rng.h"
+
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <unordered_map>
 
 using namespace halo;
 using namespace halo::pdag;
@@ -265,6 +273,171 @@ TEST_F(PdagPredTest, PrintingIsReadable) {
   std::string Str = Pr->toString(Sym);
   EXPECT_NE(Str.find("and"), std::string::npos);
   EXPECT_NE(Str.find("SYM"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Nesting depth stored on the node
+//===----------------------------------------------------------------------===//
+
+/// True when \p T has \p N bytes on a 64-bit target.
+template <typename T> constexpr bool sizeIs(size_t N) {
+  return sizeof(void *) != 8 || sizeof(T) == N;
+}
+// The loop depth and the nesting depth share the four bytes after Id: no
+// predicate node grows.
+static_assert(sizeIs<Pred>(48), "Pred grew");
+static_assert(sizeIs<CmpPred>(56), "CmpPred grew");
+static_assert(sizeIs<DividesPred>(64), "DividesPred grew");
+static_assert(sizeIs<NaryPred>(72), "NaryPred grew");
+static_assert(sizeIs<LoopAllPred>(80), "LoopAllPred grew");
+static_assert(sizeIs<CallSitePred>(88), "CallSitePred grew");
+
+/// Reference nesting depth: a recursive walk over the child predicates,
+/// memoized per node and saturated like the stored field.
+unsigned refDepth(const Pred *P,
+                  std::unordered_map<const Pred *, unsigned> &Memo) {
+  if (auto It = Memo.find(P); It != Memo.end())
+    return It->second;
+  unsigned D = 0;
+  if (const auto *N = dyn_cast<NaryPred>(P))
+    for (const Pred *C : N->getChildren())
+      D = std::max(D, refDepth(C, Memo));
+  else if (const auto *L = dyn_cast<LoopAllPred>(P))
+    D = refDepth(L->getBody(), Memo);
+  else if (const auto *S = dyn_cast<CallSitePred>(P))
+    D = refDepth(S->getBody(), Memo);
+  D = std::min(D + 1, sym::MaxNestDepth);
+  Memo.emplace(P, D);
+  return D;
+}
+
+/// Checks every node of \p Ctx against the reference walk; returns the
+/// number of nodes checked.
+size_t expectDepthsMatchReference(const PredContext &Ctx) {
+  std::unordered_map<const Pred *, unsigned> Memo;
+  for (uint32_t Id = 0; Id < Ctx.numPreds(); ++Id) {
+    const Pred *P = Ctx.node(Id);
+    EXPECT_EQ(P->nestDepth(), refDepth(P, Memo))
+        << P->toString(Ctx.symCtx());
+  }
+  return Ctx.numPreds();
+}
+
+TEST_F(PdagPredTest, NestDepthMatchesReferenceOnRandomNodes) {
+  Rng R(27);
+  const sym::SymbolId I = Sym.symbol("i", 1);
+  const sym::SymbolId IB = Sym.symbol("IB", 0, /*IsArray=*/true);
+  const sym::Expr *Idx = Sym.arrayRef(IB, Sym.symRef(I));
+  std::vector<const sym::Expr *> Es{s("a"), s("b"), Idx,
+                                    Sym.addConst(Idx, 1), c(4)};
+  auto PickE = [&] { return Es[R.nextBelow(Es.size())]; };
+  std::vector<const Pred *> Pool;
+  for (int K = 0; K < 6; ++K)
+    Pool.push_back(P.le(PickE(), Sym.addConst(PickE(), K)));
+  auto Pick = [&] { return Pool[R.nextBelow(Pool.size())]; };
+  for (int Step = 0; Step < 600; ++Step) {
+    const Pred *Q = nullptr;
+    switch (R.nextBelow(7)) {
+    case 0:
+      Q = P.and2(Pick(), Pick());
+      break;
+    case 1:
+      Q = P.or2(Pick(), Pick());
+      break;
+    case 2:
+      Q = P.loopAll(I, c(1), s("n"), P.and2(Pick(), P.ge0(Idx)));
+      break;
+    case 3:
+      Q = P.callSite("f", Pick());
+      break;
+    case 4:
+      Q = P.divides(c(2 + static_cast<int64_t>(R.nextBelow(3))), PickE(),
+                    R.chance(1, 2));
+      break;
+    case 5:
+      Q = P.ne(PickE(), PickE());
+      break;
+    default:
+      Q = P.andN({Pick(), Pick(), P.or2(Pick(), Pick())});
+      break;
+    }
+    Pool.push_back(Q);
+  }
+  EXPECT_GT(expectDepthsMatchReference(P), 300u);
+  unsigned Deepest = 0;
+  for (const Pred *Q : Pool)
+    Deepest = std::max(Deepest, Q->nestDepth());
+  EXPECT_GT(Deepest, 5u) << "the random DAG should nest";
+}
+
+TEST(PredNestDepthSuite, EveryNodeMatchesReferenceWalk) {
+  // Every predicate of every suite program, after cold analysis of all of
+  // its loops (factorization, simplification, cascades).
+  auto Suite = suite::buildAllBenchmarks();
+  size_t Checked = 0;
+  for (const auto &B : Suite) {
+    SCOPED_TRACE(B->Name);
+    session::SessionOptions SO;
+    SO.Threads = 1;
+    session::Session S(B->prog(), B->usr(), SO);
+    for (const suite::LoopSpec &LS : B->Loops)
+      S.prepare(*LS.Loop);
+    Checked += expectDepthsMatchReference(B->usr().predCtx());
+  }
+  EXPECT_GT(Checked, 10000u);
+}
+
+TEST_F(PdagPredTest, NestDepthSaturates) {
+  const Pred *Q = P.ge0(s("a"));
+  EXPECT_EQ(Q->nestDepth(), 1u);
+  for (unsigned K = 1; K <= sym::MaxNestDepth + 100; ++K) {
+    Q = P.callSite("f", Q);
+    ASSERT_EQ(Q->nestDepth(), std::min(1 + K, sym::MaxNestDepth)) << K;
+  }
+  EXPECT_EQ(Q->loopDepth(), 0);
+}
+
+/// A predicate of nesting depth exactly \p Depth: a comparison leaf
+/// under Depth - 1 call sites.
+const Pred *predOfDepth(PredContext &P, unsigned Depth) {
+  const Pred *Q = P.ge0(P.symCtx().symRef("a"));
+  while (Q->nestDepth() < Depth)
+    Q = P.callSite("f", Q);
+  return Q;
+}
+
+/// An expression of nesting depth exactly \p Depth >= 1 over i.
+const sym::Expr *exprOfDepth(sym::Context &Sym, unsigned Depth) {
+  const sym::SymbolId IB = Sym.symbol("IB", 0, /*IsArray=*/true);
+  const sym::Expr *I = Sym.symRef(Sym.symbol("i", 1));
+  // Depth 1 (i) or 2 (IB(i)), then two levels per Add+Min wrap.
+  const sym::Expr *E = Depth % 2 ? I : Sym.arrayRef(IB, I);
+  while (E->nestDepth() < Depth)
+    E = Sym.min(Sym.addConst(E, 1), Sym.intConst(1 << 20));
+  return E;
+}
+
+TEST_F(PdagPredTest, LoweringCapAdmitsExactlyMaxNestDepth) {
+  const unsigned Cap = LoweringMaxNestDepth;
+  // Predicate nesting.
+  ASSERT_EQ(predOfDepth(P, Cap)->nestDepth(), Cap);
+  EXPECT_NE(CompiledPred::compile(predOfDepth(P, Cap), Sym), nullptr);
+  EXPECT_EQ(CompiledPred::compile(predOfDepth(P, Cap + 1), Sym), nullptr);
+  // A leaf expression.
+  for (unsigned D : {Cap, Cap + 1}) {
+    const sym::Expr *E = exprOfDepth(Sym, D);
+    ASSERT_EQ(E->nestDepth(), D);
+    const Pred *Leaf = P.ge0(E);
+    ASSERT_EQ(cast<CmpPred>(Leaf)->getExpr(), E);
+    EXPECT_EQ(CompiledPred::compile(Leaf, Sym) != nullptr, D <= Cap) << D;
+    // And as a LoopAll bound, under a shallow body.
+    const sym::SymbolId J = Sym.symbol("j", 1);
+    const Pred *L = P.loopAll(
+        J, c(1), E, P.ge0(Sym.arrayRef(Sym.symbol("IB", 0, true),
+                                       Sym.symRef(J))));
+    ASSERT_TRUE(isa<LoopAllPred>(L));
+    EXPECT_EQ(CompiledPred::compile(L, Sym) != nullptr, D <= Cap) << D;
+  }
 }
 
 } // namespace

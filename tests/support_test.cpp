@@ -148,8 +148,14 @@ TEST(IdMapTest, AgreesWithUnorderedMap) {
     for (int Op = 0; Op < 20000; ++Op) {
       const auto Key = static_cast<uint32_t>(R.nextBelow(30000));
       const auto Value = static_cast<uint32_t>(R.nextBelow(1u << 31));
-      M.insert(Key, Value);
-      Ref.emplace(Key, Value);
+      auto [Stored, New] = M.insert(Key, Value);
+      auto [RefIt, RefNew] = Ref.emplace(Key, Value);
+      EXPECT_EQ(New, RefNew);
+      EXPECT_EQ(*Stored, RefIt->second);
+      if (Op % 7 == 0) { // Update in place through the mutable find.
+        ++*M.find(Key);
+        ++RefIt->second;
+      }
       const uint32_t *Got = M.find(Key);
       ASSERT_NE(Got, nullptr);
       EXPECT_EQ(*Got, Ref.at(Key));

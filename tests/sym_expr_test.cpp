@@ -5,12 +5,16 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ir/Validate.h"
+#include "session/Session.h"
+#include "suite/Suite.h"
 #include "support/Rng.h"
 #include "sym/Expr.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <unordered_map>
 
 using namespace halo;
 using namespace halo::sym;
@@ -284,6 +288,179 @@ TEST(SymSetBuilderTest, EqualsSortUniqueAcrossEpochWrap) {
     std::sort(All.begin(), All.end());
     All.erase(std::unique(All.begin(), All.end()), All.end());
     ASSERT_EQ(B.take(), All) << "take " << Take;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Nesting depth stored on the node
+//===----------------------------------------------------------------------===//
+
+/// True when \p T has \p N bytes on a 64-bit target.
+template <typename T> constexpr bool sizeIs(size_t N) {
+  return sizeof(void *) != 8 || sizeof(T) == N;
+}
+// The depth fills the padding after Kind: no expression node grows.
+static_assert(sizeIs<Expr>(40), "Expr grew");
+static_assert(sizeIs<IntConstExpr>(48), "IntConstExpr grew");
+static_assert(sizeIs<SymRefExpr>(48), "SymRefExpr grew");
+static_assert(sizeIs<ArrayRefExpr>(56), "ArrayRefExpr grew");
+static_assert(sizeIs<MinMaxExpr>(56), "MinMaxExpr grew");
+static_assert(sizeIs<DivModExpr>(56), "DivModExpr grew");
+static_assert(sizeIs<MulExpr>(64), "MulExpr grew");
+static_assert(sizeIs<AddExpr>(72), "AddExpr grew");
+
+/// Reference nesting depth: a recursive walk over the operands, memoized
+/// per node and saturated like the stored field.
+unsigned refDepth(const Expr *E,
+                  std::unordered_map<const Expr *, unsigned> &Memo) {
+  if (auto It = Memo.find(E); It != Memo.end())
+    return It->second;
+  unsigned D = 0;
+  auto Visit = [&](const Expr *C) { D = std::max(D, refDepth(C, Memo)); };
+  if (const auto *R = dyn_cast<ArrayRefExpr>(E)) {
+    Visit(R->getIndex());
+  } else if (const auto *M = dyn_cast<MinMaxExpr>(E)) {
+    Visit(M->getLHS());
+    Visit(M->getRHS());
+  } else if (const auto *DM = dyn_cast<DivModExpr>(E)) {
+    Visit(DM->getOperand());
+  } else if (const auto *Mu = dyn_cast<MulExpr>(E)) {
+    for (const Expr *F : Mu->getFactors())
+      Visit(F);
+  } else if (const auto *A = dyn_cast<AddExpr>(E)) {
+    for (const Monomial &T : A->getTerms())
+      Visit(T.Prod);
+  }
+  D = std::min(D + 1, MaxNestDepth);
+  Memo.emplace(E, D);
+  return D;
+}
+
+/// Checks every node of \p Ctx against the reference walk; returns the
+/// number of nodes checked.
+size_t expectDepthsMatchReference(const Context &Ctx) {
+  std::unordered_map<const Expr *, unsigned> Memo;
+  for (uint32_t Id = 0; Id < Ctx.numExprs(); ++Id) {
+    const Expr *E = Ctx.node(Id);
+    EXPECT_EQ(E->nestDepth(), refDepth(E, Memo)) << E->toString(Ctx);
+  }
+  return Ctx.numExprs();
+}
+
+TEST_F(SymExprTest, NestDepthMatchesReferenceOnRandomNodes) {
+  Rng R(27);
+  const SymbolId IB = Ctx.symbol("IB", 0, /*IsArray=*/true);
+  std::vector<const Expr *> Pool{s("a"), s("b"), s("n"), c(3), c(-2)};
+  auto Pick = [&] { return Pool[R.nextBelow(Pool.size())]; };
+  for (int Step = 0; Step < 600; ++Step) {
+    const Expr *A = Pick(), *B = Pick();
+    const Expr *E = nullptr;
+    switch (R.nextBelow(9)) {
+    case 0:
+      E = Ctx.add(A, B);
+      break;
+    case 1:
+      E = Ctx.sub(A, B);
+      break;
+    case 2:
+      // Products of sums expand; keep the pool's term counts small.
+      E = isa<AddExpr>(A) || isa<AddExpr>(B) ? Ctx.add(A, B) : Ctx.mul(A, B);
+      break;
+    case 3:
+      E = Ctx.min(A, B);
+      break;
+    case 4:
+      E = Ctx.max(A, B);
+      break;
+    case 5:
+      E = Ctx.floorDiv(A, 2 + static_cast<int64_t>(R.nextBelow(3)));
+      break;
+    case 6:
+      E = Ctx.mod(A, 2 + static_cast<int64_t>(R.nextBelow(3)));
+      break;
+    case 7:
+      E = Ctx.arrayRef(IB, A);
+      break;
+    default:
+      E = Ctx.addConst(Ctx.mulConst(A, 3), 1);
+      break;
+    }
+    Pool.push_back(E);
+  }
+  EXPECT_GT(expectDepthsMatchReference(Ctx), 600u);
+  unsigned Deepest = 0;
+  for (const Expr *E : Pool)
+    Deepest = std::max(Deepest, E->nestDepth());
+  EXPECT_GT(Deepest, 5u) << "the random DAG should nest";
+}
+
+TEST(ExprNestDepthSuite, EveryNodeMatchesReferenceWalk) {
+  // Every expression of every suite program, after cold analysis of all
+  // of its loops (summaries, USRs, factorization, cascades).
+  auto Suite = suite::buildAllBenchmarks();
+  size_t Checked = 0;
+  for (const auto &B : Suite) {
+    SCOPED_TRACE(B->Name);
+    session::SessionOptions SO;
+    SO.Threads = 1;
+    session::Session S(B->prog(), B->usr(), SO);
+    for (const suite::LoopSpec &LS : B->Loops)
+      S.prepare(*LS.Loop);
+    Checked += expectDepthsMatchReference(B->usr().symCtx());
+  }
+  EXPECT_GT(Checked, 10000u);
+}
+
+TEST_F(SymExprTest, NestDepthSaturates) {
+  // Each step wraps E in an Add and a Min: two levels.
+  const Expr *E = s("i");
+  for (unsigned K = 1; K <= MaxNestDepth / 2 + 50; ++K) {
+    E = Ctx.min(Ctx.addConst(E, 1), c(1 << 20));
+    ASSERT_EQ(E->nestDepth(), std::min(1 + 2 * K, MaxNestDepth)) << K;
+  }
+  EXPECT_EQ(Ctx.addConst(E, 1)->nestDepth(), MaxNestDepth);
+}
+
+/// A loop `t` over `i` that writes A at a subscript nested exactly
+/// \p Depth deep.
+struct DeepSubscriptLoop {
+  Context Sym;
+  pdag::PredContext Pred{Sym};
+  ir::Program Prog{Sym, Pred};
+  ir::DoLoop *Loop = nullptr;
+
+  explicit DeepSubscriptLoop(unsigned Depth) {
+    const SymbolId A = Sym.symbol("A", 0, /*IsArray=*/true);
+    const SymbolId IB = Sym.symbol("IB", 0, /*IsArray=*/true);
+    const SymbolId I = Sym.symbol("i", 1);
+    ir::Subroutine *Main = Prog.makeSubroutine("main");
+    Main->declareArray(ir::ArrayDecl{A, Sym.intConst(1 << 21), false});
+    Main->declareArray(ir::ArrayDecl{IB, Sym.intConst(64), false});
+    // Depth 1 (i) or 2 (IB(i)), then two levels per Add+Min wrap.
+    const Expr *E = Depth % 2 ? Sym.symRef(I) : Sym.arrayRef(IB, Sym.symRef(I));
+    for (unsigned D = E->nestDepth(); D < Depth; D += 2)
+      E = Sym.min(Sym.addConst(E, 1), Sym.intConst(1 << 20));
+    EXPECT_EQ(E->nestDepth(), Depth);
+    Loop = Prog.make<ir::DoLoop>("t", I, Sym.intConst(1), Sym.intConst(8), 1);
+    Loop->append(Prog.make<ir::AssignStmt>(
+        ir::ArrayAccess{A, E}, std::vector<ir::ArrayAccess>{}, false, 0));
+  }
+};
+
+TEST(ExprDepthValidation, ExprTooDeepFiresOneLevelPastTheCap) {
+  ir::ValidateLimits Lim;
+  Lim.MaxExprDepth = 40;
+  for (unsigned Depth : {39u, 40u, 41u, 42u}) {
+    DeepSubscriptLoop T(Depth);
+    std::vector<support::Diag> Ds =
+        ir::collectLoopDiags(T.Prog, *T.Loop, Lim);
+    const bool TooDeep =
+        std::any_of(Ds.begin(), Ds.end(), [](const support::Diag &D) {
+          return D.Kind == support::Diag::Code::ExprTooDeep;
+        });
+    EXPECT_EQ(TooDeep, Depth > Lim.MaxExprDepth) << Depth;
+    if (Depth <= Lim.MaxExprDepth)
+      EXPECT_TRUE(Ds.empty()) << Depth;
   }
 }
 

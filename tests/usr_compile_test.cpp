@@ -88,6 +88,31 @@ TEST_F(UsrCompileTest, SetAlgebraParity) {
   expectParity(U.empty(), B);
 }
 
+TEST_F(UsrCompileTest, SharedDagCompilesLinearNotExponential) {
+  // Every level references the previous one twice, so the DAG has 2^40
+  // root-to-leaf paths but about 120 nodes; shared nodes must compile once
+  // (as call bodies, per polarity), never as the expanded tree.
+  auto Ladder = [&](int Levels) {
+    const USR *X = U.interval(s("a"), c(4));
+    for (int K = 0; K < Levels; ++K) {
+      const USR *A = U.interval(Sym.addConst(s("b"), 3 * K), c(2));
+      const USR *Bk = U.interval(Sym.addConst(s("b"), 3 * K + 1), c(2));
+      X = U.intersect(U.union2(X, A), U.union2(X, Bk));
+    }
+    return X;
+  };
+  const USR *Deep = Ladder(40);
+  ASSERT_TRUE(isa<BinaryUSR>(Deep));
+  auto CU = CompiledUSR::compile(Deep, Sym);
+  ASSERT_NE(CU, nullptr);
+  EXPECT_LT(CU->codeSize(), 2000u);
+  // Parity where the interpreter's tree walk (2^12 paths) stays cheap.
+  sym::Bindings B;
+  B.setScalar(Sym.symbol("a"), 0);
+  B.setScalar(Sym.symbol("b"), 1);
+  expectParity(Ladder(12), B);
+}
+
 TEST_F(UsrCompileTest, StridedLeavesCoalesceExactly) {
   sym::Bindings B;
   // [4]v[28]+0 = {0,4,...,28} and the odd complement interleaved.

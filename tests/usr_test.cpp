@@ -8,9 +8,16 @@
 #include "usr/USREval.h"
 #include "usr/USR.h"
 
+#include "session/Session.h"
+#include "suite/Suite.h"
+#include "support/Rng.h"
+#include "usr/USRCompile.h"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 using namespace halo;
@@ -313,6 +320,160 @@ TEST_F(UsrTest, PrintingIsReadable) {
   std::string Str = R->toString(Sym);
   EXPECT_NE(Str.find("U(i=1..N:"), std::string::npos);
   EXPECT_NE(Str.find("IB(i)"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Nesting depth stored on the node
+//===----------------------------------------------------------------------===//
+
+/// True when \p T has \p N bytes on a 64-bit target.
+template <typename T> constexpr bool sizeIs(size_t N) {
+  return sizeof(void *) != 8 || sizeof(T) == N;
+}
+// The depth fills the padding after Kind: no USR node grows.
+static_assert(sizeIs<USR>(40), "USR grew");
+static_assert(sizeIs<EmptyUSR>(40), "EmptyUSR grew");
+static_assert(sizeIs<LeafUSR>(64), "LeafUSR grew");
+static_assert(sizeIs<UnionUSR>(64), "UnionUSR grew");
+static_assert(sizeIs<BinaryUSR>(56), "BinaryUSR grew");
+static_assert(sizeIs<GateUSR>(56), "GateUSR grew");
+static_assert(sizeIs<CallSiteUSR>(80), "CallSiteUSR grew");
+static_assert(sizeIs<RecurUSR>(72), "RecurUSR grew");
+
+/// Reference nesting depth: a recursive walk over the child USRs,
+/// memoized per node and saturated like the stored field.
+unsigned refDepth(const USR *S,
+                  std::unordered_map<const USR *, unsigned> &Memo) {
+  if (auto It = Memo.find(S); It != Memo.end())
+    return It->second;
+  unsigned D = 0;
+  auto Visit = [&](const USR *C) { D = std::max(D, refDepth(C, Memo)); };
+  if (const auto *Un = dyn_cast<UnionUSR>(S)) {
+    for (const USR *C : Un->getChildren())
+      Visit(C);
+  } else if (const auto *B = dyn_cast<BinaryUSR>(S)) {
+    Visit(B->getLHS());
+    Visit(B->getRHS());
+  } else if (const auto *G = dyn_cast<GateUSR>(S)) {
+    Visit(G->getChild());
+  } else if (const auto *C = dyn_cast<CallSiteUSR>(S)) {
+    Visit(C->getChild());
+  } else if (const auto *R = dyn_cast<RecurUSR>(S)) {
+    Visit(R->getBody());
+  }
+  D = std::min(D + 1, sym::MaxNestDepth);
+  Memo.emplace(S, D);
+  return D;
+}
+
+/// Checks every node of \p Ctx against the reference walk; returns the
+/// number of nodes checked.
+size_t expectDepthsMatchReference(USRContext &Ctx) {
+  std::unordered_map<const USR *, unsigned> Memo;
+  for (uint32_t Id = 0; Id < Ctx.numNodes(); ++Id) {
+    const USR *S = Ctx.node(Id);
+    EXPECT_EQ(S->nestDepth(), refDepth(S, Memo))
+        << S->toString(Ctx.symCtx());
+  }
+  return Ctx.numNodes();
+}
+
+TEST_F(UsrTest, NestDepthMatchesReferenceOnRandomNodes) {
+  Rng R(27);
+  const sym::SymbolId I = Sym.symbol("i", 1);
+  const sym::SymbolId IB = Sym.symbol("IB", 0, /*IsArray=*/true);
+  const sym::Expr *Idx = Sym.arrayRef(IB, Sym.symRef(I));
+  std::vector<const USR *> Pool;
+  for (int K = 0; K < 6; ++K)
+    Pool.push_back(U.interval(Sym.addConst(s(K % 2 ? "a" : "b"), K), c(4)));
+  auto Pick = [&] { return Pool[R.nextBelow(Pool.size())]; };
+  for (int Step = 0; Step < 600; ++Step) {
+    const USR *S = nullptr;
+    switch (R.nextBelow(6)) {
+    case 0:
+      S = U.union2(Pick(), Pick());
+      break;
+    case 1:
+      S = U.intersect(Pick(), Pick());
+      break;
+    case 2:
+      S = U.subtract(Pick(), Pick());
+      break;
+    case 3:
+      S = U.gate(P.ge0(Sym.addConst(s("n"), Step % 7)), Pick());
+      break;
+    case 4:
+      S = U.callSite("f", Pick());
+      break;
+    default:
+      // An index-array body stays an irreducible recurrence.
+      S = U.recur(I, c(1), s("n"), U.union2(Pick(), U.interval(Idx, c(2))));
+      break;
+    }
+    Pool.push_back(S);
+  }
+  EXPECT_GT(expectDepthsMatchReference(U), 300u);
+  unsigned Deepest = 0;
+  for (const USR *S : Pool)
+    Deepest = std::max(Deepest, S->nestDepth());
+  EXPECT_GT(Deepest, 5u) << "the random DAG should nest";
+}
+
+TEST(UsrNestDepthSuite, EveryNodeMatchesReferenceWalk) {
+  // Every USR of every suite program, after cold analysis of all of its
+  // loops (summaries and the independence equations' USRs).
+  auto Suite = suite::buildAllBenchmarks();
+  size_t Checked = 0;
+  for (const auto &B : Suite) {
+    SCOPED_TRACE(B->Name);
+    session::SessionOptions SO;
+    SO.Threads = 1;
+    session::Session S(B->prog(), B->usr(), SO);
+    for (const suite::LoopSpec &LS : B->Loops)
+      S.prepare(*LS.Loop);
+    Checked += expectDepthsMatchReference(B->usr());
+  }
+  EXPECT_GT(Checked, 1000u);
+}
+
+TEST_F(UsrTest, NestDepthSaturates) {
+  const USR *S = U.interval(s("a"), c(4));
+  EXPECT_EQ(S->nestDepth(), 1u);
+  EXPECT_EQ(U.empty()->nestDepth(), 1u);
+  for (unsigned K = 1; K <= sym::MaxNestDepth + 100; ++K) {
+    S = U.callSite("f", S);
+    ASSERT_EQ(S->nestDepth(), std::min(1 + K, sym::MaxNestDepth)) << K;
+  }
+}
+
+TEST_F(UsrTest, LoweringCapAdmitsExactlyMaxNestDepth) {
+  const unsigned Cap = pdag::LoweringMaxNestDepth;
+  // USR nesting: a leaf under Depth - 1 call sites.
+  auto UsrOfDepth = [&](unsigned Depth) {
+    const USR *S = U.interval(s("a"), c(4));
+    while (S->nestDepth() < Depth)
+      S = U.callSite("f", S);
+    return S;
+  };
+  ASSERT_EQ(UsrOfDepth(Cap)->nestDepth(), Cap);
+  EXPECT_NE(CompiledUSR::compile(UsrOfDepth(Cap), Sym), nullptr);
+  EXPECT_EQ(CompiledUSR::compile(UsrOfDepth(Cap + 1), Sym), nullptr);
+  // An LMAD offset and a recurrence bound.
+  const sym::SymbolId I = Sym.symbol("i", 1);
+  const sym::SymbolId IB = Sym.symbol("IB", 0, /*IsArray=*/true);
+  for (unsigned D : {Cap, Cap + 1}) {
+    // Depth 1 (n) or 2 (IB(n)), then two levels per Add+Min wrap.
+    const sym::Expr *E = D % 2 ? s("n") : Sym.arrayRef(IB, s("n"));
+    while (E->nestDepth() < D)
+      E = Sym.min(Sym.addConst(E, 1), c(1 << 20));
+    ASSERT_EQ(E->nestDepth(), D);
+    const USR *Leaf = U.leaf(lmad::LMAD::makePoint(E));
+    EXPECT_EQ(CompiledUSR::compile(Leaf, Sym) != nullptr, D <= Cap) << D;
+    const USR *Rec = U.recur(
+        I, c(1), E, U.interval(Sym.arrayRef(IB, Sym.symRef(I)), c(2)));
+    ASSERT_TRUE(isa<RecurUSR>(Rec));
+    EXPECT_EQ(CompiledUSR::compile(Rec, Sym) != nullptr, D <= Cap) << D;
+  }
 }
 
 } // namespace
